@@ -27,15 +27,8 @@ from .geometry import (
     inertia_components,
     modified_hilbert_polynomial,
 )
-from .genfun import (
-    crosscheck,
-    rank1_series,
-    rank2_vb_closed_p12,
-    rank2_vb_csets,
-    rank2_vb_lambda,
-    rank2_vb_r0,
-    vb_to_tf,
-)
+from .genfun import ENGINES as SERIES_ENGINES
+from .genfun import crosscheck, rank1_series, run_engine, vb_to_tf
 from .sheafdata import (
     EquivLineBundle,
     Rank2Datum,
@@ -119,23 +112,7 @@ def _add_datum(p: argparse.ArgumentParser):
                    help="type1, type2:i, or type3:i,j (default type1)")
 
 
-ENGINES = ("csets", "r0", "closed", "lambda", "all")
-
-
-def _series_engine(name, params, cls, min2exp):
-    if name == "csets":
-        return rank2_vb_csets(params, cls, min2exp)
-    if name == "r0":
-        if params.r != 0:
-            raise ValueError("engine r0 needs r = 0")
-        return rank2_vb_r0(params.a, params.b, cls, min2exp)
-    if name == "closed":
-        if (params.a, params.b, params.r) != (1, 2, 0):
-            raise ValueError("engine closed covers only the (1,2,0) surface")
-        return rank2_vb_closed_p12(cls, min2exp)
-    if name == "lambda":
-        return rank2_vb_lambda(params, cls, min2exp)
-    raise ValueError("unknown engine %r" % name)
+ENGINES = tuple(SERIES_ENGINES) + ("all",)
 
 
 # ------------------------------------------------------------------ handlers
@@ -296,7 +273,7 @@ def _cmd_genfun_rank2_vb(args):
     if args.engine == "all":
         report = crosscheck(params, cls, args.min_exp)
         return report.to_json(), _crosscheck_text(report)
-    series = _series_engine(args.engine, params, cls, args.min_exp)
+    series = run_engine(args.engine, params, cls, args.min_exp)
     return series.to_json(), str(series)
 
 
@@ -304,7 +281,7 @@ def _cmd_genfun_rank2_tf(args):
     if args.engine == "all":
         raise ValueError("rank2-tf needs a single engine, not all")
     params = derive_params(args.a, args.b, args.r)
-    vb = _series_engine(args.engine, params, (args.m, args.n), args.min_exp)
+    vb = run_engine(args.engine, params, (args.m, args.n), args.min_exp)
     series = vb_to_tf(vb, 2, params)
     return series.to_json(), str(series)
 

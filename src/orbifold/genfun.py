@@ -10,65 +10,34 @@ series is evaluated by four independent routes:
   constraint sets available when r = 0;
 * ``rank2_vb_closed_p12`` -- fully explicit nested sums for the (1,2;0)
   surface, one family of terms per first-Chern-class parity;
-* ``rank2_vb_lambda`` -- experimental direct enumeration of filtration
-  jumps over the eleven incidence strata.
+* ``rank2_vb_lambda`` -- direct enumeration of ``sheafdata.Rank2Datum``
+  values over the eleven incidence strata, kept when ``stability_check``
+  holds and placed at their ``rank2_c1_chi``.
 
-All engines return exact integer coefficients on an explicitly tracked
-sound window (see ``exact.HalfExpLaurent``); ``crosscheck`` runs every
-applicable engine and reports the first disagreeing exponent, if any.
-Enumeration bounds are doubled adaptively until the window stabilizes.
+Each engine is a plain loop that adds every constraint set (term family,
+stratum) into one exponent -> count map.  ``ENGINES`` maps each engine name
+to its entry point and to the inputs it covers; ``crosscheck`` and the
+command line both dispatch through it.  All engines return exact integer
+coefficients on an explicitly tracked sound window (see
+``exact.HalfExpLaurent``); ``crosscheck`` runs every applicable engine and
+reports the first disagreeing exponent, if any.  Enumeration bounds are
+doubled adaptively until the window stabilizes.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from .exact import HalfExpLaurent, geometric_factor, monomial, series_to_json_str
-from .geometry import HirzebruchParams, PicClass, derive_params, \
-    modified_euler_characteristic
-
-ClassLike = Union[PicClass, Tuple[int, int]]
+from .geometry import ADJACENT_PAIRS, ClassLike, HirzebruchParams, _as_class, \
+    derive_params, modified_euler_characteristic
+from .sheafdata import Rank2Datum, all_incidence_types, euler_weight, \
+    rank2_c1_chi, stability_check
 
 _BOUND_START = 8
 _BOUND_CAP = 4096
-
-
-def _mn(cls: ClassLike) -> Tuple[int, int]:
-    if isinstance(cls, PicClass):
-        return cls.m, cls.n
-    m, n = cls
-    return int(m), int(n)
-
-
-def _thread_count() -> int:
-    env = os.environ.get("ORBIFOLD_THREADS")
-    if env is not None:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-def _run_tasks(worker: Callable[[list], Dict[int, int]], tasks: list) -> Dict[int, int]:
-    """Evaluate the worker over a task list, optionally across threads.
-
-    Contributions are merged by exact per-exponent integer addition, so the
-    result does not depend on how the task list is partitioned.
-    """
-    threads = _thread_count()
-    if threads <= 1 or len(tasks) <= 1:
-        return worker(tasks)
-    chunks = [tasks[i::threads] for i in range(threads)]
-    chunks = [c for c in chunks if c]
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(pool.map(worker, chunks))
-    merged: Dict[int, int] = {}
-    for part in parts:
-        for e2, c in part.items():
-            merged[e2] = merged.get(e2, 0) + c
-    return {e2: c for e2, c in merged.items() if c}
 
 
 def _stabilized(evaluate: Callable[[int], Dict[int, int]],
@@ -87,12 +56,17 @@ def _stabilized(evaluate: Callable[[int], Dict[int, int]],
         else:
             streak = 0
         prev = cur
-    raise RuntimeError("series window failed to stabilize below bound %d"
-                       % _BOUND_CAP)
+    raise ArithmeticError("series window failed to stabilize below bound %d"
+                          % _BOUND_CAP)
 
 
 def _window(counts: Dict[int, int], min2exp: int) -> HalfExpLaurent:
     return HalfExpLaurent(min2exp, {e2: Fraction(c) for e2, c in counts.items()})
+
+
+def _nonzero(acc: Dict[int, int]) -> Dict[int, int]:
+    """Drop cancelled exponents, so stabilization compares only live terms."""
+    return {e2: c for e2, c in acc.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -291,36 +265,18 @@ def _csets_counts(params: HirzebruchParams, m: int, n: int,
     a, b, r = params.a, params.b, params.r
     pq = params.p * params.q
     f4 = _f4(params.C, r, m, n)
-
-    def run_set(acc, idx, j):
-        if idx == 1:
-            _cs_pinned(acc, j, f4, m, n, a, b, r, pq, lo2, M)
-        elif idx == 2:
-            _cs_quad(acc, j, f4, m, n, a, b, r, pq, lo2, M, 2 * b, 2 * a, True)
-        elif idx == 3:
-            _cs_quad(acc, j, f4, m, n, a, b, r, pq, lo2, M, 2 * a, 2 * b, True)
-        elif idx == 4:
-            _cs_quad(acc, j, f4, m, n, a, b, r, pq, lo2, M, 2 * a, 2 * b, False)
-        elif idx == 5:
-            _cs_quad(acc, j, f4, m, n, a, b, r, pq, lo2, M, 2 * b, 2 * a, False)
-        elif idx == 6:
-            _cs_ratio(acc, j, f4, m, n, a, b, r, pq, lo2, M, b)
-        elif idx == 7:
-            _cs_ratio(acc, j, f4, m, n, a, b, r, pq, lo2, M, a)
-        elif idx == 8:
-            _cs_tail(acc, j, f4, m, n, a, b, r, pq, lo2, M, True)
-        else:
-            _cs_tail(acc, j, f4, m, n, a, b, r, pq, lo2, M, False)
-
-    tasks = [(idx, j) for idx in range(1, 10) for j in range(1, M + 1)]
-
-    def worker(chunk):
-        acc: Dict[int, int] = {}
-        for idx, j in chunk:
-            run_set(acc, idx, j)
-        return acc
-
-    return _run_tasks(worker, tasks)
+    acc: Dict[int, int] = {}
+    for j in range(1, M + 1):
+        _cs_pinned(acc, j, f4, m, n, a, b, r, pq, lo2, M)
+        _cs_quad(acc, j, f4, m, n, a, b, r, pq, lo2, M, 2 * b, 2 * a, True)
+        _cs_quad(acc, j, f4, m, n, a, b, r, pq, lo2, M, 2 * a, 2 * b, True)
+        _cs_quad(acc, j, f4, m, n, a, b, r, pq, lo2, M, 2 * a, 2 * b, False)
+        _cs_quad(acc, j, f4, m, n, a, b, r, pq, lo2, M, 2 * b, 2 * a, False)
+        _cs_ratio(acc, j, f4, m, n, a, b, r, pq, lo2, M, b)
+        _cs_ratio(acc, j, f4, m, n, a, b, r, pq, lo2, M, a)
+        _cs_tail(acc, j, f4, m, n, a, b, r, pq, lo2, M, True)
+        _cs_tail(acc, j, f4, m, n, a, b, r, pq, lo2, M, False)
+    return _nonzero(acc)
 
 
 def rank2_vb_csets(params: HirzebruchParams, cls: ClassLike, min2exp: int,
@@ -333,7 +289,8 @@ def rank2_vb_csets(params: HirzebruchParams, cls: ClassLike, min2exp: int,
     """
     if params.r < 0:
         raise ValueError("rank-2 series engines need r >= 0")
-    m, n = _mn(cls)
+    cls = _as_class(cls)
+    m, n = cls.m, cls.n
     min2exp = int(min2exp)
 
     def evaluate(box):
@@ -436,32 +393,16 @@ def _r0_tail(acc, j, f4, m, n, a, b, lo2, M):
 def _r0_counts(a, b, m, n, lo2, M) -> Dict[int, int]:
     C = a + b + a * b - 1
     f4 = _f4(C, 0, m, n)
-
-    def run_set(acc, idx, j):
-        if idx == 1:
-            _r0_pinned(acc, j, f4, m, n, a, b, lo2, M)
-        elif idx == 2:
-            for _ in range(2):
-                _r0_quad(acc, j, f4, m, n, a, b, lo2, M, 2 * b, 2 * a)
-        elif idx == 3:
-            for _ in range(2):
-                _r0_quad(acc, j, f4, m, n, a, b, lo2, M, 2 * a, 2 * b)
-        elif idx == 4:
-            _r0_cone(acc, j, f4, m, n, a, b, lo2, M, b)
-        elif idx == 5:
-            _r0_cone(acc, j, f4, m, n, a, b, lo2, M, a)
-        else:
-            _r0_tail(acc, j, f4, m, n, a, b, lo2, M)
-
-    tasks = [(idx, j) for idx in range(1, 7) for j in range(1, M + 1)]
-
-    def worker(chunk):
-        acc: Dict[int, int] = {}
-        for idx, j in chunk:
-            run_set(acc, idx, j)
-        return acc
-
-    return _run_tasks(worker, tasks)
+    acc: Dict[int, int] = {}
+    for j in range(1, M + 1):
+        _r0_pinned(acc, j, f4, m, n, a, b, lo2, M)
+        for _ in range(2):  # sets 2 and 3 each count twice
+            _r0_quad(acc, j, f4, m, n, a, b, lo2, M, 2 * b, 2 * a)
+            _r0_quad(acc, j, f4, m, n, a, b, lo2, M, 2 * a, 2 * b)
+        _r0_cone(acc, j, f4, m, n, a, b, lo2, M, b)
+        _r0_cone(acc, j, f4, m, n, a, b, lo2, M, a)
+        _r0_tail(acc, j, f4, m, n, a, b, lo2, M)
+    return _nonzero(acc)
 
 
 def rank2_vb_r0(a: int, b: int, cls: ClassLike, min2exp: int,
@@ -472,7 +413,8 @@ def rank2_vb_r0(a: int, b: int, cls: ClassLike, min2exp: int,
     r = 0 in the general engine, so the two evaluations are independent.
     """
     derive_params(a, b, 0)
-    m, n = _mn(cls)
+    cls = _as_class(cls)
+    m, n = cls.m, cls.n
     min2exp = int(min2exp)
 
     def evaluate(box):
@@ -701,6 +643,13 @@ _P12_TERMS = {(0, 0): _p12_00, (1, 0): _p12_10,
               (0, 1): _p12_01, (1, 1): _p12_11}
 
 
+def _p12_class_refusal(m: int, n: int) -> Optional[str]:
+    if (m, n) in _P12_TERMS:
+        return None
+    return ("closed-form terms cover only the classes "
+            "(0,0), (1,0), (0,1), (1,1); got (%d,%d)" % (m, n))
+
+
 def rank2_vb_closed_p12(cls: ClassLike, min2exp: int,
                         bound: Optional[int] = None) -> HalfExpLaurent:
     """Rank-2 locally-free series on the (1,2;0) surface from explicit sums.
@@ -714,135 +663,98 @@ def rank2_vb_closed_p12(cls: ClassLike, min2exp: int,
     engines exactly at every order.  The deliberate deviations are marked
     by comments in the per-class term functions above.
     """
-    m, n = _mn(cls)
-    if (m, n) not in _P12_TERMS:
-        raise ValueError("closed-form terms cover only the classes "
-                         "(0,0), (1,0), (0,1), (1,1); got (%d,%d)" % (m, n))
+    cls = _as_class(cls)
+    refusal = _p12_class_refusal(cls.m, cls.n)
+    if refusal:
+        raise ValueError(refusal)
     min2exp = int(min2exp)
-    term = _P12_TERMS[(m, n)]
+    term = _P12_TERMS[(cls.m, cls.n)]
 
     def evaluate(tmax):
-        def worker(chunk):
-            acc: Dict[int, int] = {}
-            for t in chunk:
-                term(acc, t, min2exp)
-            return acc
-        return _run_tasks(worker, list(range(1, tmax + 1)))
+        acc: Dict[int, int] = {}
+        for t in range(1, tmax + 1):
+            term(acc, t, min2exp)
+        return _nonzero(acc)
 
     counts = evaluate(bound) if bound is not None else _stabilized(evaluate)
     return _window(counts, min2exp)
 
 
 # ---------------------------------------------------------------------------
-# engine: lambda (experimental direct enumeration of filtration jumps)
+# engine: lambda (direct enumeration of rank-2 data)
 # ---------------------------------------------------------------------------
-
-_ADJ_PRODUCTS = {frozenset((1, 2)): (0, 1), frozenset((2, 3)): (1, 2),
-                 frozenset((3, 4)): (2, 3), frozenset((1, 4)): (3, 0)}
-
-
-def _triangle(sides: Sequence[int]) -> bool:
-    total = sum(sides)
-    return all(2 * s < total for s in sides)
-
 
 def _lambda_counts(params: HirzebruchParams, m: int, n: int,
                    lo2: int, M: int) -> Dict[int, int]:
+    """Signed count of the stable data of class (m, n) with jumps up to M.
+
+    The integer e4 below is four times the datum's exponent; it serves only
+    to prune the loops, while the count itself takes stability and the
+    exponent from ``sheafdata``.
+    """
     a, b, r = params.a, params.b, params.r
     pq = params.p * params.q
     rp = r + pq
     f4 = _f4(params.C, r, m, n)
-
-    # (kind, zero_index or pair, weight)
-    strata: List[Tuple[str, Optional[Tuple[int, ...]], int]] = [("t1", None, -1)]
-    strata += [("t2", (z,), 1) for z in (1, 2, 3, 4)]
-    strata += [("t3", (i, j), 1) for i in (1, 2, 3, 4) for j in range(i + 1, 5)]
-
-    def stratum_scan(acc, stratum, l2):
-        kind, extra, weight = stratum
-        zero = extra[0] if kind == "t2" else 0
-        pair = frozenset(extra) if kind == "t3" else None
-        corr_idx = _ADJ_PRODUCTS.get(pair) if pair else None
-        if zero == 2:
-            if l2 != 0:
-                return
-        elif l2 < 1:
-            return
-        l4_range = (0,) if zero == 4 else range(1, M + 1)
-        for l4 in l4_range:
-            if (n + l2 + l4) % 2:
-                continue
-            s24 = l2 + l4
-            rpart = r * (l2 * l2 - l4 * l4)
-            if zero == 1:
-                l1_range = (0,)
-            else:
-                hi = M
-                if pair == frozenset((1, 2)):
-                    hi = min(hi, M + rp * l4 - pq * l2 - 1)
-                elif pair == frozenset((1, 4)):
-                    hi = min(hi, pq * l2 + M - rp * l4 - 1)
-                l1_range = range(a, hi + 1, a)
-            for l1 in l1_range:
-                if zero == 3:
-                    l3_range = (0,)
-                else:
-                    hi = M
-                    if pair == frozenset((2, 3)):
-                        hi = min(hi, l1 + rp * l4 - pq * l2 - 1)
-                    elif pair == frozenset((3, 4)):
-                        hi = min(hi, l1 + pq * l2 - rp * l4 - 1)
-                    l3_range = range(b, hi + 1, b)
-                for l3 in l3_range:
-                    if (m + l1 + l3 + r * l4) % 2:
-                        continue
-                    lam = (l1, l2, l3, l4)
-                    e4 = f4 - 2 * s24 * (l1 + l3) - rpart
-                    if corr_idx is not None:
-                        e4 += 4 * lam[corr_idx[0]] * lam[corr_idx[1]]
-                    elif e4 < 2 * lo2:
-                        break  # linear decay in l3 holds off the corrected pairs
-                    if e4 < 2 * lo2:
-                        continue
-                    w = (l1, pq * l2, l3, rp * l4)
-                    if kind == "t1":
-                        if not _triangle(w):
+    acc: Dict[int, int] = {}
+    for incidence in all_incidence_types():
+        weight = euler_weight(incidence)
+        zero = incidence[1] if incidence[0] == "type2" else 0
+        pair = incidence[1:] if incidence[0] == "type3" else ()
+        # merging an adjacent pair restores the product of its two jumps
+        corner = frozenset(pair) in ADJACENT_PAIRS
+        for l2 in (0,) if zero == 2 else range(1, M + 1):
+            for l4 in (0,) if zero == 4 else range(1, M + 1):
+                if (n + l2 + l4) % 2:
+                    continue
+                # a fused adjacent pair must weigh less than the other two
+                # corners together, which caps the first and third jumps
+                hi1 = M
+                if pair == (1, 2):
+                    hi1 = min(M, M + rp * l4 - pq * l2 - 1)
+                elif pair == (1, 4):
+                    hi1 = min(M, pq * l2 + M - rp * l4 - 1)
+                for l1 in (0,) if zero == 1 else range(a, hi1 + 1, a):
+                    hi3 = M
+                    if pair == (2, 3):
+                        hi3 = min(M, l1 + rp * l4 - pq * l2 - 1)
+                    elif pair == (3, 4):
+                        hi3 = min(M, l1 + pq * l2 - rp * l4 - 1)
+                    for l3 in (0,) if zero == 3 else range(b, hi3 + 1, b):
+                        if (m + l1 + l3 + r * l4) % 2:
                             continue
-                    elif kind == "t2":
-                        if not _triangle([w[x] for x in range(4) if x != zero - 1]):
+                        lam = (l1, l2, l3, l4)
+                        e4 = (f4 - 2 * (l2 + l4) * (l1 + l3)
+                              - r * (l2 * l2 - l4 * l4))
+                        if corner:
+                            e4 += 4 * lam[pair[0] - 1] * lam[pair[1] - 1]
+                        elif e4 < 2 * lo2:
+                            break  # e4 falls with l3 when no corner is restored
+                        if e4 < 2 * lo2:
                             continue
-                    else:
-                        i0, j0 = (x - 1 for x in sorted(pair))
-                        fused = [w[i0] + w[j0]]
-                        fused += [w[x] for x in range(4) if x not in (i0, j0)]
-                        if not _triangle(fused):
-                            continue
-                    _bump(acc, e4, weight, lo2)
-
-    tasks = [(si, l2) for si in range(len(strata)) for l2 in range(0, M + 1)]
-
-    def worker(chunk):
-        acc: Dict[int, int] = {}
-        for si, l2 in chunk:
-            stratum_scan(acc, strata[si], l2)
-        return acc
-
-    return _run_tasks(worker, tasks)
+                        datum = Rank2Datum(-(m + l1 + l3 + r * l4) // 2,
+                                           -(n + l2 + l4) // 2, lam, incidence)
+                        if stability_check(datum, params):
+                            _, chi = rank2_c1_chi(datum, params)
+                            _bump(acc, 4 * chi, weight, lo2)
+    return _nonzero(acc)
 
 
 def rank2_vb_lambda(params: HirzebruchParams, cls: ClassLike, min2exp: int,
                     bound: Optional[int] = None) -> HalfExpLaurent:
     """Experimental rank-2 engine summing over stable filtration jumps.
 
-    Walks the eleven incidence strata directly, weighting each by its Euler
-    number and placing it at its corrected Euler characteristic.  The
-    stratum systems beyond the two displayed representatives are an
-    index-rotation reconstruction, so this engine is a cross-check, never
-    an authority.
+    Walks the eleven incidence strata of ``sheafdata.all_incidence_types``,
+    builds a ``Rank2Datum`` of the requested class for every jump quadruple
+    in the box, keeps it when ``stability_check`` holds, and adds its
+    ``euler_weight`` at the exponent ``rank2_c1_chi`` gives it.  It shares
+    those definitions with ``sheafdata`` but enumerates far more than the
+    other engines, so ``crosscheck`` runs it only on request.
     """
     if params.r < 0:
         raise ValueError("rank-2 series engines need r >= 0")
-    m, n = _mn(cls)
+    cls = _as_class(cls)
+    m, n = cls.m, cls.n
     min2exp = int(min2exp)
 
     def evaluate(box):
@@ -885,6 +797,62 @@ class CrosscheckReport:
         }
 
 
+def _covers_all(params, m, n):
+    return None
+
+
+class Engine(NamedTuple):
+    """One rank-2 engine as the command line and ``crosscheck`` see it.
+
+    ``run`` takes ``(params, cls, min2exp, bound=None)``.  ``refusal`` takes
+    ``(params, m, n)`` and returns why the engine does not cover that input,
+    or None; engines that check their own input return None throughout.
+    ``experimental`` engines join ``crosscheck`` only on request.
+    """
+
+    run: Callable[..., HalfExpLaurent]
+    refusal: Callable[[HirzebruchParams, int, int],
+                      Optional[str]] = _covers_all
+    experimental: bool = False
+
+
+def _r0_refusal(params, m, n):
+    return None if params.r == 0 else "engine r0 needs r = 0"
+
+
+def _closed_refusal(params, m, n):
+    if (params.a, params.b, params.r) != (1, 2, 0):
+        return "engine closed covers only the (1,2,0) surface"
+    return _p12_class_refusal(m, n)
+
+
+# The entries call the engines through their module-level names at call
+# time, so a wrapper later bound to one of those names sees every call.
+ENGINES: Dict[str, Engine] = {
+    "csets": Engine(lambda params, cls, min2exp, bound=None:
+                    rank2_vb_csets(params, cls, min2exp, bound)),
+    "r0": Engine(lambda params, cls, min2exp, bound=None:
+                 rank2_vb_r0(params.a, params.b, cls, min2exp, bound),
+                 _r0_refusal),
+    "closed": Engine(lambda params, cls, min2exp, bound=None:
+                     rank2_vb_closed_p12(cls, min2exp, bound), _closed_refusal),
+    "lambda": Engine(lambda params, cls, min2exp, bound=None:
+                     rank2_vb_lambda(params, cls, min2exp, bound),
+                     experimental=True),
+}
+
+
+def run_engine(name: str, params: HirzebruchParams, cls: ClassLike,
+               min2exp: int, bound: Optional[int] = None) -> HalfExpLaurent:
+    """Rank-2 series from the named engine; ValueError if it does not apply."""
+    engine = ENGINES[name]
+    c = _as_class(cls)
+    refusal = engine.refusal(params, c.m, c.n)
+    if refusal:
+        raise ValueError(refusal)
+    return engine.run(params, cls, min2exp, bound)
+
+
 def crosscheck(params: HirzebruchParams, cls: ClassLike, min2exp: int,
                include_lambda: bool = False) -> CrosscheckReport:
     """Run every applicable rank-2 engine and compare the windows.
@@ -892,16 +860,12 @@ def crosscheck(params: HirzebruchParams, cls: ClassLike, min2exp: int,
     Disagreement is reported, not raised; the first disagreeing exponent is
     the highest one at which any two engines differ.
     """
-    m, n = _mn(cls)
+    cls = _as_class(cls)
     min2exp = int(min2exp)
-    windows: List[Tuple[str, HalfExpLaurent]] = [
-        ("csets", rank2_vb_csets(params, cls, min2exp))]
-    if params.r == 0:
-        windows.append(("r0", rank2_vb_r0(params.a, params.b, cls, min2exp)))
-    if (params.a, params.b, params.r) == (1, 2, 0) and (m, n) in _P12_TERMS:
-        windows.append(("closed", rank2_vb_closed_p12(cls, min2exp)))
-    if include_lambda:
-        windows.append(("lambda", rank2_vb_lambda(params, cls, min2exp)))
+    windows = [(name, engine.run(params, cls, min2exp))
+               for name, engine in ENGINES.items()
+               if engine.refusal(params, cls.m, cls.n) is None
+               and (include_lambda or not engine.experimental)]
 
     top = max(win.max2exp for _, win in windows)
     first_bad = None
@@ -910,14 +874,15 @@ def crosscheck(params: HirzebruchParams, cls: ClassLike, min2exp: int,
         if len(vals) > 1:
             first_bad = e2
             break
-    return CrosscheckReport(params.a, params.b, params.r, m, n, min2exp,
-                            tuple(windows), first_bad is None, first_bad)
+    return CrosscheckReport(params.a, params.b, params.r, cls.m, cls.n,
+                            min2exp, tuple(windows), first_bad is None,
+                            first_bad)
 
 
 __all__ = [
-    "CrosscheckReport", "crosscheck", "rank1_series", "rank2_vb_closed_p12",
-    "rank2_vb_csets", "rank2_vb_lambda", "rank2_vb_r0", "series_to_json_str",
-    "vb_to_tf",
+    "ENGINES", "CrosscheckReport", "Engine", "crosscheck", "rank1_series",
+    "rank2_vb_closed_p12", "rank2_vb_csets", "rank2_vb_lambda", "rank2_vb_r0",
+    "run_engine", "series_to_json_str", "vb_to_tf",
 ]
 
 if __name__ == "__main__":

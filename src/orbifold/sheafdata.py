@@ -14,11 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 from .geometry import (
+    ADJACENT_PAIRS,
+    ClassLike,
     HirzebruchParams,
     PicClass,
+    _as_class,
     modified_euler_characteristic,
 )
 
@@ -39,16 +42,6 @@ __all__ = [
     "rank1_quotient_chi",
     "tensor_shift",
 ]
-
-ClassLike = Union[PicClass, Tuple[int, int]]
-
-
-def _mn(cls: ClassLike) -> Tuple[int, int]:
-    if isinstance(cls, PicClass):
-        return cls.m, cls.n
-    m, n = cls
-    return int(m), int(n)
-
 
 @dataclass(frozen=True)
 class EquivLineBundle:
@@ -103,10 +96,6 @@ def all_incidence_types() -> Tuple[Incidence, ...]:
     out.extend(("type2", i) for i in range(1, 5))
     out.extend(("type3", i, j) for i in range(1, 5) for j in range(i + 1, 5))
     return tuple(out)
-
-
-_ADJACENT = (frozenset((1, 2)), frozenset((2, 3)),
-             frozenset((3, 4)), frozenset((4, 1)))
 
 
 def _check_incidence(incidence: Incidence) -> Incidence:
@@ -223,7 +212,7 @@ def incidence_chi_correction(incidence: Incidence,
     if incidence[0] != "type3":
         return 0
     i, j = incidence[1], incidence[2]
-    if frozenset((i, j)) not in _ADJACENT:
+    if frozenset((i, j)) not in ADJACENT_PAIRS:
         return 0
     return lam[i - 1] * lam[j - 1]
 
@@ -238,7 +227,8 @@ def f_exponent(params: HirzebruchParams, m: int, n: int) -> Fraction:
 def rank2_chi_exponent(params: HirzebruchParams, cls: ClassLike,
                        lam: Sequence[int]) -> Fraction:
     """Modified Euler characteristic exponent before incidence corrections."""
-    m, n = _mn(cls)
+    cls = _as_class(cls)
+    m, n = cls.m, cls.n
     l1, l2, l3, l4 = (int(x) for x in lam)
     r = params.r
     inner = l1 + Fraction(r, 2) * l2 + l3 - Fraction(r, 2) * l4
@@ -291,14 +281,15 @@ def rank1_quotient_chi(hull: ClassLike, quad: PartitionQuadruple,
     second or third costs b.
     """
     s1, s2, s3, s4 = quad.sizes()
-    base = modified_euler_characteristic(params, _mn(hull))
+    base = modified_euler_characteristic(params, hull)
     return base - params.a * (s1 + s4) - params.b * (s2 + s3)
 
 
 def tensor_shift(i: int, j: int, cls: ClassLike,
                  params: HirzebruchParams) -> int:
     """Exponent shift g(i, j) of the series when the class moves by (i, j)."""
-    m, n = _mn(cls)
+    cls = _as_class(cls)
+    m, n = cls.m, cls.n
     a, b, r = params.a, params.b, params.r
     return (i * (2 + n + 2 * j)
             + j * (a * b + a + b - 1 - r + m - n * r - r * j))

@@ -23,12 +23,7 @@ from .geometry import (
     modified_hilbert_polynomial,
     point_sheaf_mhp,
 )
-from .genfun import (
-    rank1_series,
-    rank2_vb_closed_p12,
-    rank2_vb_csets,
-    rank2_vb_r0,
-)
+from .genfun import ENGINES, rank1_series, rank2_vb_csets
 from .intlattice import IntMatrix, integer_kernel, lattices_equal, smith_normal_form
 from .sheafdata import tensor_shift
 from .stackyfan import (
@@ -86,30 +81,24 @@ class SharedRuns:
         self._triples: Optional[Dict] = None
         self._pairs: Optional[Dict] = None
 
-    def _run(self, label, fn):
-        window = fn(None)
-        self.registry.append((label, fn, window))
+    def _run(self, name, params, cls, min2exp):
+        run = ENGINES[name].run
+
+        def replay(bound):
+            return run(params, cls, min2exp, bound)
+
+        window = replay(None)
+        self.registry.append(("%s (%d,%d,%d) %s" % (
+            name, params.a, params.b, params.r, cls), replay, window))
         return window
 
     def triples(self):
         """csets/r0/closed windows for (1,2,0), all four classes, to q^-8."""
         if self._triples is None:
-            self._triples = {}
-            for cls in CLASSES:
-                self._triples[cls] = {
-                    "csets": self._run(
-                        "csets (1,2,0) %s" % (cls,),
-                        lambda bound, c=cls: rank2_vb_csets(
-                            self.p120, c, -16, bound=bound)),
-                    "r0": self._run(
-                        "r0 (1,2,0) %s" % (cls,),
-                        lambda bound, c=cls: rank2_vb_r0(
-                            1, 2, c, -16, bound=bound)),
-                    "closed": self._run(
-                        "closed (1,2,0) %s" % (cls,),
-                        lambda bound, c=cls: rank2_vb_closed_p12(
-                            c, -16, bound=bound)),
-                }
+            self._triples = {
+                cls: {name: self._run(name, self.p120, cls, -16)
+                      for name in ("csets", "r0", "closed")}
+                for cls in CLASSES}
         return self._triples
 
     def pairs(self):
@@ -119,15 +108,8 @@ class SharedRuns:
             for (a, b), lo2 in (((1, 1), -22), ((1, 3), -14), ((2, 3), -6)):
                 pr = derive_params(a, b, 0)
                 self._pairs[(a, b)] = {
-                    "csets": self._run(
-                        "csets (%d,%d,0) (0, 0)" % (a, b),
-                        lambda bound, p=pr, l=lo2: rank2_vb_csets(
-                            p, (0, 0), l, bound=bound)),
-                    "r0": self._run(
-                        "r0 (%d,%d,0) (0, 0)" % (a, b),
-                        lambda bound, aa=a, bb=b, l=lo2: rank2_vb_r0(
-                            aa, bb, (0, 0), l, bound=bound)),
-                }
+                    name: self._run(name, pr, (0, 0), lo2)
+                    for name in ("csets", "r0")}
         return self._pairs
 
 

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+from orbifold import cli, genfun
 from orbifold.exact import HalfExpLaurent
 from orbifold.stackyfan import StackyFanData
 
@@ -55,6 +56,18 @@ def test_domain_error_is_one_line_exit_1():
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: ")
+
+
+def test_bound_cap_is_one_line_exit_1(monkeypatch, capsys):
+    # a window that does not settle below the cap is a domain error, not a
+    # traceback
+    monkeypatch.setattr(genfun, "_BOUND_CAP", 8)
+    code = cli.main(["genfun", "rank2-vb", "-a", "1", "-b", "2", "-m", "0",
+                     "-n", "0", "--min-exp=-20"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "error: series window failed to stabilize below bound 8\n"
 
 
 def test_usage_error_exit_2():

@@ -15,7 +15,7 @@ from orbifold.genfun import (
     rank2_vb_r0,
     vb_to_tf,
 )
-from orbifold.sheafdata import tensor_shift
+from orbifold.sheafdata import f_exponent, tensor_shift
 
 P120 = derive_params(1, 2, 0)
 
@@ -102,6 +102,17 @@ def test_lambda_agrees_at_positive_twist():
         sl = rank2_vb_lambda(pr, cls, min2exp=lo2)
         assert not sc.is_zero
         assert sc.same_window_coeffs(sl)
+
+
+@pytest.mark.parametrize("abr", [(1, 2, 1), (1, 2, 2), (1, 3, 1), (2, 3, 1),
+                                 (2, 3, 2)])
+def test_lambda_matches_csets_on_twisted_surfaces(abr):
+    pr = derive_params(*abr)
+    for cls in GOLD_120:
+        lo2 = 2 * (math.floor(f_exponent(pr, *cls)) - 2)
+        sc = rank2_vb_csets(pr, cls, min2exp=lo2)
+        sl = rank2_vb_lambda(pr, cls, min2exp=lo2)
+        assert sc == sl, (abr, cls)
 
 
 def test_negative_coefficient_is_real(engines120):
