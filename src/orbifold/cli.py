@@ -486,14 +486,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, text = args.handler(args)
-    except (ValueError, ArithmeticError) as exc:
+        doc = json.dumps(payload, sort_keys=True, indent=2)
+        if getattr(args, "out", None):
+            with open(args.out, "w") as fh:
+                fh.write(doc + "\n")
+    except (ValueError, ArithmeticError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    doc = json.dumps(payload, sort_keys=True, indent=2)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(doc + "\n")
-    print(doc if getattr(args, "json", False) else text)
+    try:
+        print(doc if getattr(args, "json", False) else text, flush=True)
+    except BrokenPipeError:  # the reader closed stdout early
+        return 1
     if args.handler is _cmd_verify and not payload["passed"]:
         return 1
     return 0

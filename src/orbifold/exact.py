@@ -577,9 +577,3 @@ def geometric_factor(step: RationalLike, power: int, min2exp: int) -> HalfExpLau
 
 def series_to_json_str(series: HalfExpLaurent) -> str:
     return json.dumps(series.to_json(), sort_keys=True)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -20,14 +20,15 @@ to its entry point and to the inputs it covers; ``crosscheck`` and the
 command line both dispatch through it.  All engines return exact integer
 coefficients on an explicitly tracked sound window (see
 ``exact.HalfExpLaurent``); ``crosscheck`` runs every applicable engine and
-reports the first disagreeing exponent, if any.  Enumeration bounds are
-doubled adaptively until the window stabilizes.
+reports the first disagreeing exponent, if any.  Each engine enumerates
+once, over the box that ``_box``, ``_p12_tmax`` or ``_lambda_box`` derives
+from the depth of the window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import isqrt
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from .exact import HalfExpLaurent, geometric_factor, monomial, series_to_json_str
@@ -35,38 +36,6 @@ from .geometry import ADJACENT_PAIRS, ClassLike, HirzebruchParams, _as_class, \
     derive_params, modified_euler_characteristic
 from .sheafdata import Rank2Datum, all_incidence_types, euler_weight, \
     rank2_c1_chi, stability_check
-
-_BOUND_START = 8
-_BOUND_CAP = 4096
-
-
-def _stabilized(evaluate: Callable[[int], Dict[int, int]],
-                start: int = _BOUND_START) -> Dict[int, int]:
-    """Double the enumeration bound until two consecutive doublings agree."""
-    bound = start
-    prev = evaluate(bound)
-    streak = 0
-    while bound <= _BOUND_CAP:
-        bound *= 2
-        cur = evaluate(bound)
-        if cur == prev:
-            streak += 1
-            if streak >= 2:
-                return cur
-        else:
-            streak = 0
-        prev = cur
-    raise ArithmeticError("series window failed to stabilize below bound %d"
-                          % _BOUND_CAP)
-
-
-def _window(counts: Dict[int, int], min2exp: int) -> HalfExpLaurent:
-    return HalfExpLaurent(min2exp, {e2: Fraction(c) for e2, c in counts.items()})
-
-
-def _nonzero(acc: Dict[int, int]) -> Dict[int, int]:
-    """Drop cancelled exponents, so stabilization compares only live terms."""
-    return {e2: c for e2, c in acc.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +98,30 @@ def _f4(C: int, r: int, m: int, n: int) -> int:
     return 2 * (C - r) * n + 4 * C + 4 * m + 2 * m * n - n * n * r
 
 
-def _bump(acc: Dict[int, int], e4: int, weight: int, lo2: int):
-    if e4 < 2 * lo2:
-        return
+def _box(params: HirzebruchParams, m: int, n: int, min2exp: int) -> int:
+    """Box holding every csets and r0 term in the window.
+
+    Each engine writes a term's exponent as (f4 - Q)/4 with a cost Q > 0,
+    so the term is in the window iff Q <= D = f4 - 2*min2exp.  Here
+    pq = p*q is at most r when r > 0 (p, q are coprime divisors of r) and
+    is ab when r = 0, where the csets sets are the r0 sets.  Per set:
+    2-5: Q = (2pq + r) l^2 + x (j + l) + y (j - l) with x = i - pq*l >= 1,
+      y = pq*l - k >= 1 and |l| <= j - 2, so j, |l|, |i|, |k| <= D/2;
+    6-7, i >= 1: Q = 2ij + r j^2, so i, j <= D/2 and
+      |k| < max(i, (i + rj)/(r + pq)) <= D/2;
+    6-7, i <= 0 (r > 0 only): k exists only if (2pq + r)|i| < r pq j, so
+      |i|, |k| < j and r j (r j + 2) < (2pq + r) D;
+    8-9 and 1: Q >= (2pq + r) j^2, i <= D/2 and |k| < (pq + 2r) j.
+    """
+    r, pq = params.r, params.p * params.q
+    span = max(0, _f4(params.C, r, m, n) - 2 * min2exp)
+    box = max(span // 2, (pq + 2 * r) * isqrt(span // (2 * pq + r)))
+    if r:  # r j (r j + 2) < N  <=>  r j + 1 <= isqrt(N)
+        box = max(box, (isqrt((2 * pq + r) * span) - 1) // r)
+    return box
+
+
+def _bump(acc: Dict[int, int], e4: int, weight: int):
     if e4 & 1:
         raise ArithmeticError("series exponent %s/4 is not a half-integer" % e4)
     e2 = e4 >> 1
@@ -164,7 +154,7 @@ def _cs_pinned(acc, j, f4, m, n, a, b, r, pq, lo2, M):
                 count += 1
             k += 2 * b
     if count:
-        _bump(acc, e4, -count, lo2)
+        _bump(acc, e4, -count)
 
 
 def _cs_quad(acc, j, f4, m, n, a, b, r, pq, lo2, M, step, cross_mod, plus_form):
@@ -201,7 +191,7 @@ def _cs_quad(acc, j, f4, m, n, a, b, r, pq, lo2, M, step, cross_mod, plus_form):
                 if e4 < 2 * lo2:
                     break
                 if (i + k + shift) % cross_mod == 0:
-                    _bump(acc, e4, 1, lo2)
+                    _bump(acc, e4, 1)
                 k -= step
             i += 2
 
@@ -229,7 +219,7 @@ def _cs_ratio(acc, j, f4, m, n, a, b, r, pq, lo2, M, div_mod):
             if (j + k) % 2:
                 continue
             if (2 * i + r * (j + k)) % (2 * div_mod) == 0:
-                _bump(acc, e4, 1, lo2)
+                _bump(acc, e4, 1)
         i += 2
 
 
@@ -256,7 +246,7 @@ def _cs_tail(acc, j, f4, m, n, a, b, r, pq, lo2, M, twisted):
             if e4 < 2 * lo2:
                 break
             if (i + k + target_shift) % (2 * a) == 0:
-                _bump(acc, e4, 1, lo2)
+                _bump(acc, e4, 1)
             i += 2 * b
 
 
@@ -276,7 +266,7 @@ def _csets_counts(params: HirzebruchParams, m: int, n: int,
         _cs_ratio(acc, j, f4, m, n, a, b, r, pq, lo2, M, a)
         _cs_tail(acc, j, f4, m, n, a, b, r, pq, lo2, M, True)
         _cs_tail(acc, j, f4, m, n, a, b, r, pq, lo2, M, False)
-    return _nonzero(acc)
+    return acc
 
 
 def rank2_vb_csets(params: HirzebruchParams, cls: ClassLike, min2exp: int,
@@ -284,20 +274,16 @@ def rank2_vb_csets(params: HirzebruchParams, cls: ClassLike, min2exp: int,
     """Rank-2 locally-free counting series by signed lattice enumeration.
 
     Needs r >= 0; the negatively twisted surfaces are isomorphic to their
-    mirrors and are out of scope here.  With ``bound`` unset the box is
-    doubled until the window stabilizes twice in a row.
+    mirrors and are out of scope here.  Enumerates once, over the box
+    ``_box`` derives from the window, or over ``bound`` when given.
     """
     if params.r < 0:
         raise ValueError("rank-2 series engines need r >= 0")
     cls = _as_class(cls)
     m, n = cls.m, cls.n
     min2exp = int(min2exp)
-
-    def evaluate(box):
-        return _csets_counts(params, m, n, min2exp, box)
-
-    counts = evaluate(bound) if bound is not None else _stabilized(evaluate)
-    return _window(counts, min2exp)
+    box = _box(params, m, n, min2exp) if bound is None else bound
+    return HalfExpLaurent(min2exp, _csets_counts(params, m, n, min2exp, box))
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +310,7 @@ def _r0_pinned(acc, j, f4, m, n, a, b, lo2, M):
                 count += 1
             k += 2 * b
     if count:
-        _bump(acc, e4, -count, lo2)
+        _bump(acc, e4, -count)
 
 
 def _r0_quad(acc, j, f4, m, n, a, b, lo2, M, step, cross_mod):
@@ -350,7 +336,7 @@ def _r0_quad(acc, j, f4, m, n, a, b, lo2, M, step, cross_mod):
                 if e4 < 2 * lo2:
                     break
                 if (i + k) % cross_mod == 0:
-                    _bump(acc, e4, 1, lo2)
+                    _bump(acc, e4, 1)
                 k -= step
             i += 2
 
@@ -369,7 +355,7 @@ def _r0_cone(acc, j, f4, m, n, a, b, lo2, M, div):
             k_max = (i - 1) // ab
             for k in range(max(-k_max, -M), min(k_max, M) + 1):
                 if (j + k) % 2 == 0:
-                    _bump(acc, e4, 1, lo2)
+                    _bump(acc, e4, 1)
         i += 2
 
 
@@ -386,7 +372,7 @@ def _r0_tail(acc, j, f4, m, n, a, b, lo2, M):
             if e4 < 2 * lo2:
                 break
             if (i + k) % (2 * a) == 0:
-                _bump(acc, e4, 2, lo2)
+                _bump(acc, e4, 2)
             i += 2 * b
 
 
@@ -402,7 +388,7 @@ def _r0_counts(a, b, m, n, lo2, M) -> Dict[int, int]:
         _r0_cone(acc, j, f4, m, n, a, b, lo2, M, b)
         _r0_cone(acc, j, f4, m, n, a, b, lo2, M, a)
         _r0_tail(acc, j, f4, m, n, a, b, lo2, M)
-    return _nonzero(acc)
+    return acc
 
 
 def rank2_vb_r0(a: int, b: int, cls: ClassLike, min2exp: int,
@@ -412,16 +398,12 @@ def rank2_vb_r0(a: int, b: int, cls: ClassLike, min2exp: int,
     Transcribed from the specialized constraint sets rather than by setting
     r = 0 in the general engine, so the two evaluations are independent.
     """
-    derive_params(a, b, 0)
+    params = derive_params(a, b, 0)
     cls = _as_class(cls)
     m, n = cls.m, cls.n
     min2exp = int(min2exp)
-
-    def evaluate(box):
-        return _r0_counts(a, b, m, n, min2exp, box)
-
-    counts = evaluate(bound) if bound is not None else _stabilized(evaluate)
-    return _window(counts, min2exp)
+    box = _box(params, m, n, min2exp) if bound is None else bound
+    return HalfExpLaurent(min2exp, _r0_counts(a, b, m, n, min2exp, box))
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +625,18 @@ _P12_TERMS = {(0, 0): _p12_00, (1, 0): _p12_10,
               (0, 1): _p12_01, (1, 1): _p12_11}
 
 
+def _p12_tmax(min2exp: int) -> int:
+    """Largest t whose term family can reach the window.
+
+    Each piece of family t peaks at u = 1, d = p, concave in p; over
+    1 <= p <= 2t the family's top exponent is, for t >= 2, 4 - 2t - 2t^2
+    (class (0,0)), 5 - 2t^2 (1,0), 6 - 2t - 2t^2 (0,1), 8 - t - 2t^2 (1,1),
+    and 2, 4, 4, 6 at t = 1.  All are <= 8 - 2t^2, so a family in the
+    window has 2 (8 - 2t^2) >= min2exp, i.e. t <= sqrt((16 - min2exp)/4).
+    """
+    return isqrt(max(0, 16 - min2exp) // 4)
+
+
 def _p12_class_refusal(m: int, n: int) -> Optional[str]:
     if (m, n) in _P12_TERMS:
         return None
@@ -669,15 +663,11 @@ def rank2_vb_closed_p12(cls: ClassLike, min2exp: int,
         raise ValueError(refusal)
     min2exp = int(min2exp)
     term = _P12_TERMS[(cls.m, cls.n)]
-
-    def evaluate(tmax):
-        acc: Dict[int, int] = {}
-        for t in range(1, tmax + 1):
-            term(acc, t, min2exp)
-        return _nonzero(acc)
-
-    counts = evaluate(bound) if bound is not None else _stabilized(evaluate)
-    return _window(counts, min2exp)
+    tmax = _p12_tmax(min2exp) if bound is None else bound
+    acc: Dict[int, int] = {}
+    for t in range(1, tmax + 1):
+        term(acc, t, min2exp)
+    return HalfExpLaurent(min2exp, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -736,8 +726,31 @@ def _lambda_counts(params: HirzebruchParams, m: int, n: int,
                                            -(n + l2 + l4) // 2, lam, incidence)
                         if stability_check(datum, params):
                             _, chi = rank2_c1_chi(datum, params)
-                            _bump(acc, 4 * chi, weight, lo2)
-    return _nonzero(acc)
+                            _bump(acc, 4 * chi, weight)
+    return acc
+
+
+def _lambda_box(params: HirzebruchParams, m: int, n: int,
+                min2exp: int) -> int:
+    """Box holding every stable datum of cost Q <= D (see ``_box``).
+
+    Q = 2 (l2 + l4)(l1 + l3) + r (l2^2 - l4^2) - 4c, where c is the product
+    of the jumps of a fused adjacent pair (else 0).  Let pq = p*q (<= r when
+    r > 0) and w = (l1, pq l2, l3, (r + pq) l4) the stability weights.
+    No corner: w4 < w1 + w2 + w3 makes Q = (l2 + l4) B with B > l1 + l3
+      (B = 2 (l1 + l3) if r = 0), so l2 + l4 <= D/2 and l1, l3 <= (D + r)/2
+      (equality needs l2 = 0, l4 = 1, Q = 2 (l1 + l3) - r).
+    Fused {x, c}, x in {1, 3}, c in {2, 4}, y and c' the other corners: the
+      slacks s1 = wy + wc' - wx - wc > 0, s3 = wx + wc + wy - wc' > 0 and
+      e = lc' - lc give Q = 2 lc s1 + 2 lc' s3 + (r + 2pq) e^2, so
+      l2 + l4 <= D/2 and ly = (s1 + s3)/2 <= D/4.  If r > 0 and c = 2,
+      r Q - 4 lx >= 2 (s3 - 1)(r l4 - 1) + (r + 2pq) e (r e - 2) >= -3;
+      if r > 0 and c = 4, Q - 4 lx >= 4 + 4r - 2pq > 0; if r = 0,
+      Q - 4 lx >= 4 + 2pq e (e - 2) and Q >= 6 + 2pq when e = 1.  So
+      4 lx <= r D + 3 or lx <= D/2.
+    """
+    span = max(0, _f4(params.C, params.r, m, n) - 2 * min2exp)
+    return max((span + params.r) // 2, (params.r * span + 3) // 4)
 
 
 def rank2_vb_lambda(params: HirzebruchParams, cls: ClassLike, min2exp: int,
@@ -756,12 +769,8 @@ def rank2_vb_lambda(params: HirzebruchParams, cls: ClassLike, min2exp: int,
     cls = _as_class(cls)
     m, n = cls.m, cls.n
     min2exp = int(min2exp)
-
-    def evaluate(box):
-        return _lambda_counts(params, m, n, min2exp, box)
-
-    counts = evaluate(bound) if bound is not None else _stabilized(evaluate)
-    return _window(counts, min2exp)
+    box = _lambda_box(params, m, n, min2exp) if bound is None else bound
+    return HalfExpLaurent(min2exp, _lambda_counts(params, m, n, min2exp, box))
 
 
 # ---------------------------------------------------------------------------
@@ -884,8 +893,3 @@ __all__ = [
     "rank2_vb_closed_p12", "rank2_vb_csets", "rank2_vb_lambda", "rank2_vb_r0",
     "run_engine", "series_to_json_str", "vb_to_tf",
 ]
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -431,9 +431,3 @@ def solve_gcd_chain_row(weights: Sequence[int], i: int) -> Tuple[int, ...]:
     step = lam[i] // lam[i - 1]
     rest = solve_diophantine(ws[i:], -step * ws[i - 1])
     return tuple([0] * (i - 1) + [step] + list(rest))
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -70,8 +70,8 @@ class CriterionResult:
 class SharedRuns:
     """Caches the engine windows used by several criteria.
 
-    Every cached run is registered with a re-runnable closure so the
-    stabilization criterion can replay it at explicit enumeration bounds.
+    Every cached run (over the engine's derived box) is registered with a
+    re-runnable closure so criterion 10 can replay it at explicit bounds.
     """
 
     def __init__(self):

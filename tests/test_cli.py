@@ -1,10 +1,11 @@
 """Subprocess tests for the command-line front end."""
 
+import io
 import json
 import subprocess
 import sys
 
-from orbifold import cli, genfun
+from orbifold import cli
 from orbifold.exact import HalfExpLaurent
 from orbifold.stackyfan import StackyFanData
 
@@ -58,16 +59,32 @@ def test_domain_error_is_one_line_exit_1():
     assert lines[0].startswith("error: ")
 
 
-def test_bound_cap_is_one_line_exit_1(monkeypatch, capsys):
-    # a window that does not settle below the cap is a domain error, not a
-    # traceback
-    monkeypatch.setattr(genfun, "_BOUND_CAP", 8)
-    code = cli.main(["genfun", "rank2-vb", "-a", "1", "-b", "2", "-m", "0",
-                     "-n", "0", "--min-exp=-20"])
+def test_unwritable_out_is_one_line_exit_1(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code = cli.main(["euler", "-a", "2", "-b", "3", "-r", "1", "-m", "0",
+                     "-n", "1", "--out", str(target)])
     out, err = capsys.readouterr()
     assert code == 1
     assert out == ""
-    assert err == "error: series window failed to stabilize below bound 8\n"
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not target.exists()
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_is_quiet_exit_1(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = cli.main(["fan", "hirzebruch", "-a", "2", "-b", "3", "-r", "1"])
+    assert code == 1
+    assert capsys.readouterr().err == ""
 
 
 def test_usage_error_exit_2():

@@ -1,9 +1,11 @@
 import doctest
+import importlib
 import math
 import random
 
 import pytest
 
+from orbifold import genfun
 from orbifold.exact import HalfExpLaurent, monomial
 from orbifold.geometry import derive_params, modified_euler_characteristic
 from orbifold.genfun import (
@@ -16,6 +18,7 @@ from orbifold.genfun import (
     vb_to_tf,
 )
 from orbifold.sheafdata import f_exponent, tensor_shift
+from orbifold.verify import CLASSES
 
 P120 = derive_params(1, 2, 0)
 
@@ -269,6 +272,54 @@ def test_explicit_bounds_match_stabilized(engines120):
     assert rank2_vb_lambda(P120, (0, 0), min2exp=-12, bound=64) == auto_l
 
 
+# every coprime (a, b) with a <= 5, b <= 6
+BOX_SURFACES = [(a, b) for a in range(1, 6) for b in range(1, 7)
+                if math.gcd(a, b) == 1]
+
+
+def _below_f(pr, cls, depth):
+    return 2 * (math.floor(f_exponent(pr, *cls)) - depth)
+
+
+def test_derived_box_is_complete():
+    # the derived box and twice that box give the same window: csets and r0
+    # at every depth from 1 to 10 units below f (the twist terms of the box
+    # bind at shallow depths), lambda (slow at twice its box) at 2 units
+    for a, b in BOX_SURFACES:
+        for r in range(5):
+            pr = derive_params(a, b, r)
+            for cls in CLASSES:
+                for depth in range(1, 11):
+                    lo2 = _below_f(pr, cls, depth)
+                    twice = 2 * genfun._box(pr, *cls, lo2)
+                    assert rank2_vb_csets(pr, cls, lo2) == \
+                        rank2_vb_csets(pr, cls, lo2, bound=twice), \
+                        (a, b, r, cls, depth)
+                    if r == 0:
+                        assert rank2_vb_r0(a, b, cls, lo2) == \
+                            rank2_vb_r0(a, b, cls, lo2, bound=twice), \
+                            (a, b, cls, depth)
+                if r <= 3:
+                    lo2 = _below_f(pr, cls, 2)
+                    twice = 2 * genfun._lambda_box(pr, *cls, lo2)
+                    assert rank2_vb_lambda(pr, cls, lo2) == \
+                        rank2_vb_lambda(pr, cls, lo2, bound=twice), \
+                        (a, b, r, cls)
+
+
+def test_closed_t_limit_is_complete():
+    for cls, term in genfun._P12_TERMS.items():
+        # no term of family t lies above 8 - 2t^2
+        for t in range(1, 41):
+            acc = {}
+            term(acc, t, 2 * (8 - 2 * t * t) + 1)
+            assert not acc, (cls, t)
+        for lo2 in range(-80, 17):
+            twice = 2 * genfun._p12_tmax(lo2)
+            assert rank2_vb_closed_p12(cls, lo2) == \
+                rank2_vb_closed_p12(cls, lo2, bound=twice), (cls, lo2)
+
+
 def test_window_truncation_consistency(engines120):
     deep = engines120[(1, 0)]["csets"]
     assert deep.truncate(-6) == rank2_vb_csets(P120, (1, 0), min2exp=-6)
@@ -324,7 +375,9 @@ def test_crosscheck_reports_shared_coefficients():
     assert data["first_disagreement_exp2"] is None
 
 
-def test_module_doctests():
-    import orbifold.genfun as mod
-
-    assert doctest.testmod(mod).failed == 0
+@pytest.mark.parametrize("name", ["exact", "geometry", "intlattice",
+                                  "sheafdata", "stackyfan", "genfun"])
+def test_module_doctests(name):
+    result = doctest.testmod(importlib.import_module("orbifold." + name))
+    assert result.attempted > 0
+    assert result.failed == 0
