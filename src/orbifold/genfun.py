@@ -1,8 +1,9 @@
 """Truncated q-series counting sheaves on the Hirzebruch orbifold family.
 
-The rank-1 torsion-free series is an explicit infinite product shifted by
-the Euler characteristic of the reflexive hull.  The rank-2 locally-free
-series is evaluated by four independent routes:
+``vb_to_tf`` multiplies a series by the quadruple-partition product as
+running sums over one integer list; the rank-1 torsion-free series is
+``vb_to_tf`` at rank 1 of q^chi, chi the Euler characteristic of the hull.
+The rank-2 locally-free series is evaluated by four independent routes:
 
 * ``rank2_vb_csets`` -- signed lattice-point counts over nine constraint
   sets, valid for any surface in the family with r >= 0;
@@ -28,10 +29,11 @@ from the depth of the window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from fractions import Fraction
+from math import isqrt, lcm
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
-from .exact import HalfExpLaurent, geometric_factor, monomial, series_to_json_str
+from .exact import HalfExpLaurent, monomial, series_to_json_str
 from .geometry import ADJACENT_PAIRS, ClassLike, HirzebruchParams, _as_class, \
     derive_params, modified_euler_characteristic
 from .sheafdata import Rank2Datum, all_incidence_types, euler_weight, \
@@ -48,22 +50,14 @@ def rank1_series(params: HirzebruchParams, cls: ClassLike,
 
     The leading term sits at the Euler characteristic of the hull; each
     deeper coefficient counts quadruples of partitions whose cells cost a,
-    b, b, a respectively.
+    b, b, a respectively: it is ``vb_to_tf`` of the lead term at rank 1.
 
     >>> pr = derive_params(1, 2, 0)
     >>> print(rank1_series(pr, (0, 0), -2))
     q^2 + 2*q + 7 + 14*q^-1 + O(q^-1)
     """
-    min2exp = int(min2exp)
     chi = modified_euler_characteristic(params, cls)
-    rel_lo = min2exp - 2 * chi
-    prod = monomial(0, 1, min2exp=rel_lo)
-    for base in (params.a, params.b):
-        k = 1
-        while 2 * base * k <= -rel_lo:
-            prod = prod * geometric_factor(base * k, 2, rel_lo)
-            k += 1
-    return prod.shift2(2 * chi)
+    return vb_to_tf(monomial(chi, 1, min2exp), 1, params)
 
 
 def vb_to_tf(series: HalfExpLaurent, rank: int,
@@ -72,21 +66,27 @@ def vb_to_tf(series: HalfExpLaurent, rank: int,
 
     Multiplies by the quadruple-partition product with multiplicity 2*rank
     per step, i.e. one free Young-diagram pair per chart line of each of the
-    rank many hull summands.
+    rank many hull summands.  With coeffs[i] at doubled exponent max2exp - i,
+    scaled to integers by the lcm of the denominators, dividing by
+    (1 - q^-s) is 2*rank passes of coeffs[i] += coeffs[i - 2s] for each
+    step s = a*k, b*k inside the window, which is the input's sound one.
     """
     if rank < 1:
         raise ValueError("rank must be a positive integer")
     if series.is_zero:
         return series
-    flo = series.min2exp - max(series.max2exp, 0)
-    span = series.max2exp - flo
-    out = series
+    top, terms = series.max2exp, series.terms
+    scale = lcm(*(c.denominator for c in terms.values()))
+    coeffs = [0] * (top - series.min2exp + 1)
+    for e2, c in terms.items():
+        coeffs[top - e2] = c.numerator * (scale // c.denominator)
     for base in (params.a, params.b):
-        k = 1
-        while 2 * base * k <= span:
-            out = out * geometric_factor(base * k, 2 * rank, flo)
-            k += 1
-    return out.truncate(series.min2exp)
+        for step in range(2 * base, len(coeffs), 2 * base):
+            for _ in range(2 * rank):
+                for i in range(step, len(coeffs)):
+                    coeffs[i] += coeffs[i - step]
+    return HalfExpLaurent(series.min2exp, {top - i: Fraction(c, scale)
+                                           for i, c in enumerate(coeffs)})
 
 
 # ---------------------------------------------------------------------------

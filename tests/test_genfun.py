@@ -2,11 +2,12 @@ import doctest
 import importlib
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from orbifold import genfun
-from orbifold.exact import HalfExpLaurent, monomial
+from orbifold.exact import HalfExpLaurent, geometric_factor, monomial
 from orbifold.geometry import derive_params, modified_euler_characteristic
 from orbifold.genfun import (
     crosscheck,
@@ -223,6 +224,38 @@ def test_vb_to_tf_unit_rank_reproduces_rank1():
             lo2 = 2 * chi - 16
             one = monomial(chi, 1, min2exp=lo2)
             assert vb_to_tf(one, 1, pr) == rank1_series(pr, cls, lo2)
+
+
+def geometric_product(series, rank, pr):
+    """vb_to_tf as an explicit product of expanded geometric factors."""
+    depth = series.min2exp - series.max2exp
+    out = series
+    for base in (pr.a, pr.b):
+        k = 1
+        while 2 * base * k <= -depth:
+            out = out * geometric_factor(base * k, 2 * rank, depth)
+            k += 1
+    assert out.min2exp == series.min2exp
+    return out
+
+
+def test_vb_to_tf_matches_geometric_products():
+    inputs = [
+        monomial(0, 1, min2exp=-12),
+        # rational coefficients, odd cutoff, top above zero
+        HalfExpLaurent(-9, {5: Fraction(1, 2), 1: Fraction(-2, 3), -3: 4}),
+        # top below zero, odd cutoff
+        HalfExpLaurent(-21, {-4: Fraction(-2, 3), -7: Fraction(1, 2), -10: 1}),
+    ]
+    for abr in [(1, 1, 0), (1, 2, 0), (2, 3, 1), (2, 5, 4)]:
+        pr = derive_params(*abr)
+        for series in inputs:
+            for rank in (1, 2, 3):
+                want = geometric_product(series, rank, pr)
+                assert vb_to_tf(series, rank, pr) == want, (abr, series, rank)
+        chi = modified_euler_characteristic(pr, (1, 0))
+        above = rank1_series(pr, (1, 0), 2 * chi + 3)
+        assert above.is_zero and above.min2exp == 2 * chi + 3
 
 
 def test_vb_to_tf_zero_and_rank_guard():
