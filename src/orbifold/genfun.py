@@ -23,7 +23,9 @@ coefficients on an explicitly tracked sound window (see
 ``exact.HalfExpLaurent``); ``crosscheck`` runs every applicable engine and
 reports the first disagreeing exponent, if any.  Each engine enumerates
 once, over the box that ``_box``, ``_p12_tmax`` or ``_lambda_box`` derives
-from the depth of the window.
+from the depth of the window, or over ``bound`` when given, which caps
+every index; inside it each csets, r0 and lambda loop visits only indices
+whose cost Q can reach the window (see ``_box`` and ``_lambda_box``).
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from math import isqrt, lcm
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from .exact import HalfExpLaurent, monomial, series_to_json_str
-from .geometry import ADJACENT_PAIRS, ClassLike, HirzebruchParams, _as_class, \
-    derive_params, modified_euler_characteristic
+from .geometry import ClassLike, HirzebruchParams, _as_class, derive_params, \
+    modified_euler_characteristic
 from .sheafdata import Rank2Datum, all_incidence_types, euler_weight, \
     rank2_c1_chi, stability_check
 
@@ -111,7 +113,8 @@ def _box(params: HirzebruchParams, m: int, n: int, min2exp: int) -> int:
       |k| < max(i, (i + rj)/(r + pq)) <= D/2;
     6-7, i <= 0 (r > 0 only): k exists only if (2pq + r)|i| < r pq j, so
       |i|, |k| < j and r j (r j + 2) < (2pq + r) D;
-    8-9 and 1: Q >= (2pq + r) j^2, i <= D/2 and |k| < (pq + 2r) j.
+    1: i = pq*j and Q = (2pq + r) j^2; 8-9: i >= pq*j + 1, so
+      Q >= (2pq + r) j^2 + 2j; in both i <= D/2 and |k| < (pq + 2r) j.
     """
     r, pq = params.r, params.p * params.q
     span = max(0, _f4(params.C, r, m, n) - 2 * min2exp)
@@ -132,10 +135,8 @@ def _bump(acc: Dict[int, int], e4: int, weight: int):
 # engine: csets (general r >= 0)
 # ---------------------------------------------------------------------------
 
-def _cs_pinned(acc, j, f4, m, n, a, b, r, pq, lo2, M):
+def _cs_pinned(acc, j, f4, m, a, b, r, pq, lo2, M):
     """Set 1: four-index tuples pinned to the hyperplane i = pq*j (weight -1)."""
-    if (n + j) % 2:
-        return
     i = pq * j
     if i > M or (m + i) % 2:
         return
@@ -143,9 +144,7 @@ def _cs_pinned(acc, j, f4, m, n, a, b, r, pq, lo2, M):
     if e4 < 2 * lo2:
         return
     count = 0
-    for l in range(-j + 1, j):
-        if (j - l) % 2:
-            continue
+    for l in range(-j + 2, j, 2):
         rjl = r * (j - l)
         k_lo = -pq * j - rjl
         k = k_lo + 1 + ((i - (k_lo + 1)) % (2 * b))
@@ -157,17 +156,16 @@ def _cs_pinned(acc, j, f4, m, n, a, b, r, pq, lo2, M):
         _bump(acc, e4, -count)
 
 
-def _cs_quad(acc, j, f4, m, n, a, b, r, pq, lo2, M, step, cross_mod, plus_form):
+def _cs_quad(acc, j, f4, m, a, b, r, pq, lo2, M, step, cross_mod, plus_form):
     """Sets 2-5: the generic four-index family with the bilinear exponent.
 
     ``plus_form`` picks the sign convention tying the congruence target and
-    the k-interval to j+l (sets 2 and 3) or to j-l (sets 4 and 5).
+    the k-interval to j+l (sets 2 and 3) or to j-l (sets 4 and 5).  As
+    Q >= (2pq + r) l^2 + 2j, |l| <= isqrt((D - 2j) / (2pq + r)); the i and
+    k loops stop at the first term past D.
     """
-    if j < 1 or (n + j) % 2:
-        return
-    for l in range(max(-j + 2, -M), min(j - 2, M) + 1):
-        if (j - l) % 2:
-            continue
+    L = min(M, isqrt(max(0, f4 - 2 * lo2 - 2 * j) // (2 * pq + r)))
+    for l in range(max(-j + 2, -L + (j + L) % 2), min(j - 2, L) + 1, 2):
         rl2 = r * l * l
         if plus_form:
             shift = r * (j + l)
@@ -196,10 +194,8 @@ def _cs_quad(acc, j, f4, m, n, a, b, r, pq, lo2, M, step, cross_mod, plus_form):
             i += 2
 
 
-def _cs_ratio(acc, j, f4, m, n, a, b, r, pq, lo2, M, div_mod):
+def _cs_ratio(acc, j, f4, m, a, b, r, pq, lo2, M, div_mod):
     """Sets 6-7: three-index tuples with congruence 2*div_mod | 2i + r(j+k)."""
-    if j < 1 or (n + j) % 2:
-        return
     if r > 0:
         # i may dip below 1 when the twist dominates; the k-window is only
         # nonempty while (2*pq + r) * |i| < r * pq * j
@@ -223,13 +219,14 @@ def _cs_ratio(acc, j, f4, m, n, a, b, r, pq, lo2, M, div_mod):
         i += 2
 
 
-def _cs_tail(acc, j, f4, m, n, a, b, r, pq, lo2, M, twisted):
+def _cs_tail(acc, j, f4, m, a, b, r, pq, lo2, M, twisted):
     """Sets 8-9: three-index tuples beyond the i = pq*j wall.
 
     ``twisted`` widens the k-interval by the twist and twists the
-    congruence; the plain variant drops r entirely.
+    congruence; the plain variant drops r entirely.  Only j with
+    (2pq + r) j^2 + 2j <= D reach the window, as i >= pq*j + 1.
     """
-    if j < 1 or (n + j) % 2:
+    if (2 * pq + r) * j * j + 2 * j > f4 - 2 * lo2:
         return
     if twisted:
         k_floor = -(pq + 2 * r) * j
@@ -256,16 +253,16 @@ def _csets_counts(params: HirzebruchParams, m: int, n: int,
     pq = params.p * params.q
     f4 = _f4(params.C, r, m, n)
     acc: Dict[int, int] = {}
-    for j in range(1, M + 1):
-        _cs_pinned(acc, j, f4, m, n, a, b, r, pq, lo2, M)
-        _cs_quad(acc, j, f4, m, n, a, b, r, pq, lo2, M, 2 * b, 2 * a, True)
-        _cs_quad(acc, j, f4, m, n, a, b, r, pq, lo2, M, 2 * a, 2 * b, True)
-        _cs_quad(acc, j, f4, m, n, a, b, r, pq, lo2, M, 2 * a, 2 * b, False)
-        _cs_quad(acc, j, f4, m, n, a, b, r, pq, lo2, M, 2 * b, 2 * a, False)
-        _cs_ratio(acc, j, f4, m, n, a, b, r, pq, lo2, M, b)
-        _cs_ratio(acc, j, f4, m, n, a, b, r, pq, lo2, M, a)
-        _cs_tail(acc, j, f4, m, n, a, b, r, pq, lo2, M, True)
-        _cs_tail(acc, j, f4, m, n, a, b, r, pq, lo2, M, False)
+    for j in range(2 - n % 2, M + 1, 2):  # every set needs j = n (mod 2)
+        _cs_pinned(acc, j, f4, m, a, b, r, pq, lo2, M)
+        _cs_quad(acc, j, f4, m, a, b, r, pq, lo2, M, 2 * b, 2 * a, True)
+        _cs_quad(acc, j, f4, m, a, b, r, pq, lo2, M, 2 * a, 2 * b, True)
+        _cs_quad(acc, j, f4, m, a, b, r, pq, lo2, M, 2 * a, 2 * b, False)
+        _cs_quad(acc, j, f4, m, a, b, r, pq, lo2, M, 2 * b, 2 * a, False)
+        _cs_ratio(acc, j, f4, m, a, b, r, pq, lo2, M, b)
+        _cs_ratio(acc, j, f4, m, a, b, r, pq, lo2, M, a)
+        _cs_tail(acc, j, f4, m, a, b, r, pq, lo2, M, True)
+        _cs_tail(acc, j, f4, m, a, b, r, pq, lo2, M, False)
     return acc
 
 
@@ -290,9 +287,7 @@ def rank2_vb_csets(params: HirzebruchParams, cls: ClassLike, min2exp: int,
 # engine: r0 (independent transcription of the r = 0 specialization)
 # ---------------------------------------------------------------------------
 
-def _r0_pinned(acc, j, f4, m, n, a, b, lo2, M):
-    if (n + j) % 2:
-        return
+def _r0_pinned(acc, j, f4, m, a, b, lo2, M):
     ab = a * b
     i = ab * j
     if i > M or (m + i) % 2:
@@ -301,9 +296,7 @@ def _r0_pinned(acc, j, f4, m, n, a, b, lo2, M):
     if e4 < 2 * lo2:
         return
     count = 0
-    for l in range(-j + 1, j):
-        if (j - l) % 2:
-            continue
+    for l in range(-j + 2, j, 2):
         k = -ab * j + 1 + ((i - (-ab * j + 1)) % (2 * b))
         while k < ab * j:
             if abs(k) <= M and (i + k) % (2 * a) == 0:
@@ -313,13 +306,11 @@ def _r0_pinned(acc, j, f4, m, n, a, b, lo2, M):
         _bump(acc, e4, -count)
 
 
-def _r0_quad(acc, j, f4, m, n, a, b, lo2, M, step, cross_mod):
-    if j < 1 or (n + j) % 2:
-        return
+def _r0_quad(acc, j, f4, m, a, b, lo2, M, step, cross_mod):
+    """Sets 2-3 of the r = 0 family: Q >= 2ab l^2 + 2j as in ``_cs_quad``."""
     ab = a * b
-    for l in range(max(-j + 2, -M), min(j - 2, M) + 1):
-        if (j - l) % 2:
-            continue
+    L = min(M, isqrt(max(0, f4 - 2 * lo2 - 2 * j) // (2 * ab)))
+    for l in range(max(-j + 2, -L + (j + L) % 2), min(j - 2, L) + 1, 2):
         k_hi = ab * l
         i = ab * l + 1
         if (m + i) % 2:
@@ -341,10 +332,8 @@ def _r0_quad(acc, j, f4, m, n, a, b, lo2, M, step, cross_mod):
             i += 2
 
 
-def _r0_cone(acc, j, f4, m, n, a, b, lo2, M, div):
+def _r0_cone(acc, j, f4, m, a, b, lo2, M, div):
     """Sets 4-5 of the r = 0 family: div | i inside the open cone |ab*k| < i."""
-    if j < 1 or (n + j) % 2:
-        return
     ab = a * b
     i = 1 if (m + 1) % 2 == 0 else 2
     while i <= min(ab * j - 1, M):
@@ -359,10 +348,11 @@ def _r0_cone(acc, j, f4, m, n, a, b, lo2, M, div):
         i += 2
 
 
-def _r0_tail(acc, j, f4, m, n, a, b, lo2, M):
-    if j < 1 or (n + j) % 2:
-        return
+def _r0_tail(acc, j, f4, m, a, b, lo2, M):
+    """Wall tail of the r = 0 family: i > ab*j, so Q = 2ij >= 2ab j^2 + 2j."""
     ab = a * b
+    if 2 * ab * j * j + 2 * j > f4 - 2 * lo2:
+        return
     for k in range(max(-ab * j + 1, -M), min(ab * j - 1, M) + 1):
         if (m + k) % 2:
             continue
@@ -380,14 +370,14 @@ def _r0_counts(a, b, m, n, lo2, M) -> Dict[int, int]:
     C = a + b + a * b - 1
     f4 = _f4(C, 0, m, n)
     acc: Dict[int, int] = {}
-    for j in range(1, M + 1):
-        _r0_pinned(acc, j, f4, m, n, a, b, lo2, M)
+    for j in range(2 - n % 2, M + 1, 2):  # every set needs j = n (mod 2)
+        _r0_pinned(acc, j, f4, m, a, b, lo2, M)
         for _ in range(2):  # sets 2 and 3 each count twice
-            _r0_quad(acc, j, f4, m, n, a, b, lo2, M, 2 * b, 2 * a)
-            _r0_quad(acc, j, f4, m, n, a, b, lo2, M, 2 * a, 2 * b)
-        _r0_cone(acc, j, f4, m, n, a, b, lo2, M, b)
-        _r0_cone(acc, j, f4, m, n, a, b, lo2, M, a)
-        _r0_tail(acc, j, f4, m, n, a, b, lo2, M)
+            _r0_quad(acc, j, f4, m, a, b, lo2, M, 2 * b, 2 * a)
+            _r0_quad(acc, j, f4, m, a, b, lo2, M, 2 * a, 2 * b)
+        _r0_cone(acc, j, f4, m, a, b, lo2, M, b)
+        _r0_cone(acc, j, f4, m, a, b, lo2, M, a)
+        _r0_tail(acc, j, f4, m, a, b, lo2, M)
     return acc
 
 
@@ -676,54 +666,51 @@ def rank2_vb_closed_p12(cls: ClassLike, min2exp: int,
 
 def _lambda_counts(params: HirzebruchParams, m: int, n: int,
                    lo2: int, M: int) -> Dict[int, int]:
-    """Signed count of the stable data of class (m, n) with jumps up to M.
-
-    The integer e4 below is four times the datum's exponent; it serves only
-    to prune the loops, while the count itself takes stability and the
-    exponent from ``sheafdata``.
-    """
+    """Signed count of the stable data of class (m, n) with jumps up to M."""
     a, b, r = params.a, params.b, params.r
     pq = params.p * params.q
     rp = r + pq
-    f4 = _f4(params.C, r, m, n)
+    span = _f4(params.C, r, m, n) - 2 * lo2
     acc: Dict[int, int] = {}
     for incidence in all_incidence_types():
         weight = euler_weight(incidence)
         zero = incidence[1] if incidence[0] == "type2" else 0
         pair = incidence[1:] if incidence[0] == "type3" else ()
-        # merging an adjacent pair restores the product of its two jumps
-        corner = frozenset(pair) in ADJACENT_PAIRS
+        lo3, top3 = (0, 0) if zero == 3 else (b, M)
         for l2 in (0,) if zero == 2 else range(1, M + 1):
-            for l4 in (0,) if zero == 4 else range(1, M + 1):
+            top4 = min(M, span // 2 - l2)
+            for l4 in (0,) if zero == 4 else range(1, top4 + 1):
                 if (n + l2 + l4) % 2:
                     continue
-                # a fused adjacent pair must weigh less than the other two
-                # corners together, which caps the first and third jumps
-                hi1 = M
+                # D - Q = e0 + d1*l1 + d3*l3 (see ``_lambda_box``); a fused
+                # adjacent pair weighs less than the other two, capping l1/l3
+                e0 = span - r * (l2 * l2 - l4 * l4)
+                d1 = d3 = -2 * (l2 + l4)
+                hi1, g3 = M, top3
                 if pair == (1, 2):
-                    hi1 = min(M, M + rp * l4 - pq * l2 - 1)
+                    hi1, d1 = min(M, M + rp * l4 - pq * l2 - 1), d1 + 4 * l2
                 elif pair == (1, 4):
-                    hi1 = min(M, pq * l2 + M - rp * l4 - 1)
+                    hi1, d1 = min(M, pq * l2 + M - rp * l4 - 1), d1 + 4 * l4
+                elif pair == (2, 3):
+                    g3, d3 = rp * l4 - pq * l2 - 1, d3 + 4 * l2
+                elif pair == (3, 4):
+                    g3, d3 = pq * l2 - rp * l4 - 1, d3 + 4 * l4
+                if d3 <= 0 < -d1:
+                    hi1 = min(hi1, (e0 + d3 * lo3) // -d1)
                 for l1 in (0,) if zero == 1 else range(a, hi1 + 1, a):
-                    hi3 = M
-                    if pair == (2, 3):
-                        hi3 = min(M, l1 + rp * l4 - pq * l2 - 1)
-                    elif pair == (3, 4):
-                        hi3 = min(M, l1 + pq * l2 - rp * l4 - 1)
-                    for l3 in (0,) if zero == 3 else range(b, hi3 + 1, b):
+                    rest, lo, hi3 = e0 + d1 * l1, lo3, min(top3, l1 + g3)
+                    if d3 < 0:
+                        hi3 = min(hi3, rest // -d3)
+                    elif d3 > 0:
+                        lo = max(lo, -(rest // d3))
+                    elif rest < 0:
+                        continue
+                    for l3 in range(lo + (-lo) % b, hi3 + 1, b):
                         if (m + l1 + l3 + r * l4) % 2:
                             continue
-                        lam = (l1, l2, l3, l4)
-                        e4 = (f4 - 2 * (l2 + l4) * (l1 + l3)
-                              - r * (l2 * l2 - l4 * l4))
-                        if corner:
-                            e4 += 4 * lam[pair[0] - 1] * lam[pair[1] - 1]
-                        elif e4 < 2 * lo2:
-                            break  # e4 falls with l3 when no corner is restored
-                        if e4 < 2 * lo2:
-                            continue
                         datum = Rank2Datum(-(m + l1 + l3 + r * l4) // 2,
-                                           -(n + l2 + l4) // 2, lam, incidence)
+                                           -(n + l2 + l4) // 2,
+                                           (l1, l2, l3, l4), incidence)
                         if stability_check(datum, params):
                             _, chi = rank2_c1_chi(datum, params)
                             _bump(acc, 4 * chi, weight)
@@ -748,6 +735,11 @@ def _lambda_box(params: HirzebruchParams, m: int, n: int,
       if r > 0 and c = 4, Q - 4 lx >= 4 + 4r - 2pq > 0; if r = 0,
       Q - 4 lx >= 4 + 2pq e (e - 2) and Q >= 6 + 2pq when e = 1.  So
       4 lx <= r D + 3 or lx <= D/2.
+    Inside the box l4 stops at D/2 - l2.  Fixing the stratum, l2 and l4,
+    D - Q = e0 + d1 l1 + d3 l3 with e0 = D - r (l2^2 - l4^2) and
+    d1 = d3 = -2 (l2 + l4), plus 4 l2 (4 l4) on d1 for the pair (1,2)
+    ((1,4)) and on d3 for (2,3) ((3,4)).  l3 runs where this is >= 0; if
+    d3 <= 0 < -d1, l1 <= (e0 + d3 lo3) / -d1 with lo3 the least l3.
     """
     span = max(0, _f4(params.C, params.r, m, n) - 2 * min2exp)
     return max((span + params.r) // 2, (params.r * span + 3) // 4)
