@@ -16,7 +16,10 @@ The rank-2 locally-free series is evaluated by four independent routes:
   holds and placed at their ``rank2_c1_chi``.
 
 Each engine is a plain loop that adds every constraint set (term family,
-stratum) into one exponent -> count map.  ``ENGINES`` maps each engine name
+stratum) into one preallocated integer list, ``acc[e2 - lo2]`` for the
+doubled exponent e2 >= lo2, up to the highest exponent any term can reach
+(f4/2 for csets, r0 and lambda, 12 for the closed sums); the series is built
+once from its nonzero entries.  ``ENGINES`` maps each engine name
 to its entry point and to the inputs it covers; ``crosscheck`` and the
 command line both dispatch through it.  All engines return exact integer
 coefficients on an explicitly tracked sound window (see
@@ -32,8 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import isqrt, lcm
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .exact import HalfExpLaurent, monomial, series_to_json_str
 from .geometry import ClassLike, HirzebruchParams, _as_class, derive_params, \
@@ -115,6 +119,11 @@ def _box(params: HirzebruchParams, m: int, n: int, min2exp: int) -> int:
       |i|, |k| < j and r j (r j + 2) < (2pq + r) D;
     1: i = pq*j and Q = (2pq + r) j^2; 8-9: i >= pq*j + 1, so
       Q >= (2pq + r) j^2 + 2j; in both i <= D/2 and |k| < (pq + 2r) j.
+    Parity: sets 2-5 have l = j (mod 2), so (j + l) and (j - l) are even and
+    r l^2 = r j^2 (mod 2); every other set has Q = 2ij + r j^2.  So every
+    term at a given j has f4 - Q = f4 - r j^2 (mod 2), and the engines check
+    that f4 - r j^2 is even, i.e. that the exponents are half-integers, once
+    per j.  As j = n (mod 2) and f4 = r n^2 (mod 2), the check always holds.
     """
     r, pq = params.r, params.p * params.q
     span = max(0, _f4(params.C, r, m, n) - 2 * min2exp)
@@ -124,11 +133,15 @@ def _box(params: HirzebruchParams, m: int, n: int, min2exp: int) -> int:
     return box
 
 
-def _bump(acc: Dict[int, int], e4: int, weight: int):
+def _laurent(lo2: int, acc: List[int]) -> HalfExpLaurent:
+    """The series with coefficient acc[e2 - lo2] at each doubled exponent e2."""
+    return HalfExpLaurent(lo2, {lo2 + i: c for i, c in enumerate(acc) if c})
+
+
+def _check_half_integer(e4: int, j: int):
     if e4 & 1:
-        raise ArithmeticError("series exponent %s/4 is not a half-integer" % e4)
-    e2 = e4 >> 1
-    acc[e2] = acc.get(e2, 0) + weight
+        raise ArithmeticError("series exponents at j = %d are not "
+                              "half-integers" % j)
 
 
 # ---------------------------------------------------------------------------
@@ -143,17 +156,14 @@ def _cs_pinned(acc, j, f4, m, a, b, r, pq, lo2, M):
     e4 = f4 - 2 * i * j - r * j * j
     if e4 < 2 * lo2:
         return
-    count = 0
     for l in range(-j + 2, j, 2):
         rjl = r * (j - l)
         k_lo = -pq * j - rjl
         k = k_lo + 1 + ((i - (k_lo + 1)) % (2 * b))
         while k < pq * j:
             if abs(k) <= M and (i + k + rjl) % (2 * a) == 0:
-                count += 1
+                acc[(e4 >> 1) - lo2] -= 1
             k += 2 * b
-    if count:
-        _bump(acc, e4, -count)
 
 
 def _cs_quad(acc, j, f4, m, a, b, r, pq, lo2, M, step, cross_mod, plus_form):
@@ -189,7 +199,7 @@ def _cs_quad(acc, j, f4, m, a, b, r, pq, lo2, M, step, cross_mod, plus_form):
                 if e4 < 2 * lo2:
                     break
                 if (i + k + shift) % cross_mod == 0:
-                    _bump(acc, e4, 1)
+                    acc[(e4 >> 1) - lo2] += 1
                 k -= step
             i += 2
 
@@ -215,7 +225,7 @@ def _cs_ratio(acc, j, f4, m, a, b, r, pq, lo2, M, div_mod):
             if (j + k) % 2:
                 continue
             if (2 * i + r * (j + k)) % (2 * div_mod) == 0:
-                _bump(acc, e4, 1)
+                acc[(e4 >> 1) - lo2] += 1
         i += 2
 
 
@@ -243,17 +253,18 @@ def _cs_tail(acc, j, f4, m, a, b, r, pq, lo2, M, twisted):
             if e4 < 2 * lo2:
                 break
             if (i + k + target_shift) % (2 * a) == 0:
-                _bump(acc, e4, 1)
+                acc[(e4 >> 1) - lo2] += 1
             i += 2 * b
 
 
 def _csets_counts(params: HirzebruchParams, m: int, n: int,
-                  lo2: int, M: int) -> Dict[int, int]:
+                  lo2: int, M: int) -> List[int]:
     a, b, r = params.a, params.b, params.r
     pq = params.p * params.q
     f4 = _f4(params.C, r, m, n)
-    acc: Dict[int, int] = {}
+    acc = [0] * (f4 // 2 - lo2 + 1)
     for j in range(2 - n % 2, M + 1, 2):  # every set needs j = n (mod 2)
+        _check_half_integer(f4 - r * j * j, j)  # see ``_box``
         _cs_pinned(acc, j, f4, m, a, b, r, pq, lo2, M)
         _cs_quad(acc, j, f4, m, a, b, r, pq, lo2, M, 2 * b, 2 * a, True)
         _cs_quad(acc, j, f4, m, a, b, r, pq, lo2, M, 2 * a, 2 * b, True)
@@ -280,7 +291,7 @@ def rank2_vb_csets(params: HirzebruchParams, cls: ClassLike, min2exp: int,
     m, n = cls.m, cls.n
     min2exp = int(min2exp)
     box = _box(params, m, n, min2exp) if bound is None else bound
-    return HalfExpLaurent(min2exp, _csets_counts(params, m, n, min2exp, box))
+    return _laurent(min2exp, _csets_counts(params, m, n, min2exp, box))
 
 
 # ---------------------------------------------------------------------------
@@ -295,15 +306,12 @@ def _r0_pinned(acc, j, f4, m, a, b, lo2, M):
     e4 = f4 - 2 * i * j
     if e4 < 2 * lo2:
         return
-    count = 0
     for l in range(-j + 2, j, 2):
         k = -ab * j + 1 + ((i - (-ab * j + 1)) % (2 * b))
         while k < ab * j:
             if abs(k) <= M and (i + k) % (2 * a) == 0:
-                count += 1
+                acc[(e4 >> 1) - lo2] -= 1
             k += 2 * b
-    if count:
-        _bump(acc, e4, -count)
 
 
 def _r0_quad(acc, j, f4, m, a, b, lo2, M, step, cross_mod):
@@ -327,7 +335,7 @@ def _r0_quad(acc, j, f4, m, a, b, lo2, M, step, cross_mod):
                 if e4 < 2 * lo2:
                     break
                 if (i + k) % cross_mod == 0:
-                    _bump(acc, e4, 1)
+                    acc[(e4 >> 1) - lo2] += 1
                 k -= step
             i += 2
 
@@ -344,7 +352,7 @@ def _r0_cone(acc, j, f4, m, a, b, lo2, M, div):
             k_max = (i - 1) // ab
             for k in range(max(-k_max, -M), min(k_max, M) + 1):
                 if (j + k) % 2 == 0:
-                    _bump(acc, e4, 1)
+                    acc[(e4 >> 1) - lo2] += 1
         i += 2
 
 
@@ -362,15 +370,16 @@ def _r0_tail(acc, j, f4, m, a, b, lo2, M):
             if e4 < 2 * lo2:
                 break
             if (i + k) % (2 * a) == 0:
-                _bump(acc, e4, 2)
+                acc[(e4 >> 1) - lo2] += 2
             i += 2 * b
 
 
-def _r0_counts(a, b, m, n, lo2, M) -> Dict[int, int]:
+def _r0_counts(a, b, m, n, lo2, M) -> List[int]:
     C = a + b + a * b - 1
     f4 = _f4(C, 0, m, n)
-    acc: Dict[int, int] = {}
+    acc = [0] * (f4 // 2 - lo2 + 1)
     for j in range(2 - n % 2, M + 1, 2):  # every set needs j = n (mod 2)
+        _check_half_integer(f4, j)  # see ``_box``, with r = 0
         _r0_pinned(acc, j, f4, m, a, b, lo2, M)
         for _ in range(2):  # sets 2 and 3 each count twice
             _r0_quad(acc, j, f4, m, a, b, lo2, M, 2 * b, 2 * a)
@@ -393,7 +402,7 @@ def rank2_vb_r0(a: int, b: int, cls: ClassLike, min2exp: int,
     m, n = cls.m, cls.n
     min2exp = int(min2exp)
     box = _box(params, m, n, min2exp) if bound is None else bound
-    return HalfExpLaurent(min2exp, _r0_counts(a, b, m, n, min2exp, box))
+    return _laurent(min2exp, _r0_counts(a, b, m, n, min2exp, box))
 
 
 # ---------------------------------------------------------------------------
@@ -402,55 +411,48 @@ def rank2_vb_r0(a: int, b: int, cls: ClassLike, min2exp: int,
 
 def _geom(acc, e2, step2, coeff, lo2):
     """Add coeff * q^(e2/2) / (1 - q^(-step2/2)) within the window."""
-    while e2 >= lo2:
-        acc[e2] = acc.get(e2, 0) + coeff
-        e2 -= step2
+    for i in range(e2 - lo2, -1, -step2):
+        acc[i] += coeff
 
 
-def _ratio(acc, base2, s, d_lo, d_hi, coeff, lo2):
-    """Finite geometric block: coeff * q^(base2/2) * sum_{d=d_lo}^{d_hi-1} q^(-s*d)."""
-    for d in range(d_lo, d_hi):
-        e2 = base2 - 2 * s * d
+def _geoms(acc, base2, p, d_hi, step2, coeff, lo2):
+    """``_geom`` at each e2 = base2 - 4*p*d, d = p, ..., d_hi - 1."""
+    for d in range(p, d_hi):
+        e2 = base2 - 4 * p * d
         if e2 < lo2:
             break
-        acc[e2] = acc.get(e2, 0) + coeff
+        _geom(acc, e2, step2, coeff, lo2)
+
+
+def _ratios(acc, p, d_hi, coeff, lo2, family):
+    """Finite geometric blocks for u = 1, 2, ..., with (s, base2) = family(u).
+
+    Adds coeff * q^(base2/2) * sum_{d=p}^{d_hi-1} q^(-s*d) within the window,
+    up to the first u whose top term (d = p) lies below it.
+    """
+    for u in count(1):
+        s, base2 = family(u)
+        if base2 - 2 * s * p < lo2:
+            return
+        for i in range(base2 - 2 * s * p - lo2,
+                       max(base2 - 2 * s * d_hi - lo2, -1), -2 * s):
+            acc[i] += coeff
 
 
 def _p12_00(acc, t, lo2):
     e2 = 2 * (4 - 4 * t * t)
     if e2 >= lo2:
-        acc[e2] = acc.get(e2, 0) - (2 * t - 1) ** 2
+        acc[e2 - lo2] -= (2 * t - 1) ** 2
     for p in range(1, 2 * t + 1):
-        u = 1
-        while True:
-            s = 2 * u + 2 * p
-            base2 = 2 * (4 - (4 * t + 4) * (t - p + 1) - 2 * p - 2 * u)
-            if base2 - 2 * s * p < lo2:
-                break
-            _ratio(acc, base2, s, p, 2 * t + 1, 4, lo2)
-            u += 1
-        u = 1
-        while True:
-            s = 2 * u + 2 * p - 2
-            base2 = 2 * (4 - (4 * t + 2) * (t - p + 1))
-            if base2 - 2 * s * p < lo2:
-                break
-            _ratio(acc, base2, s, p, 2 * t + 1, 4, lo2)
-            u += 1
-    for p in range(1, 2 * t + 1):
-        base2 = 2 * (4 - (4 * t + 4) * (t - p + 1) - 2 * p)
-        for d in range(p, 2 * t + 1):
-            e2 = base2 - 4 * p * d
-            if e2 < lo2:
-                break
-            _geom(acc, e2, 2 * (4 * t + 4 - 2 * p), 4, lo2)
+        _ratios(acc, p, 2 * t + 1, 4, lo2, lambda u: (
+            2 * u + 2 * p, 2 * (4 - (4 * t + 4) * (t - p + 1) - 2 * p - 2 * u)))
+        _ratios(acc, p, 2 * t + 1, 4, lo2, lambda u: (
+            2 * u + 2 * p - 2, 2 * (4 - (4 * t + 2) * (t - p + 1))))
+        _geoms(acc, 2 * (4 - (4 * t + 4) * (t - p + 1) - 2 * p), p, 2 * t + 1,
+               2 * (4 * t + 4 - 2 * p), 4, lo2)
     for p in range(1, 2 * t):
-        base2 = 2 * (4 - 2 * t * (2 * t - 2 * p + 1))
-        for d in range(p, 2 * t):
-            e2 = base2 - 4 * p * d
-            if e2 < lo2:
-                break
-            _geom(acc, e2, 2 * (4 * t - 2 * p), 4, lo2)
+        _geoms(acc, 2 * (4 - 2 * t * (2 * t - 2 * p + 1)), p, 2 * t,
+               2 * (4 * t - 2 * p), 4, lo2)
     w = 2 * (2 * t - 1)
     _geom(acc, 2 * (4 - 4 * t * (t + 1)), 2 * 4 * t, w, lo2)
     _geom(acc, 2 * (4 - (4 * t - 2) * t), 2 * (4 * t - 2), w, lo2)
@@ -462,49 +464,20 @@ def _p12_00(acc, t, lo2):
 
 def _p12_10(acc, t, lo2):
     for p in range(1, 2 * t + 1):
-        u = 1
-        while True:
-            s = 2 * u + 2 * p - 2
-            base2 = 2 * (5 - (4 * t + 1) * (t - p + 1))
-            if base2 - 2 * s * p < lo2:
-                break
-            _ratio(acc, base2, s, p, 2 * t + 1, 2, lo2)
-            u += 1
-        u = 1
-        while True:
-            s = 2 * u + 2 * p - 2
-            base2 = 2 * (5 - (4 * t + 2) * (t - p + 1) + t + u)
-            if base2 - 2 * s * p < lo2:
-                break
-            _ratio(acc, base2, s, p, 2 * t + 1, 2, lo2)
-            u += 1
-        u = 1
-        while True:
-            s = 2 * u + 2 * p - 2
-            base2 = 2 * (5 - (4 * t + 2) * (t - p + 1) - t - u)
-            if base2 - 2 * s * p < lo2:
-                break
-            _ratio(acc, base2, s, p, 2 * t + 1, 2, lo2)
-            u += 1
+        _ratios(acc, p, 2 * t + 1, 2, lo2, lambda u: (
+            2 * u + 2 * p - 2, 2 * (5 - (4 * t + 1) * (t - p + 1))))
+        _ratios(acc, p, 2 * t + 1, 2, lo2, lambda u: (
+            2 * u + 2 * p - 2, 2 * (5 - (4 * t + 2) * (t - p + 1) + t + u)))
+        _ratios(acc, p, 2 * t + 1, 2, lo2, lambda u: (
+            2 * u + 2 * p - 2, 2 * (5 - (4 * t + 2) * (t - p + 1) - t - u)))
     for p in range(1, 2 * t):
-        u = 1
-        while True:
-            s = 2 * u + 2 * p - 2
-            base2 = 2 * (5 - (4 * t - 1) * (t - p))
-            if base2 - 2 * s * p < lo2:
-                break
-            _ratio(acc, base2, s, p, 2 * t, 2, lo2)
-            u += 1
-    for p in range(1, 2 * t):
-        for base2, coeff in ((2 * (5 - (4 * t + 1) * (t - p) - 2 * p), 2),
-                             (2 * (5 - (4 * t + 1) * (t - p) - p), 2),
-                             (2 * (5 - (4 * t + 3) * (t - p) - 2 * p), 2),
-                             (2 * (5 - (4 * t + 3) * (t - p) - 3 * p), 2)):
-            for d in range(p, 2 * t):
-                e2 = base2 - 4 * p * d
-                if e2 < lo2:
-                    break
-                _geom(acc, e2, 2 * (4 * t - 2 * p), coeff, lo2)
+        _ratios(acc, p, 2 * t, 2, lo2, lambda u: (
+            2 * u + 2 * p - 2, 2 * (5 - (4 * t - 1) * (t - p))))
+        for base2 in (2 * (5 - (4 * t + 1) * (t - p) - 2 * p),
+                      2 * (5 - (4 * t + 1) * (t - p) - p),
+                      2 * (5 - (4 * t + 3) * (t - p) - 2 * p),
+                      2 * (5 - (4 * t + 3) * (t - p) - 3 * p)):
+            _geoms(acc, base2, p, 2 * t, 2 * (4 * t - 2 * p), 2, lo2)
     # tail pieces: the i < pq*j wedge counts 1,1,3,3,5,5 points per
     # diagonal, so the two geometric families carry odd coefficients
     # 2t-1 (with the 4t-3 family starting one index earlier), while the
@@ -517,38 +490,17 @@ def _p12_10(acc, t, lo2):
 def _p12_01(acc, t, lo2):
     e2 = 2 * (6 - (2 * t + 1) ** 2)
     if e2 >= lo2:
-        acc[e2] = acc.get(e2, 0) - 4 * t * t
+        acc[e2 - lo2] -= 4 * t * t
     for p in range(1, 2 * t):
-        u = 1
-        while True:
-            s = 2 * u + 2 * p - 2
-            base2 = 2 * (6 - 2 * t * (2 * t - 2 * p + 1))
-            if base2 - 2 * s * p < lo2:
-                break
-            _ratio(acc, base2, s, p, 2 * t, 4, lo2)
-            u += 1
-        u = 1
-        while True:
-            s = 2 * u + 2 * p
-            base2 = 2 * (5 - 4 * t * (t - p + 1) - 2 * u)
-            if base2 - 2 * s * p < lo2:
-                break
-            _ratio(acc, base2, s, p, 2 * t, 4, lo2)
-            u += 1
+        _ratios(acc, p, 2 * t, 4, lo2, lambda u: (
+            2 * u + 2 * p - 2, 2 * (6 - 2 * t * (2 * t - 2 * p + 1))))
+        _ratios(acc, p, 2 * t, 4, lo2, lambda u: (
+            2 * u + 2 * p, 2 * (5 - 4 * t * (t - p + 1) - 2 * u)))
+        _geoms(acc, 2 * (5 - 4 * t * (t - p + 1)), p, 2 * t,
+               2 * (4 * t + 2 - 2 * p), 4, lo2)
     for p in range(1, 2 * t + 1):
-        base2 = 2 * (6 - (4 * t + 2) * (t - p + 1))
-        for d in range(p, 2 * t + 1):
-            e2 = base2 - 4 * p * d
-            if e2 < lo2:
-                break
-            _geom(acc, e2, 2 * (4 * t + 2 - 2 * p), 4, lo2)
-    for p in range(1, 2 * t):
-        base2 = 2 * (5 - 4 * t * (t - p + 1))
-        for d in range(p, 2 * t):
-            e2 = base2 - 4 * p * d
-            if e2 < lo2:
-                break
-            _geom(acc, e2, 2 * (4 * t + 2 - 2 * p), 4, lo2)
+        _geoms(acc, 2 * (6 - (4 * t + 2) * (t - p + 1)), p, 2 * t + 1,
+               2 * (4 * t + 2 - 2 * p), 4, lo2)
     # wedge families count 4t points per diagonal and the off-wall family
     # 4(t-1), vanishing at t = 1: no odd power of q survives in the tails
     _geom(acc, 2 * (6 - 2 * t * (2 * t + 1)), 2 * 4 * t, 4 * t, lo2)
@@ -561,50 +513,21 @@ def _p12_01(acc, t, lo2):
 
 def _p12_11(acc, t, lo2):
     for p in range(1, 2 * t + 1):
-        u = 1
-        while True:
-            s = 2 * u + 2 * p - 2
-            base2 = 2 * (7 - (4 * t + 3) * (t - p) - 2 * p)
-            if base2 - 2 * s * p < lo2:
-                break
-            _ratio(acc, base2, s, p, 2 * t + 1, 2, lo2)
-            u += 1
-    for p in range(1, 2 * t):
-        u = 1
-        while True:
-            s = 2 * u + 2 * p - 2
-            base2 = 2 * (7 - (4 * t - 1) * (t - p + 1) - u + p)
-            if base2 - 2 * s * p < lo2:
-                break
-            _ratio(acc, base2, s, p, 2 * t, 2, lo2)
-            u += 1
-        u = 1
-        while True:
-            s = 2 * u + 2 * p - 2
-            # multiplier is 4t+1 here (the neighbouring family uses 4t-1)
-            base2 = 2 * (8 - (4 * t + 1) * (t - p) - 2 * p)
-            if base2 - 2 * s * p < lo2:
-                break
-            _ratio(acc, base2, s, p, 2 * t, 2, lo2)
-            u += 1
-        u = 1
-        while True:
-            s = 2 * u + 2 * p - 2
-            base2 = 2 * (7 - (4 * t + 1) * (t - p) - p + u)
-            if base2 - 2 * s * p < lo2:
-                break
-            _ratio(acc, base2, s, p, 2 * t, 2, lo2)
-            u += 1
-    for p in range(1, 2 * t + 1):
+        _ratios(acc, p, 2 * t + 1, 2, lo2, lambda u: (
+            2 * u + 2 * p - 2, 2 * (7 - (4 * t + 3) * (t - p) - 2 * p)))
         for base2 in (2 * (8 - (4 * t + 3) * (t - p + 1)),
                       2 * (8 - (4 * t + 3) * (t - p + 1) - p),
                       2 * (7 - (4 * t + 1) * (t - p + 1)),
                       2 * (7 - (4 * t + 1) * (t - p + 1) + p)):
-            for d in range(p, 2 * t + 1):
-                e2 = base2 - 4 * p * d
-                if e2 < lo2:
-                    break
-                _geom(acc, e2, 2 * (4 * t + 2 - 2 * p), 2, lo2)
+            _geoms(acc, base2, p, 2 * t + 1, 2 * (4 * t + 2 - 2 * p), 2, lo2)
+    for p in range(1, 2 * t):
+        _ratios(acc, p, 2 * t, 2, lo2, lambda u: (
+            2 * u + 2 * p - 2, 2 * (7 - (4 * t - 1) * (t - p + 1) - u + p)))
+        # multiplier is 4t+1 here (the neighbouring family uses 4t-1)
+        _ratios(acc, p, 2 * t, 2, lo2, lambda u: (
+            2 * u + 2 * p - 2, 2 * (8 - (4 * t + 1) * (t - p) - 2 * p)))
+        _ratios(acc, p, 2 * t, 2, lo2, lambda u: (
+            2 * u + 2 * p - 2, 2 * (7 - (4 * t + 1) * (t - p) - p + u)))
     _geom(acc, 15 - (2 * t + 1) * (4 * t + 1), 2 * (4 * t + 1), 2 * t, lo2)
     _geom(acc, 15 - (2 * t + 1) * (4 * t - 1), 2 * (4 * t - 1), 2 * t, lo2)
     _geom(acc, 15 - (2 * t - 1) * (4 * t + 1), 2 * (4 * t - 2), 2 * (2 * t - 1), lo2)
@@ -613,6 +536,9 @@ def _p12_11(acc, t, lo2):
 
 _P12_TERMS = {(0, 0): _p12_00, (1, 0): _p12_10,
               (0, 1): _p12_01, (1, 1): _p12_11}
+
+# every term of family t lies at or below 2 (8 - 2t^2) <= 12 (``_p12_tmax``)
+_P12_TOP2 = 12
 
 
 def _p12_tmax(min2exp: int) -> int:
@@ -654,10 +580,10 @@ def rank2_vb_closed_p12(cls: ClassLike, min2exp: int,
     min2exp = int(min2exp)
     term = _P12_TERMS[(cls.m, cls.n)]
     tmax = _p12_tmax(min2exp) if bound is None else bound
-    acc: Dict[int, int] = {}
+    acc = [0] * (_P12_TOP2 - min2exp + 1)
     for t in range(1, tmax + 1):
         term(acc, t, min2exp)
-    return HalfExpLaurent(min2exp, acc)
+    return _laurent(min2exp, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -665,13 +591,14 @@ def rank2_vb_closed_p12(cls: ClassLike, min2exp: int,
 # ---------------------------------------------------------------------------
 
 def _lambda_counts(params: HirzebruchParams, m: int, n: int,
-                   lo2: int, M: int) -> Dict[int, int]:
+                   lo2: int, M: int) -> List[int]:
     """Signed count of the stable data of class (m, n) with jumps up to M."""
     a, b, r = params.a, params.b, params.r
     pq = params.p * params.q
     rp = r + pq
-    span = _f4(params.C, r, m, n) - 2 * lo2
-    acc: Dict[int, int] = {}
+    f4 = _f4(params.C, r, m, n)
+    span = f4 - 2 * lo2
+    acc = [0] * (f4 // 2 - lo2 + 1)
     for incidence in all_incidence_types():
         weight = euler_weight(incidence)
         zero = incidence[1] if incidence[0] == "type2" else 0
@@ -713,7 +640,11 @@ def _lambda_counts(params: HirzebruchParams, m: int, n: int,
                                            (l1, l2, l3, l4), incidence)
                         if stability_check(datum, params):
                             _, chi = rank2_c1_chi(datum, params)
-                            _bump(acc, 4 * chi, weight)
+                            if 2 * chi < lo2:  # the loops bound Q by D
+                                raise ArithmeticError(
+                                    "stable datum at q^%d lies below the "
+                                    "window" % chi)
+                            acc[2 * chi - lo2] += weight
     return acc
 
 
@@ -762,7 +693,7 @@ def rank2_vb_lambda(params: HirzebruchParams, cls: ClassLike, min2exp: int,
     m, n = cls.m, cls.n
     min2exp = int(min2exp)
     box = _lambda_box(params, m, n, min2exp) if bound is None else bound
-    return HalfExpLaurent(min2exp, _lambda_counts(params, m, n, min2exp, box))
+    return _laurent(min2exp, _lambda_counts(params, m, n, min2exp, box))
 
 
 # ---------------------------------------------------------------------------

@@ -354,13 +354,13 @@ def coarse_cartier_ample(params: HirzebruchParams, t1: int,
                          t4: int) -> Tuple[bool, bool]:
     """(Cartier, ample) for the divisor t1 (b/p) D1 + t4 (ba/pq) D4.
 
-    Cartier is re-derived from the scaled Weil coefficients rather than
-    assumed; in these coordinates it always holds.
+    Cartier is re-derived by ``coarse_cartier`` from the scaled Weil
+    coefficients rather than assumed (a D4 coefficient obeys the same rule
+    as a D2 one); in these coordinates it always holds.
     """
     bp = params.b // params.p
     bapq = (params.b * params.a) // (params.p * params.q)
-    # divisibility for t1 D1 + t4 D4 reduces to b/p | t1 and ba/pq | t4
-    cartier = (t1 * bp) % bp == 0 and (t4 * bapq) % bapq == 0
+    cartier = coarse_cartier(params, t1 * bp, t4 * bapq)
     return cartier, cartier and coarse_ample(params, t1, t4)
 
 

@@ -1,5 +1,6 @@
 """Subprocess tests for the command-line front end."""
 
+import hashlib
 import io
 import json
 import subprocess
@@ -159,3 +160,7 @@ def test_verify_subcommand_passes():
     assert lines[-1] == "all criteria passed"
     pass_lines = [ln for ln in lines if " PASS " in ln]
     assert len(pass_lines) == 10
+    # the report's bytes, recorded before the rank-2 engines moved to one
+    # list accumulator
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
+        "23f3aa43b9fb5c15da07cd145e63177cd4e28eb59b2c7ffdab402ce712fa701b"

@@ -1,4 +1,4 @@
-"""Pinned csets, r0 and lambda windows over a grid of surfaces and depths.
+"""Pinned csets, r0, lambda and closed windows over grids of inputs.
 
 Each digest is the sha256 (first 16 hex digits) of the ``to_json()`` forms of
 every window one engine gives on one surface: six classes, several depths
@@ -7,7 +7,8 @@ window and at every explicit ``bound`` of ``BOUNDS`` below that box.  The
 derived-box checks in ``test_genfun`` rerun the same loops at a larger box,
 so a loop limit that drops a term in the window shows up only against these
 recorded values; the explicit bounds check that ``bound`` still caps every
-index.
+index.  The closed engine, which covers only the (1,2;0) surface, has one
+digest over its four classes, a run of cutoffs and a few explicit bounds.
 """
 
 import hashlib
@@ -171,3 +172,17 @@ def test_engine_windows_match_pins(engine):
     got = {abr: surface_digest(engine, abr) for abr in SURFACES[engine]}
     bad = [abr for abr in SURFACES[engine] if got[abr] != PINNED[engine][abr]]
     assert not bad, bad
+
+
+# recorded from the closed engine before it moved to a list accumulator
+CLOSED_PIN = "719a41af336e7693"
+
+
+def test_closed_windows_match_pin():
+    h = hashlib.sha256()
+    for cls in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        for lo2 in list(range(-120, 17)) + [-400, -401]:
+            for bound in (None, 1, 2, 5):
+                window = genfun.rank2_vb_closed_p12(cls, lo2, bound).to_json()
+                h.update(json.dumps(window, sort_keys=True).encode())
+    assert h.hexdigest()[:16] == CLOSED_PIN

@@ -343,10 +343,12 @@ def test_derived_box_is_complete():
 def test_closed_t_limit_is_complete():
     for cls, term in genfun._P12_TERMS.items():
         # no term of family t lies above 8 - 2t^2
+        # (a term above the engine's list top would raise IndexError)
         for t in range(1, 41):
-            acc = {}
-            term(acc, t, 2 * (8 - 2 * t * t) + 1)
-            assert not acc, (cls, t)
+            lo2 = 2 * (8 - 2 * t * t) + 1
+            acc = [0] * (genfun._P12_TOP2 - lo2 + 1)
+            term(acc, t, lo2)
+            assert not any(acc), (cls, t)
         for lo2 in range(-80, 17):
             twice = 2 * genfun._p12_tmax(lo2)
             assert rank2_vb_closed_p12(cls, lo2) == \
