@@ -13,10 +13,8 @@ from orbifold.exact import (
     HalfExpLaurent,
     Rational,
     RatPoly,
-    cyc_inverse,
     cyclotomic_poly,
     geometric_factor,
-    laurent_mul,
     monomial,
     rational_part,
 )

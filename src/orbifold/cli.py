@@ -5,6 +5,11 @@ evaluations, the sheaf-datum helpers, the series engines, and the
 verification suite.  All numeric output is exact: integers and fraction
 strings, never floats, and identical invocations produce identical bytes.
 
+The parser is declared by one table, ``COMMANDS``: one row per subcommand
+with its path, help text, argument groups and handler.  ``ARGUMENTS``
+defines each argument group once.  ``build_parser`` turns the table into
+the parser in one loop and gives every subcommand ``--json`` and ``--out``.
+
 Exit codes: 0 on success, 1 on a domain error (one line on stderr), 2 on a
 usage error.
 """
@@ -82,34 +87,6 @@ def _parse_divisor(text: str):
     except ValueError:
         raise argparse.ArgumentTypeError(
             "divisor must be comma-separated integers, got %r" % text)
-
-
-def _add_surface(p: argparse.ArgumentParser):
-    p.add_argument("-a", type=int, required=True, help="first chart order")
-    p.add_argument("-b", type=int, required=True, help="second chart order")
-    p.add_argument("-r", type=int, default=0, help="twist (default 0)")
-
-
-def _add_class(p: argparse.ArgumentParser):
-    p.add_argument("-m", type=int, required=True, help="class coordinate m")
-    p.add_argument("-n", type=int, required=True, help="class coordinate n")
-
-
-def _add_output(p: argparse.ArgumentParser):
-    p.add_argument("--json", action="store_true",
-                   help="print the JSON payload instead of text")
-    p.add_argument("--out", metavar="FILE",
-                   help="also write the JSON payload to FILE")
-
-
-def _add_datum(p: argparse.ArgumentParser):
-    p.add_argument("--b1", type=int, required=True, help="first grading")
-    p.add_argument("--b2", type=int, required=True, help="second grading")
-    p.add_argument("--lam", type=int, nargs=4, required=True,
-                   metavar=("L1", "L2", "L3", "L4"),
-                   help="filtration jumps")
-    p.add_argument("--incidence", type=_parse_incidence, default=("type1",),
-                   help="type1, type2:i, or type3:i,j (default type1)")
 
 
 ENGINES = tuple(SERIES_ENGINES) + ("all",)
@@ -318,166 +295,117 @@ def _cmd_verify(args):
 # -------------------------------------------------------------------- parser
 
 
+# Each argument group, as the add_argument calls that define it.
+ARGUMENTS = {
+    "weights": [("weights", dict(type=int, nargs="+"))],
+    "base": [("weights", dict(type=int, nargs="+", help="base weights"))],
+    "coeffs": [("--coeffs", dict(
+        type=int, nargs="+", required=True,
+        help="one divisor coefficient per base ray"))],
+    "divisors": [("--divisors", dict(
+        type=_parse_divisor, nargs="+", required=True, metavar="C1,C2,...",
+        help="per-ray coefficients of each summand"))],
+    "surface": [
+        ("-a", dict(type=int, required=True, help="first chart order")),
+        ("-b", dict(type=int, required=True, help="second chart order")),
+        ("-r", dict(type=int, default=0, help="twist (default 0)"))],
+    "class": [
+        ("-m", dict(type=int, required=True, help="class coordinate m")),
+        ("-n", dict(type=int, required=True, help="class coordinate n"))],
+    "t1_t4": [
+        ("--t1", dict(type=int, help="first divisor coordinate")),
+        ("--t4", dict(type=int, help="fourth divisor coordinate"))],
+    "gradings": [("--gradings", dict(
+        type=int, nargs=4, required=True, metavar=("B1", "B2", "B3", "B4")))],
+    "datum": [
+        ("--b1", dict(type=int, required=True, help="first grading")),
+        ("--b2", dict(type=int, required=True, help="second grading")),
+        ("--lam", dict(type=int, nargs=4, required=True,
+                       metavar=("L1", "L2", "L3", "L4"),
+                       help="filtration jumps")),
+        ("--incidence", dict(
+            type=_parse_incidence, default=("type1",),
+            help="type1, type2:i, or type3:i,j (default type1)"))],
+    "window": [("--min-exp", dict(
+        type=_min2exp, required=True,
+        help="window cutoff; attach half-integers: --min-exp=-7/2"))],
+    "engine": [("--engine", dict(choices=ENGINES, default="csets"))],
+    "lambda": [("--include-lambda", dict(
+        action="store_true",
+        help="also run the experimental stratum engine"))],
+    "output": [
+        ("--json", dict(action="store_true",
+                        help="print the JSON payload instead of text")),
+        ("--out", dict(metavar="FILE",
+                       help="also write the JSON payload to FILE"))],
+}
+
+# One row per subcommand, in --help order: path, help, argument groups and
+# handler.  A row without a handler is a group of subcommands; every other
+# row also gets the "output" group.
+COMMANDS = [
+    ("fan", "stacky fan constructors", (), None),
+    ("fan wps", "weighted projective space", ("weights",), _cmd_fan_wps),
+    ("fan gerbe", "gerby weighted projective space", ("weights",),
+     _cmd_fan_gerbe),
+    ("fan hirzebruch", "orbifold surface fan", ("surface",),
+     _cmd_fan_hirzebruch),
+    ("fan linebundle",
+     "line bundle total space over a weighted projective base",
+     ("base", "coeffs"), _cmd_fan_linebundle),
+    ("fan projbundle",
+     "projectivized sum of line bundles over a weighted projective base",
+     ("base", "divisors"), _cmd_fan_projbundle),
+    ("charts", "affine chart weight tables", ("surface",), _cmd_charts),
+    ("euler", "Euler characteristic of a line bundle", ("surface", "class"),
+     _cmd_euler),
+    ("hilbert", "Hilbert polynomial of a line bundle", ("surface", "class"),
+     _cmd_hilbert),
+    ("mhp", "modified Hilbert polynomial", ("surface", "class"), _cmd_mhp),
+    ("inertia", "inertia stack components", ("surface",), _cmd_inertia),
+    ("coarse", "coarse space fan and divisor tests", ("surface", "t1_t4"),
+     _cmd_coarse),
+    ("sheaf", "equivariant sheaf data", (), None),
+    ("sheaf c1", "underlying first Chern class", ("surface", "gradings"),
+     _cmd_sheaf_c1),
+    ("sheaf grading", "fine chart gradings", ("surface", "gradings"),
+     _cmd_sheaf_grading),
+    ("sheaf gaugefix", "canonical grading quadruple", ("surface", "gradings"),
+     _cmd_sheaf_gaugefix),
+    ("sheaf stable", "slope stability of a datum", ("surface", "datum"),
+     _cmd_sheaf_stable),
+    ("sheaf chi", "class and Euler characteristic of a datum",
+     ("surface", "datum"), _cmd_sheaf_chi),
+    ("genfun", "counting series", (), None),
+    ("genfun rank1", "rank-1 torsion-free series",
+     ("surface", "class", "window"), _cmd_genfun_rank1),
+    ("genfun rank2-vb", "rank-2 bundle series",
+     ("surface", "class", "window", "engine"), _cmd_genfun_rank2_vb),
+    ("genfun rank2-tf", "rank-2 torsion-free series",
+     ("surface", "class", "window", "engine"), _cmd_genfun_rank2_tf),
+    ("crosscheck", "compare every applicable engine",
+     ("surface", "class", "window", "lambda"), _cmd_crosscheck),
+    ("verify", "run the full verification suite", (), _cmd_verify),
+]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orbifold",
         description="Exact invariants and counting series for a family of "
                     "orbifold surfaces fibered over weighted projective "
                     "lines.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    fan = sub.add_parser("fan", help="stacky fan constructors")
-    fan_sub = fan.add_subparsers(dest="kind", required=True)
-
-    p = fan_sub.add_parser("wps", help="weighted projective space")
-    p.add_argument("weights", type=int, nargs="+")
-    _add_output(p)
-    p.set_defaults(handler=_cmd_fan_wps)
-
-    p = fan_sub.add_parser("gerbe", help="gerby weighted projective space")
-    p.add_argument("weights", type=int, nargs="+")
-    _add_output(p)
-    p.set_defaults(handler=_cmd_fan_gerbe)
-
-    p = fan_sub.add_parser("hirzebruch", help="orbifold surface fan")
-    _add_surface(p)
-    _add_output(p)
-    p.set_defaults(handler=_cmd_fan_hirzebruch)
-
-    p = fan_sub.add_parser("linebundle",
-                           help="line bundle total space over a weighted "
-                                "projective base")
-    p.add_argument("weights", type=int, nargs="+", help="base weights")
-    p.add_argument("--coeffs", type=int, nargs="+", required=True,
-                   help="one divisor coefficient per base ray")
-    _add_output(p)
-    p.set_defaults(handler=_cmd_fan_linebundle)
-
-    p = fan_sub.add_parser("projbundle",
-                           help="projectivized sum of line bundles over a "
-                                "weighted projective base")
-    p.add_argument("weights", type=int, nargs="+", help="base weights")
-    p.add_argument("--divisors", type=_parse_divisor, nargs="+",
-                   required=True, metavar="C1,C2,...",
-                   help="per-ray coefficients of each summand")
-    _add_output(p)
-    p.set_defaults(handler=_cmd_fan_projbundle)
-
-    p = sub.add_parser("charts", help="affine chart weight tables")
-    _add_surface(p)
-    _add_output(p)
-    p.set_defaults(handler=_cmd_charts)
-
-    p = sub.add_parser("euler", help="Euler characteristic of a line bundle")
-    _add_surface(p)
-    _add_class(p)
-    _add_output(p)
-    p.set_defaults(handler=_cmd_euler)
-
-    p = sub.add_parser("hilbert", help="Hilbert polynomial of a line bundle")
-    _add_surface(p)
-    _add_class(p)
-    _add_output(p)
-    p.set_defaults(handler=_cmd_hilbert)
-
-    p = sub.add_parser("mhp", help="modified Hilbert polynomial")
-    _add_surface(p)
-    _add_class(p)
-    _add_output(p)
-    p.set_defaults(handler=_cmd_mhp)
-
-    p = sub.add_parser("inertia", help="inertia stack components")
-    _add_surface(p)
-    _add_output(p)
-    p.set_defaults(handler=_cmd_inertia)
-
-    p = sub.add_parser("coarse", help="coarse space fan and divisor tests")
-    _add_surface(p)
-    p.add_argument("--t1", type=int, help="first divisor coordinate")
-    p.add_argument("--t4", type=int, help="fourth divisor coordinate")
-    _add_output(p)
-    p.set_defaults(handler=_cmd_coarse)
-
-    sheaf = sub.add_parser("sheaf", help="equivariant sheaf data")
-    sheaf_sub = sheaf.add_subparsers(dest="kind", required=True)
-
-    p = sheaf_sub.add_parser("c1", help="underlying first Chern class")
-    _add_surface(p)
-    p.add_argument("--gradings", type=int, nargs=4, required=True,
-                   metavar=("B1", "B2", "B3", "B4"))
-    _add_output(p)
-    p.set_defaults(handler=_cmd_sheaf_c1)
-
-    p = sheaf_sub.add_parser("grading", help="fine chart gradings")
-    _add_surface(p)
-    p.add_argument("--gradings", type=int, nargs=4, required=True,
-                   metavar=("B1", "B2", "B3", "B4"))
-    _add_output(p)
-    p.set_defaults(handler=_cmd_sheaf_grading)
-
-    p = sheaf_sub.add_parser("gaugefix", help="canonical grading quadruple")
-    _add_surface(p)
-    p.add_argument("--gradings", type=int, nargs=4, required=True,
-                   metavar=("B1", "B2", "B3", "B4"))
-    _add_output(p)
-    p.set_defaults(handler=_cmd_sheaf_gaugefix)
-
-    p = sheaf_sub.add_parser("stable", help="slope stability of a datum")
-    _add_surface(p)
-    _add_datum(p)
-    _add_output(p)
-    p.set_defaults(handler=_cmd_sheaf_stable)
-
-    p = sheaf_sub.add_parser("chi", help="class and Euler characteristic "
-                                         "of a datum")
-    _add_surface(p)
-    _add_datum(p)
-    _add_output(p)
-    p.set_defaults(handler=_cmd_sheaf_chi)
-
-    genfun = sub.add_parser("genfun", help="counting series")
-    genfun_sub = genfun.add_subparsers(dest="kind", required=True)
-
-    p = genfun_sub.add_parser("rank1", help="rank-1 torsion-free series")
-    _add_surface(p)
-    _add_class(p)
-    p.add_argument("--min-exp", dest="min_exp", type=_min2exp, required=True,
-                   help="window cutoff; attach half-integers: --min-exp=-7/2")
-    _add_output(p)
-    p.set_defaults(handler=_cmd_genfun_rank1)
-
-    p = genfun_sub.add_parser("rank2-vb", help="rank-2 bundle series")
-    _add_surface(p)
-    _add_class(p)
-    p.add_argument("--min-exp", dest="min_exp", type=_min2exp, required=True,
-                   help="window cutoff; attach half-integers: --min-exp=-7/2")
-    p.add_argument("--engine", choices=ENGINES, default="csets")
-    _add_output(p)
-    p.set_defaults(handler=_cmd_genfun_rank2_vb)
-
-    p = genfun_sub.add_parser("rank2-tf", help="rank-2 torsion-free series")
-    _add_surface(p)
-    _add_class(p)
-    p.add_argument("--min-exp", dest="min_exp", type=_min2exp, required=True,
-                   help="window cutoff; attach half-integers: --min-exp=-7/2")
-    p.add_argument("--engine", choices=ENGINES, default="csets")
-    _add_output(p)
-    p.set_defaults(handler=_cmd_genfun_rank2_tf)
-
-    p = sub.add_parser("crosscheck", help="compare every applicable engine")
-    _add_surface(p)
-    _add_class(p)
-    p.add_argument("--min-exp", dest="min_exp", type=_min2exp, required=True,
-                   help="window cutoff; attach half-integers: --min-exp=-7/2")
-    p.add_argument("--include-lambda", action="store_true",
-                   help="also run the experimental stratum engine")
-    _add_output(p)
-    p.set_defaults(handler=_cmd_crosscheck)
-
-    p = sub.add_parser("verify", help="run the full verification suite")
-    _add_output(p)
-    p.set_defaults(handler=_cmd_verify)
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for path, help_text, names, handler in COMMANDS:
+        head, _, name = path.rpartition(" ")
+        p = groups[head].add_parser(name, help=help_text)
+        if handler is None:
+            groups[path] = p.add_subparsers(dest="kind", required=True)
+            continue
+        for group in names + ("output",):
+            for flag, spec in ARGUMENTS[group]:
+                p.add_argument(flag, **spec)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -487,14 +415,14 @@ def main(argv=None) -> int:
     try:
         payload, text = args.handler(args)
         doc = json.dumps(payload, sort_keys=True, indent=2)
-        if getattr(args, "out", None):
+        if args.out:
             with open(args.out, "w") as fh:
                 fh.write(doc + "\n")
     except (ValueError, ArithmeticError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     try:
-        print(doc if getattr(args, "json", False) else text, flush=True)
+        print(doc if args.json else text, flush=True)
     except BrokenPipeError:  # the reader closed stdout early
         return 1
     if args.handler is _cmd_verify and not payload["passed"]:

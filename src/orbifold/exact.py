@@ -20,7 +20,6 @@ All coefficients are ``fractions.Fraction``; ``Rational`` is an alias for it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,9 +35,7 @@ __all__ = [
     "Cyclotomic",
     "HalfExpLaurent",
     "cyclotomic_poly",
-    "cyc_inverse",
     "rational_part",
-    "laurent_mul",
     "geometric_factor",
     "monomial",
 ]
@@ -277,10 +274,6 @@ def _root_power(order: int, k: int) -> Cyclotomic:
     return Cyclotomic(order, _reduce_mod_phi(order, mono))
 
 
-def cyc_inverse(z: Cyclotomic) -> Cyclotomic:
-    return z.inverse()
-
-
 def rational_part(z) -> Fraction:
     """Certified rational value of a cyclotomic element (or pass a Fraction through)."""
     if isinstance(z, (int, Fraction)):
@@ -440,10 +433,6 @@ class HalfExpLaurent:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, factor: RationalLike) -> "HalfExpLaurent":
-        f = Fraction(factor)
-        return HalfExpLaurent(self.min2exp, {e: c * f for e, c in self._terms.items()})
-
     def shift2(self, d2: int) -> "HalfExpLaurent":
         """Multiply by q^(d2/2)."""
         return HalfExpLaurent(
@@ -547,11 +536,6 @@ def monomial(exp: RationalLike, coeff: RationalLike = 1, min2exp=None) -> HalfEx
     return HalfExpLaurent(min2exp, {e2: Fraction(coeff)})
 
 
-def laurent_mul(a: HalfExpLaurent, b: HalfExpLaurent) -> HalfExpLaurent:
-    """Product of two truncated series with the sound-window bookkeeping."""
-    return a * b
-
-
 def geometric_factor(step: RationalLike, power: int, min2exp: int) -> HalfExpLaurent:
     """Expansion of (1 - q^(-step))^(-power) down to the cutoff.
 
@@ -573,7 +557,3 @@ def geometric_factor(step: RationalLike, power: int, min2exp: int) -> HalfExpLau
         terms[-step2 * j] = Fraction(math.comb(j + power - 1, power - 1))
         j += 1
     return HalfExpLaurent(min2exp, terms)
-
-
-def series_to_json_str(series: HalfExpLaurent) -> str:
-    return json.dumps(series.to_json(), sort_keys=True)

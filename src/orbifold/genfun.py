@@ -39,11 +39,11 @@ from itertools import count
 from math import isqrt, lcm
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .exact import HalfExpLaurent, monomial, series_to_json_str
+from .exact import HalfExpLaurent, monomial
 from .geometry import ClassLike, HirzebruchParams, _as_class, derive_params, \
     modified_euler_characteristic
 from .sheafdata import Rank2Datum, all_incidence_types, euler_weight, \
-    rank2_c1_chi, stability_check
+    f4_exponent, rank2_c1_chi, stability_check
 
 
 # ---------------------------------------------------------------------------
@@ -99,11 +99,6 @@ def vb_to_tf(series: HalfExpLaurent, rank: int,
 # shared rank-2 plumbing
 # ---------------------------------------------------------------------------
 
-def _f4(C: int, r: int, m: int, n: int) -> int:
-    """Four times the base exponent f(m, n); always an integer."""
-    return 2 * (C - r) * n + 4 * C + 4 * m + 2 * m * n - n * n * r
-
-
 def _box(params: HirzebruchParams, m: int, n: int, min2exp: int) -> int:
     """Box holding every csets and r0 term in the window.
 
@@ -126,7 +121,7 @@ def _box(params: HirzebruchParams, m: int, n: int, min2exp: int) -> int:
     per j.  As j = n (mod 2) and f4 = r n^2 (mod 2), the check always holds.
     """
     r, pq = params.r, params.p * params.q
-    span = max(0, _f4(params.C, r, m, n) - 2 * min2exp)
+    span = max(0, f4_exponent(params.C, r, m, n) - 2 * min2exp)
     box = max(span // 2, (pq + 2 * r) * isqrt(span // (2 * pq + r)))
     if r:  # r j (r j + 2) < N  <=>  r j + 1 <= isqrt(N)
         box = max(box, (isqrt((2 * pq + r) * span) - 1) // r)
@@ -261,7 +256,7 @@ def _csets_counts(params: HirzebruchParams, m: int, n: int,
                   lo2: int, M: int) -> List[int]:
     a, b, r = params.a, params.b, params.r
     pq = params.p * params.q
-    f4 = _f4(params.C, r, m, n)
+    f4 = f4_exponent(params.C, r, m, n)
     acc = [0] * (f4 // 2 - lo2 + 1)
     for j in range(2 - n % 2, M + 1, 2):  # every set needs j = n (mod 2)
         _check_half_integer(f4 - r * j * j, j)  # see ``_box``
@@ -376,7 +371,7 @@ def _r0_tail(acc, j, f4, m, a, b, lo2, M):
 
 def _r0_counts(a, b, m, n, lo2, M) -> List[int]:
     C = a + b + a * b - 1
-    f4 = _f4(C, 0, m, n)
+    f4 = f4_exponent(C, 0, m, n)
     acc = [0] * (f4 // 2 - lo2 + 1)
     for j in range(2 - n % 2, M + 1, 2):  # every set needs j = n (mod 2)
         _check_half_integer(f4, j)  # see ``_box``, with r = 0
@@ -596,7 +591,7 @@ def _lambda_counts(params: HirzebruchParams, m: int, n: int,
     a, b, r = params.a, params.b, params.r
     pq = params.p * params.q
     rp = r + pq
-    f4 = _f4(params.C, r, m, n)
+    f4 = f4_exponent(params.C, r, m, n)
     span = f4 - 2 * lo2
     acc = [0] * (f4 // 2 - lo2 + 1)
     for incidence in all_incidence_types():
@@ -672,7 +667,7 @@ def _lambda_box(params: HirzebruchParams, m: int, n: int,
     ((1,4)) and on d3 for (2,3) ((3,4)).  l3 runs where this is >= 0; if
     d3 <= 0 < -d1, l1 <= (e0 + d3 lo3) / -d1 with lo3 the least l3.
     """
-    span = max(0, _f4(params.C, params.r, m, n) - 2 * min2exp)
+    span = max(0, f4_exponent(params.C, params.r, m, n) - 2 * min2exp)
     return max((span + params.r) // 2, (params.r * span + 3) // 4)
 
 
@@ -814,5 +809,5 @@ def crosscheck(params: HirzebruchParams, cls: ClassLike, min2exp: int,
 __all__ = [
     "ENGINES", "CrosscheckReport", "Engine", "crosscheck", "rank1_series",
     "rank2_vb_closed_p12", "rank2_vb_csets", "rank2_vb_lambda", "rank2_vb_r0",
-    "run_engine", "series_to_json_str", "vb_to_tf",
+    "run_engine", "vb_to_tf",
 ]

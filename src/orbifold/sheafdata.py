@@ -36,6 +36,7 @@ __all__ = [
     "euler_weight",
     "all_incidence_types",
     "incidence_chi_correction",
+    "f4_exponent",
     "f_exponent",
     "rank2_chi_exponent",
     "rank2_c1_chi",
@@ -172,27 +173,21 @@ def _weights(lam: Sequence[int], params: HirzebruchParams) -> Tuple[int, ...]:
 
 
 def stability_check(datum: Rank2Datum, params: HirzebruchParams) -> bool:
-    """Slope stability of the datum, by its type's strict inequalities.
+    """Slope stability of the datum: every part weighs less than half the sum.
 
-    With weights (L1, pq L2, L3, (r+pq) L4): type1 requires each weight to
-    be less than the sum of the other three; type2 drops the vanishing
-    corner and requires the triangle inequalities on the remaining three;
-    type3 fuses the coinciding pair into one weight and requires the
-    triangle inequalities on the resulting three.
+    The parts are the weights (L1, pq L2, L3, (r+pq) L4), with a type3
+    datum's coinciding pair fused into one part.  A type2 datum's vanishing
+    jump is a zero part, whose inequality 0 < sum follows from the other
+    three (they add up to sum > 0), so for it the rule is the triangle
+    inequalities on the remaining three weights.
     """
     _require_divisibility(datum.lam, params)
     w = _weights(datum.lam, params)
-    kind = datum.incidence[0]
-    if kind == "type1":
-        total = sum(w)
-        return all(2 * wi < total for wi in w)
-    if kind == "type2":
-        keep = [w[k] for k in range(4) if k != datum.incidence[1] - 1]
-    else:
+    if datum.incidence[0] == "type3":
         i, j = datum.incidence[1] - 1, datum.incidence[2] - 1
-        keep = [w[i] + w[j]] + [w[k] for k in range(4) if k not in (i, j)]
-    total = sum(keep)
-    return all(2 * wi < total for wi in keep)
+        w = [w[i] + w[j]] + [w[k] for k in range(4) if k not in (i, j)]
+    total = sum(w)
+    return all(2 * wi < total for wi in w)
 
 
 def euler_weight(incidence: Incidence) -> int:
@@ -217,11 +212,14 @@ def incidence_chi_correction(incidence: Incidence,
     return lam[i - 1] * lam[j - 1]
 
 
+def f4_exponent(C: int, r: int, m: int, n: int) -> int:
+    """Four times the base exponent f(m, n); always an integer."""
+    return 2 * (C - r) * n + 4 * C + 4 * m + 2 * m * n - n * n * r
+
+
 def f_exponent(params: HirzebruchParams, m: int, n: int) -> Fraction:
     """Base exponent f(m, n) of the rank-2 series for first Chern class (m, n)."""
-    C, r = params.C, params.r
-    return (Fraction(C - r, 2) * n + C + m + Fraction(m * n, 2)
-            - Fraction(n * n * r, 4))
+    return Fraction(f4_exponent(params.C, params.r, m, n), 4)
 
 
 def rank2_chi_exponent(params: HirzebruchParams, cls: ClassLike,

@@ -1,14 +1,18 @@
 """Subprocess tests for the command-line front end."""
 
+import argparse
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
 from orbifold import cli
 from orbifold.exact import HalfExpLaurent
 from orbifold.stackyfan import StackyFanData
+
+PIN_PATH = os.path.join(os.path.dirname(__file__), "cli_parser_pin.json")
 
 
 def run_cli(*args, **kwargs):
@@ -164,3 +168,42 @@ def test_verify_subcommand_passes():
     # list accumulator
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
         "23f3aa43b9fb5c15da07cd145e63177cd4e28eb59b2c7ffdab402ce712fa701b"
+
+
+def _parser_structure(parser, path="orbifold", help_text=None):
+    """Every parser path with its help string and, per action, the fields
+    that decide parsing, --help and usage errors; JSON-shaped."""
+    actions, children = [], []
+    for action in parser._actions:
+        subs = isinstance(action, argparse._SubParsersAction)
+        actions.append({
+            "option_strings": action.option_strings,
+            "dest": action.dest,
+            "nargs": action.nargs,
+            "default": action.default,
+            "choices": list(action.choices) if action.choices else None,
+            "required": action.required,
+            "help": action.help,
+            "metavar": action.metavar,
+            "type": action.type and action.type.__name__})
+        if subs:
+            helps = {a.dest: a.help for a in action._choices_actions}
+            children.extend((name, sub, helps.get(name))
+                            for name, sub in action.choices.items())
+    handler = parser.get_default("handler")
+    out = {path: {"help": help_text, "actions": actions,
+                  "handler": handler and handler.__name__}}
+    for name, sub, sub_help in children:
+        out.update(_parser_structure(sub, path + " " + name, sub_help))
+    return out
+
+
+def test_parser_structure_matches_pin():
+    # recorded from the parser as it was built by hand, one add_argument
+    # call after another, before it was declared as one table
+    with open(PIN_PATH) as fh:
+        pinned = json.load(fh)
+    built = json.loads(json.dumps(_parser_structure(cli.build_parser())))
+    assert list(built) == list(pinned)
+    for path in pinned:
+        assert built[path] == pinned[path], path

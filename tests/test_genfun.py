@@ -360,14 +360,6 @@ def test_window_truncation_consistency(engines120):
     assert deep.truncate(-6) == rank2_vb_csets(P120, (1, 0), min2exp=-6)
 
 
-def test_thread_count_does_not_change_windows(monkeypatch):
-    monkeypatch.setenv("ORBIFOLD_THREADS", "1")
-    serial = rank2_vb_csets(P120, (0, 1), min2exp=-10)
-    monkeypatch.setenv("ORBIFOLD_THREADS", "3")
-    threaded = rank2_vb_csets(P120, (0, 1), min2exp=-10)
-    assert serial == threaded
-
-
 def test_engine_domain_errors():
     with pytest.raises(ValueError):
         rank2_vb_csets(derive_params(1, 2, -1), (0, 0), -4)
