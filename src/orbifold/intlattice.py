@@ -311,14 +311,8 @@ def integer_kernel(matrix: IntMatrix) -> Tuple[Tuple[int, ...], ...]:
     with the same kernel lattice return identical bases.
     """
     snf = smith_normal_form(matrix)
-    diag = snf.D
-    cols = matrix.ncols
-    basis = []
-    for j in range(cols):
-        d = diag[j, j] if j < min(diag.nrows, diag.ncols) else 0
-        if d == 0:
-            basis.append(snf.V.column(j))
-    return hermite_row_basis(basis)
+    # zeros come last on the SNF diagonal: V's trailing columns span the kernel
+    return hermite_row_basis([snf.V.column(j) for j in range(snf.rank, matrix.ncols)])
 
 
 def hermite_row_basis(vectors: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
@@ -392,10 +386,8 @@ def solve_linear_system(matrix: IntMatrix, target: Sequence[int]):
 def cokernel_invariants(matrix: IntMatrix) -> AbelianGroupStructure:
     """Structure of Z^rows / (column span of the matrix)."""
     snf = smith_normal_form(matrix)
-    diag = snf.diagonal
-    rank = sum(1 for d in diag if d != 0)
-    torsion = tuple(d for d in diag if d > 1)
-    return AbelianGroupStructure(free_rank=matrix.nrows - rank, torsion=torsion)
+    torsion = tuple(d for d in snf.diagonal if d > 1)
+    return AbelianGroupStructure(free_rank=matrix.nrows - snf.rank, torsion=torsion)
 
 
 def _suffix_gcds(weights: Sequence[int]) -> List[int]:

@@ -151,14 +151,6 @@ class Rank2Datum:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "incidence", incidence)
 
-    @classmethod
-    def from_bundle(cls, bundle: EquivLineBundle, params: HirzebruchParams,
-                    lam: Sequence[int],
-                    incidence: Incidence = ("type1",)) -> "Rank2Datum":
-        """Build from an arbitrary quadruple, gauge-fixing it first."""
-        fixed = gauge_fix(bundle, params)
-        return cls(fixed.b1, fixed.b2, tuple(lam), incidence)
-
 
 def _require_divisibility(lam: Sequence[int], params: HirzebruchParams):
     if lam[0] % params.a != 0:

@@ -10,13 +10,15 @@ The constructions provided: weighted projective stacks P(w) for coprime and
 non-coprime weight vectors (the latter produce gerbes, with a torsion row),
 total spaces of line bundles, projective bundles, the two-parameter orbifold
 surface family, and global/local splitting certificates for product
-decompositions.
+decompositions.  A split is decided by one shape check (block pattern of the
+ray images, product cones) and one exact block solver for A * lower = upper,
+run over all rays of the second factor for a global certificate and over each
+of its maximal cones for a local one.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -45,8 +47,6 @@ __all__ = [
     "find_global_split",
     "find_local_splits",
     "fans_equal_up_to_ray_order",
-    "fan_to_json_str",
-    "fan_from_json",
 ]
 
 # Coefficient vector of a torus-invariant divisor, one integer per ray.
@@ -167,21 +167,9 @@ class StackyFanData:
         return "\n".join(lines)
 
 
-def fan_to_json_str(fan: StackyFanData) -> str:
-    return json.dumps(fan.to_json(), sort_keys=True, separators=(",", ":"))
-
-
-def fan_from_json(text: str) -> StackyFanData:
-    return StackyFanData.from_json(json.loads(text))
-
-
 def point_fan() -> StackyFanData:
     """The fan of a point: rank zero, no rays, only the origin cone."""
     return StackyFanData(AbelianGroupStructure(0, ()), (), ((),))
-
-
-def _free_lattice(rank: int) -> AbelianGroupStructure:
-    return AbelianGroupStructure(rank, ())
 
 
 def wps_fan(weights: Sequence[int]) -> StackyFanData:
@@ -221,7 +209,7 @@ def wps_fan(weights: Sequence[int]) -> StackyFanData:
         assert minor == (-1) ** (n - i) * ws[i], (i, minor)
     rays = tuple(RayImage(matrix.column(j)) for j in range(n + 1))
     cones = tuple(itertools.combinations(range(n + 1), n))
-    fan = StackyFanData(_free_lattice(n), rays, cones)
+    fan = StackyFanData(AbelianGroupStructure(n), rays, cones)
     assert fan.has_finite_cokernel()
     return fan
 
@@ -282,7 +270,7 @@ def line_bundle_total_space(fan: StackyFanData, coeffs: Sequence[int]) -> Stacky
     rays.append(RayImage((0,) * rank + (1,)))
     new = fan.n_rays
     cones = tuple(c + (new,) for c in fan.max_cones) or ((new,),)
-    return StackyFanData(_free_lattice(rank + 1), tuple(rays), cones)
+    return StackyFanData(AbelianGroupStructure(rank + 1), tuple(rays), cones)
 
 
 def projective_bundle(fan: StackyFanData,
@@ -320,7 +308,7 @@ def projective_bundle(fan: StackyFanData,
         for cone in base_cones
         for i in range(r + 1)
     )
-    return StackyFanData(_free_lattice(rank + r), tuple(rays), cones)
+    return StackyFanData(AbelianGroupStructure(rank + r), tuple(rays), cones)
 
 
 def hirzebruch_shear(a: int, b: int, r: int) -> Tuple[int, int]:
@@ -349,7 +337,7 @@ def hirzebruch_fan(a: int, b: int, r: int) -> StackyFanData:
     s, t = hirzebruch_shear(a, b, r)
     rays = (RayImage((b, s)), RayImage((0, 1)), RayImage((-a, t)), RayImage((0, -1)))
     cones = ((0, 1), (1, 2), (2, 3), (0, 3))
-    fan = StackyFanData(_free_lattice(2), rays, cones)
+    fan = StackyFanData(AbelianGroupStructure(2), rays, cones)
     assert fan.has_finite_cokernel()
     return fan
 
@@ -358,8 +346,9 @@ def _split_upper_blocks(whole: StackyFanData, part1: StackyFanData,
                         part2: StackyFanData):
     """Shape checks for a split; returns fiber upper blocks, or None.
 
-    None means the ray images do not have the required block pattern.  Actual
-    dimension mismatches raise.
+    None means the ray images do not have the required block pattern or the
+    maximal cones of whole are not the products of those of the parts.
+    Actual dimension mismatches raise.
     """
     if whole.lattice.torsion or part1.lattice.torsion or part2.lattice.torsion:
         raise ValueError("split checks support free lattices only")
@@ -378,66 +367,50 @@ def _split_upper_blocks(whole: StackyFanData, part1: StackyFanData,
         if free[r1:] != part2.rays[i].free:
             return None
         uppers.append(free[:r1])
+    products = {
+        frozenset(c1) | frozenset(n1 + i for i in c2)
+        for c1 in part1.max_cones or ((),)
+        for c2 in part2.max_cones or ((),)
+    }
+    if {frozenset(c) for c in whole.max_cones} != products:
+        return None
     return uppers
 
 
-def _cones_are_products(whole: StackyFanData, part1: StackyFanData,
-                        part2: StackyFanData) -> bool:
-    n1 = part1.n_rays
-    cones1 = part1.max_cones or ((),)
-    cones2 = part2.max_cones or ((),)
-    expected = {
-        frozenset(c1) | frozenset(n1 + i for i in c2)
-        for c1 in cones1
-        for c2 in cones2
-    }
-    return {frozenset(c) for c in whole.max_cones} == expected
+def _solve_block(part2: StackyFanData, uppers, rays, width: int) -> Optional[IntMatrix]:
+    """Integer A, `width` rows, with A * (ray i of part2) = uppers[i] for i in rays.
+
+    Each row of A is one exact integer solve, so a returned A needs no
+    re-check; None when some row has no integer solution.
+    """
+    lower = IntMatrix.from_rows([part2.rays[i].free for i in rays])
+    rows = []
+    for k in range(width):
+        row = solve_linear_system(lower, [uppers[i][k] for i in rays])
+        if row is None:
+            return None
+        rows.append(row)
+    return IntMatrix.from_rows(rows)
 
 
 def find_global_split(whole: StackyFanData, part1: StackyFanData,
                       part2: StackyFanData) -> Optional[IntMatrix]:
     """Integer matrix A certifying whole = part1 x part2, or None."""
     uppers = _split_upper_blocks(whole, part1, part2)
-    if uppers is None or not _cones_are_products(whole, part1, part2):
+    if uppers is None:
         return None
-    r1 = part1.lattice.free_rank
-    b2t = part2.ray_matrix().transpose()
-    rows = []
-    for k in range(r1):
-        target = [u[k] for u in uppers]
-        row = solve_linear_system(b2t, target)
-        if row is None:
-            return None
-        rows.append(row)
-    a = IntMatrix.from_rows(rows) if rows else IntMatrix(())
-    for i in range(part2.n_rays):
-        if a.apply(part2.rays[i].free) != tuple(uppers[i]):
-            return None
-    return a
+    return _solve_block(part2, uppers, range(part2.n_rays), part1.lattice.free_rank)
 
 
 def find_local_splits(whole: StackyFanData, part1: StackyFanData,
                       part2: StackyFanData) -> Optional[Tuple[IntMatrix, ...]]:
     """Per-cone matrices A_j over the maximal cones of part2, or None."""
     uppers = _split_upper_blocks(whole, part1, part2)
-    if uppers is None or not _cones_are_products(whole, part1, part2):
+    if uppers is None:
         return None
-    r1 = part1.lattice.free_rank
-    out = []
-    for cone in part2.max_cones or ((),):
-        cols = IntMatrix.from_rows(
-            [[part2.rays[i].free[k] for i in cone]
-             for k in range(part2.lattice.free_rank)]
-        ).transpose()
-        rows = []
-        for k in range(r1):
-            target = [uppers[i][k] for i in cone]
-            row = solve_linear_system(cols, target)
-            if row is None:
-                return None
-            rows.append(row)
-        out.append(IntMatrix.from_rows(rows) if rows else IntMatrix(()))
-    return tuple(out)
+    blocks = tuple(_solve_block(part2, uppers, cone, part1.lattice.free_rank)
+                   for cone in part2.max_cones or ((),))
+    return None if None in blocks else blocks
 
 
 def check_split(whole: StackyFanData, part1: StackyFanData, part2: StackyFanData,
@@ -447,33 +420,26 @@ def check_split(whole: StackyFanData, part1: StackyFanData, part2: StackyFanData
     With mode "global", `matrices` is one integer matrix A and the fiber rays
     must satisfy upper = A * lower; with mode "local" it is one matrix per
     maximal cone of part2, checked on the rays of that cone.  Passing None
-    searches for certifying matrices instead.
+    searches instead: `find_global_split` or `find_local_splits`, which share
+    one shape check and one exact block solver with this check.
     """
     if mode not in ("global", "local"):
         raise ValueError("mode must be 'global' or 'local'")
-    uppers = _split_upper_blocks(whole, part1, part2)
-    if uppers is None or not _cones_are_products(whole, part1, part2):
-        return False
-    n1 = part1.n_rays
     if matrices is None:
-        if mode == "global":
-            return find_global_split(whole, part1, part2) is not None
-        return find_local_splits(whole, part1, part2) is not None
+        find = find_global_split if mode == "global" else find_local_splits
+        return find(whole, part1, part2) is not None
+    uppers = _split_upper_blocks(whole, part1, part2)
+    if uppers is None:
+        return False
     if mode == "global":
-        a = matrices if isinstance(matrices, IntMatrix) else IntMatrix.from_rows(matrices)
-        return all(
-            a.apply(part2.rays[i].free) == tuple(uppers[i])
-            for i in range(part2.n_rays)
-        )
-    cones2 = part2.max_cones or ((),)
-    mats = [m if isinstance(m, IntMatrix) else IntMatrix.from_rows(m) for m in matrices]
-    if len(mats) != len(cones2):
+        mats, cones = [matrices], (range(part2.n_rays),)
+    else:
+        mats, cones = matrices, part2.max_cones or ((),)
+    mats = [m if isinstance(m, IntMatrix) else IntMatrix.from_rows(m) for m in mats]
+    if len(mats) != len(cones):
         raise ValueError("need one matrix per maximal cone of part2")
-    for a, cone in zip(mats, cones2):
-        for i in cone:
-            if a.apply(part2.rays[i].free) != tuple(uppers[i]):
-                return False
-    return True
+    return all(a.apply(part2.rays[i].free) == uppers[i]
+               for a, cone in zip(mats, cones) for i in cone)
 
 
 def fans_equal_up_to_ray_order(first: StackyFanData, second: StackyFanData) -> bool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .exact import HalfExpLaurent
@@ -136,20 +137,16 @@ def criterion_1(shared: Optional[SharedRuns] = None) -> CriterionResult:
                          and wins["closed"].coeff2(e2) == got)
             if unanimous:
                 logged.append("%s q^%s: quoted %d, engines %d"
-                              % (cls, _halfexp(e2), want, got))
+                              % (cls, Fraction(e2, 2), want, got))
             else:
                 ok = False
                 logged.append("%s q^%s: quoted %d, csets %d, engines split"
-                              % (cls, _halfexp(e2), want, got))
+                              % (cls, Fraction(e2, 2), want, got))
     detail = "%d quoted coefficients matched" % matched
     if logged:
         detail += "; %d overridden by unanimous engines: %s" % (
             len(logged), "; ".join(logged))
     return CriterionResult(1, "golden series windows", ok, detail)
-
-
-def _halfexp(e2: int) -> str:
-    return str(e2 // 2) if e2 % 2 == 0 else "%d/2" % e2
 
 
 def criterion_2(shared: Optional[SharedRuns] = None) -> CriterionResult:
@@ -278,8 +275,8 @@ def criterion_6() -> CriterionResult:
             off = 2 * chi - e2
             want = oracle[off // 2] if off % 2 == 0 else 0
             if series.coeff2(e2) != want:
-                problems.append("(%d,%d,%d) deficit %s" % (a, b, r,
-                                                           _halfexp(off)))
+                problems.append("(%d,%d,%d) deficit %s"
+                                % (a, b, r, Fraction(off, 2)))
     detail = ("3 surfaces, deficits 0..%d" % deficits if not problems
               else "; ".join(problems[:6]))
     return CriterionResult(6, "rank-1 partition oracle", not problems, detail)

@@ -8,8 +8,6 @@ from orbifold.stackyfan import (
     RayImage,
     StackyFanData,
     check_split,
-    fan_from_json,
-    fan_to_json_str,
     fans_equal_up_to_ray_order,
     find_global_split,
     find_local_splits,
@@ -260,6 +258,8 @@ def test_check_split_local_but_not_global():
     assert [m.rows for m in local] == [((1,),), ((-1,),)]
     assert check_split(whole, part1, part2, mode="local")
     assert not check_split(whole, part1, part2, mode="global")
+    with pytest.raises(ValueError):
+        check_split(whole, part1, part2, matrices=local[:1], mode="local")
 
 
 def test_check_split_not_even_local():
@@ -275,6 +275,9 @@ def test_check_split_against_point():
     for fan in (wps_fan((1, 1)), hirzebruch_fan(2, 3, 1)):
         assert check_split(fan, fan, point_fan())
         assert find_global_split(fan, fan, point_fan()) is not None
+        # point as the first factor: the certificate has no rows
+        assert find_global_split(fan, point_fan(), fan) == IntMatrix(())
+        assert check_split(fan, point_fan(), fan)
 
 
 def test_check_split_dimension_errors():
@@ -323,8 +326,7 @@ def test_torsion_residues_are_reduced():
 
 def test_fan_json_round_trip():
     for fan in (wps_fan((1, 2, 4, 8)), wps_gerbe_fan((2, 4)), hirzebruch_fan(2, 3, 1)):
-        text = fan_to_json_str(fan)
-        assert fan_from_json(text) == fan
+        assert StackyFanData.from_json(fan.to_json()) == fan
     doc = hirzebruch_fan(1, 2, 0).to_json()
     assert doc["lattice"] == {"rank": 2, "torsion": []}
     assert doc["rays"][0] == {"free": ["2", "0"], "torsion": []}
