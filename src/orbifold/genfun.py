@@ -12,8 +12,9 @@ The rank-2 locally-free series is evaluated by four independent routes:
 * ``rank2_vb_closed_p12`` -- fully explicit nested sums for the (1,2;0)
   surface, one family of terms per first-Chern-class parity;
 * ``rank2_vb_lambda`` -- direct enumeration of ``sheafdata.Rank2Datum``
-  values over the eleven incidence strata, kept when ``stability_check``
-  holds and placed at their ``rank2_c1_chi``.
+  values over the eleven incidence strata, walking only the jumps that
+  satisfy the slope triangle inequalities; each datum is checked by
+  ``stability_check`` and placed at its ``rank2_c1_chi``.
 
 Each engine is a plain loop that adds every constraint set (term family,
 stratum) into one preallocated integer list, ``acc[e2 - lo2]`` for the
@@ -40,8 +41,8 @@ from math import isqrt, lcm
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .exact import HalfExpLaurent, monomial
-from .geometry import ClassLike, HirzebruchParams, _as_class, derive_params, \
-    modified_euler_characteristic
+from .geometry import ADJACENT_PAIRS, ClassLike, HirzebruchParams, \
+    _as_class, derive_params, modified_euler_characteristic
 from .sheafdata import Rank2Datum, all_incidence_types, euler_weight, \
     f4_exponent, rank2_c1_chi, stability_check
 
@@ -585,12 +586,49 @@ def rank2_vb_closed_p12(cls: ClassLike, min2exp: int,
 # engine: lambda (direct enumeration of rank-2 data)
 # ---------------------------------------------------------------------------
 
+def _lambda_rows(incidence) -> List[Tuple[int, int, int, int]]:
+    """The stability inequalities of one stratum as rows (c1, c3, k2, k4).
+
+    The parts are the weights (l1, W2, l3, W4), W2 = pq l2 and
+    W4 = (r + pq) l4, with a type3 pair fused into one part exactly as in
+    ``stability_check``.  Each part is a1 l1 + a3 l3 + b2 W2 + b4 W4 with
+    0/1 coefficients, and the sum of all parts is l1 + l3 + W2 + W4, so its
+    inequality 2 w < sum is c1 l1 + c3 l3 <= k2 W2 + k4 W4 - 1 with
+    c = 2a - 1 and k = 1 - 2b; c1 and c3 are +-1.
+    """
+    parts = [(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)]
+    if incidence[0] == "type3":
+        i, j = incidence[1] - 1, incidence[2] - 1
+        parts = ([tuple(x + y for x, y in zip(parts[i], parts[j]))]
+                 + [parts[k] for k in range(4) if k not in (i, j)])
+    return [(2 * a1 - 1, 2 * a3 - 1, 1 - 2 * b2, 1 - 2 * b4)
+            for a1, a3, b2, b4 in parts]
+
+
 def _lambda_counts(params: HirzebruchParams, m: int, n: int,
                    lo2: int, M: int) -> List[int]:
-    """Signed count of the stable data of class (m, n) with jumps up to M."""
+    """Signed count of the stable data of class (m, n) with jumps up to M.
+
+    With the stratum, l2 and l4 fixed, every stability row and the cost line
+    D - Q = e0 + d1 l1 + d3 l3 >= 0 (see ``_lambda_box``) is linear in
+    (l1, l3), and so are the box limits; their intersection is the polygon
+    the loops walk.  Each l3 limit is s l1 + k (a row with c3 = -1 is the
+    lower limit l3 >= c1 l1 - h, one with c3 = +1 the upper limit
+    l3 <= h - c1 l1, h its right side); eliminating l3 pairs every lower
+    limit with every upper one (and the cost line with the limits on the side
+    d3 pushes against) into g l1 + h >= 0, which gives l1 its interval, and
+    each l1 then gets its l3 interval.  So every datum built is stable and in
+    the window.  A slice whose least stable cost exceeds D is skipped first:
+    Q >= 2 (l2 + l4) max(lo1 + lo3, |W2 - W4| + 1) + r (l2^2 - l4^2) with no
+    fused adjacent pair (l1 + l3 > |W2 - W4| on every such stratum), and
+    Q >= 2 (l2 + l4) + (r + 2pq) (l4 - l2)^2 with one (see ``_lambda_box``).
+    Once l4 >= l2 the l4 loop ends at the first slice past D of a bound that
+    rises with l4: the adjacent one itself, and otherwise, as W4 >= W2 there,
+    2 (l2 + l4)(W4 - W2 + 1) + r (l2^2 - l4^2)
+    = (l2 + l4)(r (l2 + l4) + 2pq (l4 - l2) + 2).
+    """
     a, b, r = params.a, params.b, params.r
     pq = params.p * params.q
-    rp = r + pq
     f4 = f4_exponent(params.C, r, m, n)
     span = f4 - 2 * lo2
     acc = [0] * (f4 // 2 - lo2 + 1)
@@ -598,36 +636,60 @@ def _lambda_counts(params: HirzebruchParams, m: int, n: int,
         weight = euler_weight(incidence)
         zero = incidence[1] if incidence[0] == "type2" else 0
         pair = incidence[1:] if incidence[0] == "type3" else ()
+        adjacent = frozenset(pair) in ADJACENT_PAIRS
+        rows = _lambda_rows(incidence)
+        lo1, top1 = (0, 0) if zero == 1 else (a, M)
         lo3, top3 = (0, 0) if zero == 3 else (b, M)
         for l2 in (0,) if zero == 2 else range(1, M + 1):
             top4 = min(M, span // 2 - l2)
-            for l4 in (0,) if zero == 4 else range(1, top4 + 1):
-                if (n + l2 + l4) % 2:
+            for l4 in ((0,) if zero == 4 else
+                       range(2 - (n + l2) % 2, top4 + 1, 2)):
+                if (n + l2 + l4) % 2:  # only l4 = 0 can fail here
                     continue
-                # D - Q = e0 + d1*l1 + d3*l3 (see ``_lambda_box``); a fused
-                # adjacent pair weighs less than the other two, capping l1/l3
-                e0 = span - r * (l2 * l2 - l4 * l4)
-                d1 = d3 = -2 * (l2 + l4)
-                hi1, g3 = M, top3
-                if pair == (1, 2):
-                    hi1, d1 = min(M, M + rp * l4 - pq * l2 - 1), d1 + 4 * l2
-                elif pair == (1, 4):
-                    hi1, d1 = min(M, pq * l2 + M - rp * l4 - 1), d1 + 4 * l4
-                elif pair == (2, 3):
-                    g3, d3 = rp * l4 - pq * l2 - 1, d3 + 4 * l2
-                elif pair == (3, 4):
-                    g3, d3 = pq * l2 - rp * l4 - 1, d3 + 4 * l4
-                if d3 <= 0 < -d1:
-                    hi1 = min(hi1, (e0 + d3 * lo3) // -d1)
-                for l1 in (0,) if zero == 1 else range(a, hi1 + 1, a):
-                    rest, lo, hi3 = e0 + d1 * l1, lo3, min(top3, l1 + g3)
+                w2, w4 = pq * l2, (r + pq) * l4
+                rl = r * (l2 * l2 - l4 * l4)
+                if adjacent:
+                    q_min = rising = (2 * (l2 + l4)
+                                      + (r + 2 * pq) * (l4 - l2) ** 2)
+                else:
+                    q_min = 2 * (l2 + l4) * max(lo1 + lo3,
+                                                abs(w2 - w4) + 1) + rl
+                    rising = (l2 + l4) * (r * (l2 + l4)
+                                          + 2 * pq * (l4 - l2) + 2)
+                if l4 >= l2 and rising > span:
+                    break
+                if q_min > span:
+                    continue
+                # a fused adjacent pair {x, c}, x odd and c even, restores
+                # 4 lx lc, which adds 4 lc to dx
+                e0, d1, d3 = span - rl, -2 * (l2 + l4), -2 * (l2 + l4)
+                if pair == (1, 2) or pair == (1, 4):
+                    d1 += 4 * (l2 if pair[1] == 2 else l4)
+                elif pair == (2, 3) or pair == (3, 4):
+                    d3 += 4 * (l2 if pair[0] == 2 else l4)
+                lows, highs = [(0, lo3)], [(0, top3)]
+                for c1, c3, k2, k4 in rows:
+                    h = k2 * w2 + k4 * w4 - 1
+                    if c3 < 0:
+                        lows.append((c1, -h))
+                    else:
+                        highs.append((-c1, h))
+                cuts = [(s_hi - s_lo, k_hi - k_lo) for s_lo, k_lo in lows
+                        for s_hi, k_hi in highs]
+                cuts += [(d1 + d3 * s, e0 + d3 * k)
+                         for s, k in (lows if d3 < 0 else highs)]
+                # each cut is g l1 + h >= 0
+                l1_lo = max([lo1] + [-(h // g) for g, h in cuts if g > 0])
+                l1_hi = min([top1] + [h // -g for g, h in cuts if g < 0])
+                for l1 in range(l1_lo + (-l1_lo) % a, l1_hi + 1, a):
+                    rest = e0 + d1 * l1
+                    l3_lo = max([s * l1 + k for s, k in lows])
+                    l3_hi = min([s * l1 + k for s, k in highs])
                     if d3 < 0:
-                        hi3 = min(hi3, rest // -d3)
+                        l3_hi = min(l3_hi, rest // -d3)
                     elif d3 > 0:
-                        lo = max(lo, -(rest // d3))
-                    elif rest < 0:
-                        continue
-                    for l3 in range(lo + (-lo) % b, hi3 + 1, b):
+                        l3_lo = max(l3_lo, -(rest // d3))
+                    for l3 in range(l3_lo + (-l3_lo) % b, l3_hi + 1, b):
                         if (m + l1 + l3 + r * l4) % 2:
                             continue
                         datum = Rank2Datum(-(m + l1 + l3 + r * l4) // 2,
@@ -661,11 +723,11 @@ def _lambda_box(params: HirzebruchParams, m: int, n: int,
       if r > 0 and c = 4, Q - 4 lx >= 4 + 4r - 2pq > 0; if r = 0,
       Q - 4 lx >= 4 + 2pq e (e - 2) and Q >= 6 + 2pq when e = 1.  So
       4 lx <= r D + 3 or lx <= D/2.
-    Inside the box l4 stops at D/2 - l2.  Fixing the stratum, l2 and l4,
-    D - Q = e0 + d1 l1 + d3 l3 with e0 = D - r (l2^2 - l4^2) and
-    d1 = d3 = -2 (l2 + l4), plus 4 l2 (4 l4) on d1 for the pair (1,2)
-    ((1,4)) and on d3 for (2,3) ((3,4)).  l3 runs where this is >= 0; if
-    d3 <= 0 < -d1, l1 <= (e0 + d3 lo3) / -d1 with lo3 the least l3.
+    The box only caps the indices: inside it l4 stops at D/2 - l2, and
+    ``_lambda_counts`` walks each (l2, l4) slice's stability polygon, cut by
+    the cost line D - Q = e0 + d1 l1 + d3 l3 >= 0 with e0 = D - r (l2^2 -
+    l4^2) and d1 = d3 = -2 (l2 + l4), plus 4 l2 (4 l4) on d1 for the pair
+    (1,2) ((1,4)) and on d3 for (2,3) ((3,4)).
     """
     span = max(0, f4_exponent(params.C, params.r, m, n) - 2 * min2exp)
     return max((span + params.r) // 2, (params.r * span + 3) // 4)
@@ -675,12 +737,15 @@ def rank2_vb_lambda(params: HirzebruchParams, cls: ClassLike, min2exp: int,
                     bound: Optional[int] = None) -> HalfExpLaurent:
     """Experimental rank-2 engine summing over stable filtration jumps.
 
-    Walks the eleven incidence strata of ``sheafdata.all_incidence_types``,
-    builds a ``Rank2Datum`` of the requested class for every jump quadruple
-    in the box, keeps it when ``stability_check`` holds, and adds its
+    Walks the eleven incidence strata of ``sheafdata.all_incidence_types``
+    and, inside the box, only the jump quadruples that satisfy the slope
+    triangle inequalities and reach the window (see ``_lambda_counts``).  It
+    builds a ``Rank2Datum`` of the requested class for each, keeps it when
+    ``stability_check`` holds (as it always does), and adds its
     ``euler_weight`` at the exponent ``rank2_c1_chi`` gives it.  It shares
-    those definitions with ``sheafdata`` but enumerates far more than the
-    other engines, so ``crosscheck`` runs it only on request.
+    those definitions with ``sheafdata``; building and checking one object
+    per datum keeps it an order of magnitude slower than the other engines,
+    so ``crosscheck`` runs it only on request.
     """
     if params.r < 0:
         raise ValueError("rank-2 series engines need r >= 0")

@@ -214,15 +214,23 @@ def f_exponent(params: HirzebruchParams, m: int, n: int) -> Fraction:
     return Fraction(f4_exponent(params.C, params.r, m, n), 4)
 
 
+def _rank2_chi4(params: HirzebruchParams, m: int, n: int,
+                l1: int, l2: int, l3: int, l4: int) -> int:
+    """Four times ``rank2_chi_exponent``, as an integer.
+
+    4 chi = f4(m, n) - (l2 + l4) (2 (l1 + l3) + r (l2 - l4)).
+    """
+    r = params.r
+    return (f4_exponent(params.C, r, m, n)
+            - (l2 + l4) * (2 * (l1 + l3) + r * (l2 - l4)))
+
+
 def rank2_chi_exponent(params: HirzebruchParams, cls: ClassLike,
                        lam: Sequence[int]) -> Fraction:
     """Modified Euler characteristic exponent before incidence corrections."""
     cls = _as_class(cls)
-    m, n = cls.m, cls.n
     l1, l2, l3, l4 = (int(x) for x in lam)
-    r = params.r
-    inner = l1 + Fraction(r, 2) * l2 + l3 - Fraction(r, 2) * l4
-    return f_exponent(params, m, n) - Fraction(l2 + l4, 2) * inner
+    return Fraction(_rank2_chi4(params, cls.m, cls.n, l1, l2, l3, l4), 4)
 
 
 def rank2_c1_chi(datum: Rank2Datum,
@@ -230,15 +238,14 @@ def rank2_c1_chi(datum: Rank2Datum,
     """First Chern class and modified Euler characteristic of the datum."""
     _require_divisibility(datum.lam, params)
     l1, l2, l3, l4 = datum.lam
-    r = params.r
-    c1 = PicClass(-(2 * datum.b1 + l1 + l3 + l4 * r),
-                  -(2 * datum.b2 + l2 + l4))
-    chi = rank2_chi_exponent(params, c1, datum.lam)
-    chi += incidence_chi_correction(datum.incidence, datum.lam)
-    if chi.denominator != 1:
+    m = -(2 * datum.b1 + l1 + l3 + l4 * params.r)
+    n = -(2 * datum.b2 + l2 + l4)
+    chi4 = (_rank2_chi4(params, m, n, l1, l2, l3, l4)
+            + 4 * incidence_chi_correction(datum.incidence, datum.lam))
+    if chi4 % 4:
         raise ArithmeticError("rank-2 Euler characteristic came out "
-                              "non-integral: %s" % chi)
-    return c1, int(chi)
+                              "non-integral: %s" % Fraction(chi4, 4))
+    return PicClass(m, n), chi4 // 4
 
 
 @dataclass(frozen=True)

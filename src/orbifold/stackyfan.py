@@ -438,7 +438,9 @@ def check_split(whole: StackyFanData, part1: StackyFanData, part2: StackyFanData
     mats = [m if isinstance(m, IntMatrix) else IntMatrix.from_rows(m) for m in mats]
     if len(mats) != len(cones):
         raise ValueError("need one matrix per maximal cone of part2")
-    return all(a.apply(part2.rays[i].free) == uppers[i]
+    # a matrix without rows (part1 of rank 0) records no width; it maps
+    # every ray to the empty upper block
+    return all((a.apply(part2.rays[i].free) if a.rows else ()) == uppers[i]
                for a, cone in zip(mats, cones) for i in cone)
 
 

@@ -9,6 +9,8 @@ so a loop limit that drops a term in the window shows up only against these
 recorded values; the explicit bounds check that ``bound`` still caps every
 index.  The closed engine, which covers only the (1,2;0) surface, has one
 digest over its four classes, a run of cutoffs and a few explicit bounds.
+Two more checks need no recorded values: lambda builds only stable data on
+its grid, and it agrees with csets (and r0 where r = 0) on the csets grid.
 """
 
 import hashlib
@@ -171,6 +173,41 @@ PINNED = {
 def test_engine_windows_match_pins(engine):
     got = {abr: surface_digest(engine, abr) for abr in SURFACES[engine]}
     bad = [abr for abr in SURFACES[engine] if got[abr] != PINNED[engine][abr]]
+    assert not bad, bad
+
+
+def test_lambda_builds_only_stable_data(monkeypatch):
+    # the lambda loops walk the stability polygon, so every datum they build
+    # passes ``stability_check``; the count is that of the stable data
+    verdicts = []
+    check = genfun.stability_check
+
+    def counted(datum, params):
+        verdicts.append(check(datum, params))
+        return verdicts[-1]
+
+    monkeypatch.setattr(genfun, "stability_check", counted)
+    for abr in SURFACES["lambda"]:
+        surface_digest("lambda", abr)
+    assert len(verdicts) == 6586
+    assert all(verdicts)
+
+
+# lambda against csets, and r0 where r = 0, on the csets surfaces: one window
+# per class, AGREE_DEPTH below f, which holds every shallower window
+AGREE_DEPTH = 14
+
+
+def test_lambda_agrees_with_csets_and_r0():
+    bad = []
+    for abr in SURFACES["csets"]:
+        pr = derive_params(*abr)
+        for cls in CLASSES6:
+            lo2 = 2 * (math.floor(f_exponent(pr, *cls)) - AGREE_DEPTH)
+            want = genfun.rank2_vb_lambda(pr, cls, lo2).to_json()
+            bad += [(engine, abr, cls) for engine in ("csets", "r0")
+                    if genfun.ENGINES[engine].refusal(pr, *cls) is None
+                    and genfun.run_engine(engine, pr, cls, lo2).to_json() != want]
     assert not bad, bad
 
 

@@ -1,5 +1,8 @@
+import dataclasses
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -241,6 +244,62 @@ def test_rank2_chi_agrees_with_mhp_route():
         assert chi == poly.coeff(0)
         checked += 1
     assert checked >= 300
+
+
+def _fraction_chi_exponent(pr, m, n, lam):
+    # the Fraction form of the exponent that the integer 4 chi replaced
+    l1, l2, l3, l4 = lam
+    inner = l1 + Fraction(pr.r, 2) * l2 + l3 - Fraction(pr.r, 2) * l4
+    return f_exponent(pr, m, n) - Fraction(l2 + l4, 2) * inner
+
+
+def _corner(kind, lam):
+    # an adjacent coinciding pair restores the product of its two jumps
+    if kind[0] == "type3" and kind[2] - kind[1] in (1, 3):
+        return lam[kind[1] - 1] * lam[kind[2] - 1]
+    return 0
+
+
+def test_rank2_chi_integer_form_matches_fraction_formula():
+    # every stratum, jumps of 1..4 units, a <= 3, b <= 4, -6 <= r <= 6; the
+    # exponent depends on the jumps only, so each is computed once and
+    # checked on every stratum those jumps fit
+    strata = {None: [k for k in all_incidence_types() if k[0] != "type2"]}
+    strata.update({z: [("type2", z)] for z in range(1, 5)})
+    checked = 0
+    for a, b in itertools.product(range(1, 4), range(1, 5)):
+        if math.gcd(a, b) != 1:
+            continue
+        for r in range(-6, 7):
+            pr = derive_params(a, b, r)
+            for units in itertools.product(range(1, 5), repeat=4):
+                for zero, kinds in strata.items():
+                    lam = [a * units[0], units[1], b * units[2], units[3]]
+                    if zero is not None:
+                        if units[zero - 1] > 1:
+                            continue
+                        lam[zero - 1] = 0
+                    b1, b2 = lam[2] - lam[1], lam[0] - lam[3]
+                    m = -(2 * b1 + lam[0] + lam[2] + lam[3] * r)
+                    n = -(2 * b2 + lam[1] + lam[3])
+                    exponent = _fraction_chi_exponent(pr, m, n, lam)
+                    assert rank2_chi_exponent(pr, (m, n), lam) == exponent
+                    assert exponent.denominator == 1
+                    for kind in kinds:
+                        datum = Rank2Datum(b1, b2, tuple(lam), kind)
+                        c1, chi = rank2_c1_chi(datum, pr)
+                        assert c1 == PicClass(m, n)
+                        assert chi == exponent.numerator + _corner(kind, lam)
+                        checked += 1
+    assert checked == 239616
+
+
+def test_rank2_c1_chi_raises_when_non_integral():
+    # derived surfaces always give an integral chi; shifting C by one moves
+    # 4 chi by 2n + 4, which is 2 mod 4 for odd n
+    pr = dataclasses.replace(derive_params(1, 2, 0), C=5)
+    with pytest.raises(ArithmeticError, match="non-integral: -1/2"):
+        rank2_c1_chi(Rank2Datum(0, 0, (1, 1, 2, 0), ("type2", 4)), pr)
 
 
 def test_rank2_chi_exponent_degenerate_doubles_line_bundle():

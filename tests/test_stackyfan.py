@@ -278,6 +278,13 @@ def test_check_split_against_point():
         # point as the first factor: the certificate has no rows
         assert find_global_split(fan, point_fan(), fan) == IntMatrix(())
         assert check_split(fan, point_fan(), fan)
+        assert check_split(fan, point_fan(), fan, matrices=[], mode="global")
+        assert not check_split(fan, point_fan(), fan,
+                               matrices=[[0] * fan.lattice.free_rank])
+        assert check_split(fan, point_fan(), fan, mode="local",
+                           matrices=[[] for _ in fan.max_cones])
+        assert check_split(fan, point_fan(), fan, mode="local",
+                           matrices=find_local_splits(fan, point_fan(), fan))
 
 
 def test_check_split_dimension_errors():
