@@ -12,8 +12,8 @@ The rank-2 locally-free series is evaluated by four independent routes:
 * ``rank2_vb_closed_p12`` -- fully explicit nested sums for the (1,2;0)
   surface, one family of terms per first-Chern-class parity;
 * ``rank2_vb_lambda`` -- direct enumeration of ``sheafdata.Rank2Datum``
-  values over the eleven incidence strata, walking only the jumps that
-  satisfy the slope triangle inequalities; each datum is checked by
+  values over the eleven strata of ``sheafdata.STRATA``, walking only the
+  jumps inside the stratum's stability parts; each datum is checked by
   ``stability_check`` and placed at its ``rank2_c1_chi``.
 
 Each engine is a plain loop that adds every constraint set (term family,
@@ -41,10 +41,10 @@ from math import isqrt, lcm
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .exact import HalfExpLaurent, monomial
-from .geometry import ADJACENT_PAIRS, ClassLike, HirzebruchParams, \
-    _as_class, derive_params, modified_euler_characteristic
-from .sheafdata import Rank2Datum, all_incidence_types, euler_weight, \
-    f4_exponent, rank2_c1_chi, stability_check
+from .geometry import ClassLike, HirzebruchParams, _as_class, \
+    derive_params, modified_euler_characteristic
+from .sheafdata import STRATA, Rank2Datum, f4_exponent, rank2_c1_chi, \
+    stability_check
 
 
 # ---------------------------------------------------------------------------
@@ -586,69 +586,57 @@ def rank2_vb_closed_p12(cls: ClassLike, min2exp: int,
 # engine: lambda (direct enumeration of rank-2 data)
 # ---------------------------------------------------------------------------
 
-def _lambda_rows(incidence) -> List[Tuple[int, int, int, int]]:
-    """The stability inequalities of one stratum as rows (c1, c3, k2, k4).
-
-    The parts are the weights (l1, W2, l3, W4), W2 = pq l2 and
-    W4 = (r + pq) l4, with a type3 pair fused into one part exactly as in
-    ``stability_check``.  Each part is a1 l1 + a3 l3 + b2 W2 + b4 W4 with
-    0/1 coefficients, and the sum of all parts is l1 + l3 + W2 + W4, so its
-    inequality 2 w < sum is c1 l1 + c3 l3 <= k2 W2 + k4 W4 - 1 with
-    c = 2a - 1 and k = 1 - 2b; c1 and c3 are +-1.
-    """
-    parts = [(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)]
-    if incidence[0] == "type3":
-        i, j = incidence[1] - 1, incidence[2] - 1
-        parts = ([tuple(x + y for x, y in zip(parts[i], parts[j]))]
-                 + [parts[k] for k in range(4) if k not in (i, j)])
-    return [(2 * a1 - 1, 2 * a3 - 1, 1 - 2 * b2, 1 - 2 * b4)
-            for a1, a3, b2, b4 in parts]
+# ``sheafdata.STRATA`` with its rows and slopes (see ``_lambda_counts``)
+_LAMBDA_STRATA = tuple(
+    (incidence, s.weight, s.zero,
+     tuple(tuple(sign if k in part else -sign
+                 for k, sign in ((1, 1), (3, 1), (2, -1), (4, -1)))
+           for part in s.parts), s.corner,
+     tuple(4 * (set(s.corner) == {x, c}) - 2 for x in (1, 3) for c in (2, 4)))
+    for incidence, s in STRATA.items())
 
 
 def _lambda_counts(params: HirzebruchParams, m: int, n: int,
                    lo2: int, M: int) -> List[int]:
     """Signed count of the stable data of class (m, n) with jumps up to M.
 
-    With the stratum, l2 and l4 fixed, every stability row and the cost line
-    D - Q = e0 + d1 l1 + d3 l3 >= 0 (see ``_lambda_box``) is linear in
-    (l1, l3), and so are the box limits; their intersection is the polygon
-    the loops walk.  Each l3 limit is s l1 + k (a row with c3 = -1 is the
-    lower limit l3 >= c1 l1 - h, one with c3 = +1 the upper limit
-    l3 <= h - c1 l1, h its right side); eliminating l3 pairs every lower
-    limit with every upper one (and the cost line with the limits on the side
-    d3 pushes against) into g l1 + h >= 0, which gives l1 its interval, and
-    each l1 then gets its l3 interval.  So every datum built is stable and in
-    the window.  A slice whose least stable cost exceeds D is skipped first:
-    Q >= 2 (l2 + l4) max(lo1 + lo3, |W2 - W4| + 1) + r (l2^2 - l4^2) with no
-    fused adjacent pair (l1 + l3 > |W2 - W4| on every such stratum), and
-    Q >= 2 (l2 + l4) + (r + 2pq) (l4 - l2)^2 with one (see ``_lambda_box``).
-    Once l4 >= l2 the l4 loop ends at the first slice past D of a bound that
-    rises with l4: the adjacent one itself, and otherwise, as W4 >= W2 there,
-    2 (l2 + l4)(W4 - W2 + 1) + r (l2^2 - l4^2)
-    = (l2 + l4)(r (l2 + l4) + 2pq (l4 - l2) + 2).
+    A stability part sums some of the weights (l1, W2, l3, W4), W2 = pq l2,
+    W4 = (r + pq) l4, so its rule 2 w < sum is the row c1 l1 + c3 l3 <=
+    k2 W2 + k4 W4 - 1, c = +1 (k = -1) for a corner in the part, c = -1
+    (k = +1) for one outside.  With the stratum, l2 and l4 fixed, the rows,
+    the box limits and the cost line D - Q = e0 + d1 l1 + d3 l3 >= 0 are
+    linear in (l1, l3), e0 = D - r (l2^2 - l4^2) and dx = d_x2 l2 + d_x4 l4
+    with d_xc = 2 if {x, c} is the restored corner, else -2 (the corner adds
+    4 lx lc to 4 chi).  They cut out the polygon the loops walk.  Each l3
+    limit is s l1 + k (a row with c3 = -1 is the lower limit
+    l3 >= c1 l1 - h, one with c3 = +1 the upper limit l3 <= h - c1 l1, h its
+    right side); pairing every lower limit with every upper one (and the
+    cost line with the limits on the side d3 pushes against) gives cuts
+    g l1 + h >= 0, hence the l1 interval, and each l1 its l3 interval, so
+    every datum built is stable and in the window.  A slice is skipped when
+    its least stable cost exceeds D: Q >= 2 (l2 + l4) max(lo1 + lo3,
+    |W2 - W4| + 1) + r (l2^2 - l4^2) without a restored corner (l1 + l3 >
+    |W2 - W4| on every such stratum), Q >= 2 (l2 + l4) + (r + 2pq)
+    (l4 - l2)^2 with one (see ``_lambda_box``).  Once l4 >= l2 the l4 loop
+    ends at the first slice past D of a bound rising with l4: the corner one
+    itself, and otherwise, as W4 >= W2 there, 2 (l2 + l4)(W4 - W2 + 1)
+    + r (l2^2 - l4^2) = (l2 + l4)(r (l2 + l4) + 2pq (l4 - l2) + 2).
     """
     a, b, r = params.a, params.b, params.r
     pq = params.p * params.q
     f4 = f4_exponent(params.C, r, m, n)
     span = f4 - 2 * lo2
     acc = [0] * (f4 // 2 - lo2 + 1)
-    for incidence in all_incidence_types():
-        weight = euler_weight(incidence)
-        zero = incidence[1] if incidence[0] == "type2" else 0
-        pair = incidence[1:] if incidence[0] == "type3" else ()
-        adjacent = frozenset(pair) in ADJACENT_PAIRS
-        rows = _lambda_rows(incidence)
+    for incidence, weight, zero, rows, corner, slopes in _LAMBDA_STRATA:
+        d12, d14, d32, d34 = slopes
         lo1, top1 = (0, 0) if zero == 1 else (a, M)
         lo3, top3 = (0, 0) if zero == 3 else (b, M)
         for l2 in (0,) if zero == 2 else range(1, M + 1):
-            top4 = min(M, span // 2 - l2)
-            for l4 in ((0,) if zero == 4 else
-                       range(2 - (n + l2) % 2, top4 + 1, 2)):
-                if (n + l2 + l4) % 2:  # only l4 = 0 can fail here
-                    continue
+            lo4, top4 = (0, 0) if zero == 4 else (1, min(M, span // 2 - l2))
+            for l4 in range(lo4 + (lo4 + n + l2) % 2, top4 + 1, 2):
                 w2, w4 = pq * l2, (r + pq) * l4
                 rl = r * (l2 * l2 - l4 * l4)
-                if adjacent:
+                if corner:
                     q_min = rising = (2 * (l2 + l4)
                                       + (r + 2 * pq) * (l4 - l2) ** 2)
                 else:
@@ -660,13 +648,8 @@ def _lambda_counts(params: HirzebruchParams, m: int, n: int,
                     break
                 if q_min > span:
                     continue
-                # a fused adjacent pair {x, c}, x odd and c even, restores
-                # 4 lx lc, which adds 4 lc to dx
-                e0, d1, d3 = span - rl, -2 * (l2 + l4), -2 * (l2 + l4)
-                if pair == (1, 2) or pair == (1, 4):
-                    d1 += 4 * (l2 if pair[1] == 2 else l4)
-                elif pair == (2, 3) or pair == (3, 4):
-                    d3 += 4 * (l2 if pair[0] == 2 else l4)
+                e0 = span - rl
+                d1, d3 = d12 * l2 + d14 * l4, d32 * l2 + d34 * l4
                 lows, highs = [(0, lo3)], [(0, top3)]
                 for c1, c3, k2, k4 in rows:
                     h = k2 * w2 + k4 * w4 - 1
@@ -724,10 +707,7 @@ def _lambda_box(params: HirzebruchParams, m: int, n: int,
       Q - 4 lx >= 4 + 2pq e (e - 2) and Q >= 6 + 2pq when e = 1.  So
       4 lx <= r D + 3 or lx <= D/2.
     The box only caps the indices: inside it l4 stops at D/2 - l2, and
-    ``_lambda_counts`` walks each (l2, l4) slice's stability polygon, cut by
-    the cost line D - Q = e0 + d1 l1 + d3 l3 >= 0 with e0 = D - r (l2^2 -
-    l4^2) and d1 = d3 = -2 (l2 + l4), plus 4 l2 (4 l4) on d1 for the pair
-    (1,2) ((1,4)) and on d3 for (2,3) ((3,4)).
+    ``_lambda_counts`` walks each (l2, l4) slice's stability polygon.
     """
     span = max(0, f4_exponent(params.C, params.r, m, n) - 2 * min2exp)
     return max((span + params.r) // 2, (params.r * span + 3) // 4)
@@ -737,15 +717,13 @@ def rank2_vb_lambda(params: HirzebruchParams, cls: ClassLike, min2exp: int,
                     bound: Optional[int] = None) -> HalfExpLaurent:
     """Experimental rank-2 engine summing over stable filtration jumps.
 
-    Walks the eleven incidence strata of ``sheafdata.all_incidence_types``
-    and, inside the box, only the jump quadruples that satisfy the slope
-    triangle inequalities and reach the window (see ``_lambda_counts``).  It
-    builds a ``Rank2Datum`` of the requested class for each, keeps it when
-    ``stability_check`` holds (as it always does), and adds its
-    ``euler_weight`` at the exponent ``rank2_c1_chi`` gives it.  It shares
-    those definitions with ``sheafdata``; building and checking one object
-    per datum keeps it an order of magnitude slower than the other engines,
-    so ``crosscheck`` runs it only on request.
+    Walks the strata of ``sheafdata.STRATA`` and, inside the box, only the
+    jumps that satisfy the stratum's stability parts and reach the window
+    (see ``_lambda_counts``); it builds a ``Rank2Datum`` of the class for
+    each, keeps it if ``stability_check`` holds (it always does), and adds
+    the stratum's Euler weight at the exponent ``rank2_c1_chi`` gives it.
+    One object per datum keeps it an order of magnitude slower than the
+    other engines, so ``crosscheck`` runs it only on request.
     """
     if params.r < 0:
         raise ValueError("rank-2 series engines need r >= 0")

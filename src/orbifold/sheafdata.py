@@ -5,16 +5,17 @@ gradings; rank-2 indecomposables by a gauge-fixed pair (B1, B2), four
 filtration jumps (L1..L4), and an incidence pattern of the four flag points
 on the fiber line.  This module provides the translations between those
 codes and geometric invariants (first Chern class, fine gradings, modified
-Euler characteristic), the slope-stability predicates, and the bookkeeping
-used by the series engines: exponent formulas, Euler weights of incidence
-strata, and partition-coded rank-1 quotients.
+Euler characteristic), the slope-stability predicate, exponent formulas,
+partition-coded rank-1 quotients, and ``STRATA``, the one table of what
+each incidence stratum fixes: Euler weight, stability parts, restored corner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from itertools import combinations
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 from .geometry import (
     ADJACENT_PAIRS,
@@ -29,6 +30,8 @@ __all__ = [
     "EquivLineBundle",
     "Rank2Datum",
     "PartitionQuadruple",
+    "Stratum",
+    "STRATA",
     "underlying_c1",
     "fine_gradings",
     "gauge_fix",
@@ -92,41 +95,67 @@ def gauge_fix(bundle: EquivLineBundle,
 Incidence = Tuple
 
 
+class Stratum(NamedTuple):
+    """What one incidence stratum fixes; corners are numbered 1 to 4."""
+
+    weight: int  # Euler characteristic of the stratum modulo SL(2)
+    zero: int  # the corner whose jump vanishes (type2), else 0
+    # stability parts over the weights (L1, pq L2, L3, (r+pq) L4) as corner
+    # pairs, 0 pairing a lone corner, and a type3 pair fused into one part
+    parts: Tuple[Tuple[int, int], ...]
+    corner: Tuple[int, ...]  # adjacent pair whose product chi restores
+
+    def restored(self, lam: Sequence[int]) -> int:
+        """The corner product the stratum restores to lam's chi."""
+        corner = self.corner
+        return lam[corner[0] - 1] * lam[corner[1] - 1] if corner else 0
+
+
+_ALONE = ((1, 0), (2, 0), (3, 0), (4, 0))
+# every normalized incidence to its stratum, in enumeration order
+STRATA: Dict[Incidence, Stratum] = {
+    ("type1",): Stratum(-1, 0, _ALONE, ()),
+    **{("type2", i): Stratum(1, i, _ALONE, ()) for i in range(1, 5)},
+    **{("type3", i, j): Stratum(
+        1, 0, ((i, j),) + tuple(k for k in _ALONE if k[0] not in (i, j)),
+        (i, j) if frozenset((i, j)) in ADJACENT_PAIRS else ())
+       for i, j in combinations(range(1, 5), 2)}}
+# every accepted spelling (a type3 pair in either order) to its key
+_SPELLINGS = {**{k: k for k in STRATA},
+              **{(k[0], k[2], k[1]): k for k in STRATA if k[0] == "type3"}}
+
+
 def all_incidence_types() -> Tuple[Incidence, ...]:
-    out = [("type1",)]
-    out.extend(("type2", i) for i in range(1, 5))
-    out.extend(("type3", i, j) for i in range(1, 5) for j in range(i + 1, 5))
-    return tuple(out)
+    return tuple(STRATA)
 
 
 def _check_incidence(incidence: Incidence) -> Incidence:
-    if not incidence or incidence[0] not in ("type1", "type2", "type3"):
-        raise ValueError("unknown incidence %r" % (incidence,))
-    kind = incidence[0]
+    """The normalized incidence, a key of ``STRATA``; else ValueError."""
+    try:
+        return _SPELLINGS[tuple(incidence)]
+    except (KeyError, TypeError):
+        pass
+    # every valid spelling is a key, so this only names the fault
+    kind = incidence[0] if incidence else None
     if kind == "type1":
-        if len(incidence) != 1:
-            raise ValueError("type1 takes no index")
-        return ("type1",)
+        raise ValueError("type1 takes no index")
     if kind == "type2":
-        if len(incidence) != 2 or incidence[1] not in (1, 2, 3, 4):
-            raise ValueError("type2 needs one corner index")
-        return ("type2", int(incidence[1]))
+        raise ValueError("type2 needs one corner index")
+    if kind != "type3":
+        raise ValueError("unknown incidence %r" % (incidence,))
     if len(incidence) != 3:
         raise ValueError("type3 needs a pair of corner indices")
-    i, j = sorted((int(incidence[1]), int(incidence[2])))
-    if not (1 <= i < j <= 4):
-        raise ValueError("type3 pair must be two distinct corners")
-    return ("type3", i, j)
+    raise ValueError("type3 pair must be two distinct corners")
 
 
 @dataclass(frozen=True)
 class Rank2Datum:
     """Gauge-fixed combinatorial datum of an indecomposable rank-2 sheaf.
 
-    lam holds the four filtration jumps; the positivity pattern must match
-    the incidence type (a type2 datum has exactly the named jump zero).
-    Divisibility of the jumps by the chart orders depends on the surface and
-    is checked by the operations that take params.
+    All fields are integers; the positivity pattern of the four jumps lam
+    must match the incidence type (a type2 datum has exactly the named jump
+    zero).  Divisibility of the jumps by the chart orders depends on the
+    surface and is checked by the operations that take params.
     """
 
     b1: int
@@ -135,19 +164,24 @@ class Rank2Datum:
     incidence: Incidence = ("type1",)
 
     def __post_init__(self):
-        lam = tuple(int(x) for x in self.lam)
-        if len(lam) != 4 or min(lam) < 0:
+        b1, b2, given = int(self.b1), int(self.b2), tuple(self.lam)
+        lam = tuple(map(int, given))
+        if (b1, b2) != (self.b1, self.b2):
+            raise ValueError("b1 and b2 must be integers")
+        if len(lam) != 4 or min(lam) < 0 or lam != given:
             raise ValueError("lam must be four nonnegative integers")
         incidence = _check_incidence(self.incidence)
-        kind = incidence[0]
-        if kind == "type2":
-            zero = incidence[1] - 1
-            if lam[zero] != 0:
+        zero = STRATA[incidence].zero
+        if zero:
+            if lam[zero - 1] != 0:
                 raise ValueError("type2 datum needs its named jump zero")
-            if min(lam[k] for k in range(4) if k != zero) <= 0:
+            if lam.count(0) > 1:
                 raise ValueError("type2 datum needs the other jumps positive")
-        elif min(lam) <= 0:
-            raise ValueError("%s datum needs all jumps positive" % kind)
+        elif 0 in lam:
+            raise ValueError("%s datum needs all jumps positive"
+                             % incidence[0])
+        object.__setattr__(self, "b1", b1)
+        object.__setattr__(self, "b2", b2)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "incidence", incidence)
 
@@ -159,33 +193,27 @@ def _require_divisibility(lam: Sequence[int], params: HirzebruchParams):
         raise ValueError("third jump must be divisible by b")
 
 
-def _weights(lam: Sequence[int], params: HirzebruchParams) -> Tuple[int, ...]:
-    pq = params.p * params.q
-    return (lam[0], pq * lam[1], lam[2], (params.r + pq) * lam[3])
-
-
 def stability_check(datum: Rank2Datum, params: HirzebruchParams) -> bool:
     """Slope stability of the datum: every part weighs less than half the sum.
 
-    The parts are the weights (L1, pq L2, L3, (r+pq) L4), with a type3
-    datum's coinciding pair fused into one part.  A type2 datum's vanishing
-    jump is a zero part, whose inequality 0 < sum follows from the other
-    three (they add up to sum > 0), so for it the rule is the triangle
-    inequalities on the remaining three weights.
+    The parts are the stratum's corner pairs (see ``Stratum``); w[k] weighs
+    corner k and w[0] = 0.  A type2 datum's vanishing jump is a zero part,
+    whose inequality 0 < sum follows from the other three (they add up to
+    sum > 0), so its rule is the triangle inequalities on the other three.
     """
-    _require_divisibility(datum.lam, params)
-    w = _weights(datum.lam, params)
-    if datum.incidence[0] == "type3":
-        i, j = datum.incidence[1] - 1, datum.incidence[2] - 1
-        w = [w[i] + w[j]] + [w[k] for k in range(4) if k not in (i, j)]
+    lam, pq = datum.lam, params.p * params.q
+    _require_divisibility(lam, params)
+    w = (0, lam[0], pq * lam[1], lam[2], (params.r + pq) * lam[3])
     total = sum(w)
-    return all(2 * wi < total for wi in w)
+    for i, j in STRATA[datum.incidence].parts:
+        if 2 * (w[i] + w[j]) >= total:
+            return False
+    return True
 
 
 def euler_weight(incidence: Incidence) -> int:
     """Euler characteristic of the incidence stratum modulo SL(2)."""
-    kind = _check_incidence(incidence)[0]
-    return -1 if kind == "type1" else 1
+    return STRATA[_check_incidence(incidence)].weight
 
 
 def incidence_chi_correction(incidence: Incidence,
@@ -195,13 +223,7 @@ def incidence_chi_correction(incidence: Incidence,
     Only adjacent pairs carry a correction; the two diagonal coincidences
     leave the Euler characteristic untouched.
     """
-    incidence = _check_incidence(incidence)
-    if incidence[0] != "type3":
-        return 0
-    i, j = incidence[1], incidence[2]
-    if frozenset((i, j)) not in ADJACENT_PAIRS:
-        return 0
-    return lam[i - 1] * lam[j - 1]
+    return STRATA[_check_incidence(incidence)].restored(lam)
 
 
 def f4_exponent(C: int, r: int, m: int, n: int) -> int:
@@ -229,8 +251,7 @@ def rank2_chi_exponent(params: HirzebruchParams, cls: ClassLike,
                        lam: Sequence[int]) -> Fraction:
     """Modified Euler characteristic exponent before incidence corrections."""
     cls = _as_class(cls)
-    l1, l2, l3, l4 = (int(x) for x in lam)
-    return Fraction(_rank2_chi4(params, cls.m, cls.n, l1, l2, l3, l4), 4)
+    return Fraction(_rank2_chi4(params, cls.m, cls.n, *map(int, lam)), 4)
 
 
 def rank2_c1_chi(datum: Rank2Datum,
@@ -241,7 +262,7 @@ def rank2_c1_chi(datum: Rank2Datum,
     m = -(2 * datum.b1 + l1 + l3 + l4 * params.r)
     n = -(2 * datum.b2 + l2 + l4)
     chi4 = (_rank2_chi4(params, m, n, l1, l2, l3, l4)
-            + 4 * incidence_chi_correction(datum.incidence, datum.lam))
+            + 4 * STRATA[datum.incidence].restored(datum.lam))
     if chi4 % 4:
         raise ArithmeticError("rank-2 Euler characteristic came out "
                               "non-integral: %s" % Fraction(chi4, 4))

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ from orbifold.exact import HalfExpLaurent
 from orbifold.stackyfan import StackyFanData
 
 PIN_PATH = os.path.join(os.path.dirname(__file__), "cli_parser_pin.json")
+README_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def run_cli(*args, **kwargs):
@@ -42,6 +44,29 @@ def test_rank2_vb_series_text_and_json_roundtrip():
     assert series.coeff2(0) == 5
     assert series.coeff2(-4) == 10
     assert series.coeff2(-8) == 18
+
+
+def readme_examples():
+    """Each ``$ orbifold ...`` line of the README with the lines under it."""
+    examples, current = [], None
+    with open(README_PATH) as fh:
+        for line in fh.read().splitlines():
+            if line.startswith("$ orbifold "):
+                current = (shlex.split(line[len("$ orbifold "):]), [])
+                examples.append(current)
+            elif current and line and not line.startswith("```"):
+                current[1].append(line)
+            else:
+                current = None
+    return examples
+
+
+def test_readme_examples_print_what_they_show(capsys):
+    examples = readme_examples()
+    assert len(examples) == 4
+    for argv, shown in examples:
+        assert cli.main(argv) == 0, argv
+        assert capsys.readouterr().out.splitlines() == shown, argv
 
 
 def test_half_integer_cutoff_attached_form():

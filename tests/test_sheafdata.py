@@ -117,6 +117,24 @@ def test_rank2_datum_validation():
         Rank2Datum(0, 0, (1, 1, 1, 1), ("type3", 2, 2))
     d = Rank2Datum(0, 0, (1, 1, 1, 1), ("type3", 3, 1))
     assert d.incidence == ("type3", 1, 3)
+    # a non-integral grading, jump or corner index is refused, not truncated
+    for bad in [(0.5, 0, (2, 1, 2, 1)), (0, -1.5, (2, 1, 2, 1)),
+                (0, 0, (2.7, 1, 2, 1)), (0, 0, ("2", 1, 2, 1)),
+                (0, 0, (2, 1, 2, 1), ("type3", 1.5, 2)),
+                (0, 0, (2, 1, 2, 1), ("type3", 2, 1.5)),
+                (0, 0, (2, 0, 2, 1), ("type2", 2.5)),
+                (0, 0, (2, 1, 2, 1), ("type3", "1", "2"))]:
+        with pytest.raises(ValueError):
+            Rank2Datum(*bad)
+    with pytest.raises(ValueError):
+        incidence_chi_correction(("type3", 1.9, 2), (2, 1, 3, 1))
+    with pytest.raises(ValueError):
+        euler_weight(("type2", 0.5))
+    # integral values of another type are kept, as ints
+    d = Rank2Datum(2.0, -1.0, [2.0, 1, 2, 1], ["type3", 2.0, 1])
+    assert (d.b1, d.b2, d.lam, d.incidence) == (2, -1, (2, 1, 2, 1),
+                                                ("type3", 1, 2))
+    assert all(type(x) is int for x in (d.b1, d.b2) + d.lam + d.incidence[1:])
 
 
 def test_stability_worked_examples():
@@ -194,18 +212,35 @@ def test_stability_type2_is_type1_with_zero_jump():
         assert stability_check(datum, pr) == _type1_system(tuple(lam), pr)
 
 
+def _type3_system(pair, lam, pr):
+    """The fused pair's inequality and the two others, written out."""
+    pq = pr.p * pr.q
+    w1, w2, w3, w4 = lam[0], pq * lam[1], lam[2], (pr.r + pq) * lam[3]
+    return {
+        (1, 2): w1 + w2 < w3 + w4 and w3 < w1 + w2 + w4 and w4 < w1 + w2 + w3,
+        (1, 3): w1 + w3 < w2 + w4 and w2 < w1 + w3 + w4 and w4 < w1 + w3 + w2,
+        (1, 4): w1 + w4 < w2 + w3 and w2 < w1 + w4 + w3 and w3 < w1 + w4 + w2,
+        (2, 3): w2 + w3 < w1 + w4 and w1 < w2 + w3 + w4 and w4 < w2 + w3 + w1,
+        (2, 4): w2 + w4 < w1 + w3 and w1 < w2 + w4 + w3 and w3 < w2 + w4 + w1,
+        (3, 4): w3 + w4 < w1 + w2 and w1 < w3 + w4 + w2 and w2 < w3 + w4 + w1,
+    }[pair]
+
+
 def test_stability_type3_displayed_system():
     rng = random.Random(67)
+    pairs = list(itertools.combinations(range(1, 5), 2))
+    seen = {(pair, verdict): 0 for pair in pairs for verdict in (True, False)}
     for _ in range(200):
         pr = random_coprime_params(rng)
-        l1, l2, l3, l4 = (pr.a * rng.randrange(1, 5), rng.randrange(1, 7),
-                          pr.b * rng.randrange(1, 5), rng.randrange(1, 7))
-        pq = pr.p * pr.q
-        datum = Rank2Datum(0, 0, (l1, l2, l3, l4), ("type3", 1, 2))
-        expected = (l1 + pq * l2 < l3 + (pr.r + pq) * l4
-                    and l3 < l1 + pq * l2 + (pr.r + pq) * l4
-                    and (pr.r + pq) * l4 < l1 + pq * l2 + l3)
-        assert stability_check(datum, pr) == expected
+        lam = (pr.a * rng.randrange(1, 5), rng.randrange(1, 7),
+               pr.b * rng.randrange(1, 5), rng.randrange(1, 7))
+        for pair in pairs:
+            datum = Rank2Datum(0, 0, lam, ("type3",) + pair)
+            expected = _type3_system(pair, lam, pr)
+            assert stability_check(datum, pr) == expected
+            seen[pair, expected] += 1
+    # every pair meets both verdicts
+    assert min(seen.values()) > 0, seen
 
 
 # ------------------------------------------------------------ chi formulas
