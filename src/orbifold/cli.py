@@ -421,6 +421,9 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except MemoryError:  # e.g. a window too deep for its coefficient list
+        print("error: out of memory", file=sys.stderr)
+        return 1
     try:
         print(doc if args.json else text, flush=True)
     except BrokenPipeError:  # the reader closed stdout early

@@ -29,7 +29,8 @@ reports the first disagreeing exponent, if any.  Each engine enumerates
 once, over the box that ``_box``, ``_p12_tmax`` or ``_lambda_box`` derives
 from the depth of the window, or over ``bound`` when given, which caps
 every index; inside it each csets, r0 and lambda loop visits only indices
-whose cost Q can reach the window (see ``_box`` and ``_lambda_box``).
+whose cost Q can reach the window (see ``_box`` and ``_lambda_box``), and
+the closed loop stops at the last term family that can (``_p12_tmax``).
 """
 
 from __future__ import annotations
@@ -562,6 +563,8 @@ def rank2_vb_closed_p12(cls: ClassLike, min2exp: int,
 
     Only the four parity representatives are written out; other classes
     reduce to them by an even twist and must be reduced by the caller.
+    Runs the term families t = 1, 2, ... up to ``_p12_tmax``, the last one
+    that can reach the window; ``bound``, when given, caps t as well.
 
     A few tail coefficients differ from the commonly quoted closed forms:
     they were re-derived here from the lattice counts they summarize, and
@@ -575,7 +578,9 @@ def rank2_vb_closed_p12(cls: ClassLike, min2exp: int,
         raise ValueError(refusal)
     min2exp = int(min2exp)
     term = _P12_TERMS[(cls.m, cls.n)]
-    tmax = _p12_tmax(min2exp) if bound is None else bound
+    tmax = _p12_tmax(min2exp)
+    if bound is not None:
+        tmax = min(bound, tmax)
     acc = [0] * (_P12_TOP2 - min2exp + 1)
     for t in range(1, tmax + 1):
         term(acc, t, min2exp)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, NamedTuple, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .geometry import (
     ADJACENT_PAIRS,
@@ -47,14 +47,31 @@ __all__ = [
     "tensor_shift",
 ]
 
+
+def _integers(values: Sequence, message: str,
+              length: Optional[int] = None) -> Tuple[int, ...]:
+    """The values as ints; ValueError(message) unless each is integral
+    (2.0 becomes 2; 2.5 and "2" are refused) and, given ``length``, there
+    are that many."""
+    ints = tuple(map(int, values))
+    if ints != tuple(values) or length not in (None, len(ints)):
+        raise ValueError(message)
+    return ints
+
+
 @dataclass(frozen=True)
 class EquivLineBundle:
-    """Equivariant line bundle encoded by its four chart gradings."""
+    """Equivariant line bundle encoded by its four integer chart gradings."""
 
     b1: int
     b2: int
     b3: int
     b4: int
+
+    def __post_init__(self):
+        grades = _integers(self.as_tuple(), "gradings must be integers")
+        for name, value in zip(("b1", "b2", "b3", "b4"), grades):
+            object.__setattr__(self, name, value)
 
     def as_tuple(self) -> Tuple[int, int, int, int]:
         return (self.b1, self.b2, self.b3, self.b4)
@@ -164,11 +181,9 @@ class Rank2Datum:
     incidence: Incidence = ("type1",)
 
     def __post_init__(self):
-        b1, b2, given = int(self.b1), int(self.b2), tuple(self.lam)
-        lam = tuple(map(int, given))
-        if (b1, b2) != (self.b1, self.b2):
-            raise ValueError("b1 and b2 must be integers")
-        if len(lam) != 4 or min(lam) < 0 or lam != given:
+        b1, b2 = _integers((self.b1, self.b2), "b1 and b2 must be integers")
+        lam = _integers(self.lam, "lam must be four nonnegative integers", 4)
+        if min(lam) < 0:
             raise ValueError("lam must be four nonnegative integers")
         incidence = _check_incidence(self.incidence)
         zero = STRATA[incidence].zero
@@ -251,7 +266,8 @@ def rank2_chi_exponent(params: HirzebruchParams, cls: ClassLike,
                        lam: Sequence[int]) -> Fraction:
     """Modified Euler characteristic exponent before incidence corrections."""
     cls = _as_class(cls)
-    return Fraction(_rank2_chi4(params, cls.m, cls.n, *map(int, lam)), 4)
+    lam = _integers(lam, "lam must be four integers", 4)
+    return Fraction(_rank2_chi4(params, cls.m, cls.n, *lam), 4)
 
 
 def rank2_c1_chi(datum: Rank2Datum,
@@ -280,7 +296,8 @@ class PartitionQuadruple:
 
     def __post_init__(self):
         for name in ("p1", "p2", "p3", "p4"):
-            part = tuple(int(x) for x in getattr(self, name))
+            part = _integers(getattr(self, name),
+                             "partition parts must be integers")
             if any(x <= 0 for x in part):
                 raise ValueError("partition parts must be positive")
             if any(part[i] < part[i + 1] for i in range(len(part) - 1)):

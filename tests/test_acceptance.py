@@ -1,81 +1,73 @@
 """Acceptance gate: the ten package-level verification criteria.
 
-Each criterion runs through orbifold.verify (the same code path as the
-`orbifold verify` subcommand) and must pass.  The final test prints the
-one-line-per-criterion report to the live terminal, including the logged
-coefficient overrides from the golden-window check.
+Every test reads the session's one ``orbifold verify`` run (``verify_run``
+in ``conftest.py``): one test per criterion checks its entry in the JSON
+payload, and the final test prints the one-line-per-criterion report,
+including the logged coefficient overrides from the golden-window check.
 """
-
-import pytest
 
 from orbifold import verify
 
-RESULTS = {}
+
+def _entry(verify_run, index):
+    assert verify_run.payload, verify_run.proc.stderr
+    entry = verify_run.payload["criteria"][index - 1]
+    assert entry["index"] == index
+    assert entry["passed"], "%s: %s" % (entry["name"], entry["detail"])
+    return entry
 
 
-@pytest.fixture(scope="module")
-def shared():
-    return verify.SharedRuns()
-
-
-def _run(runner, shared=None):
-    res = runner(shared) if shared is not None else runner()
-    RESULTS[res.index] = res
-    assert res.passed, "%s: %s" % (res.name, res.detail)
-    return res
-
-
-def test_criterion_01_golden_series_windows(shared):
-    res = _run(verify.criterion_1, shared)
+def test_criterion_01_golden_series_windows(verify_run):
+    detail = _entry(verify_run, 1)["detail"]
     # mismatches against the quoted windows are only tolerated when all
     # three engines agree, and then they must be spelled out in the report
-    if "overridden" in res.detail:
-        assert "engines split" not in res.detail
-        assert "quoted" in res.detail
+    if "overridden" in detail:
+        assert "engines split" not in detail
+        assert "quoted" in detail
 
 
-def test_criterion_02_engine_cross_agreement(shared):
-    _run(verify.criterion_2, shared)
+def test_criterion_02_engine_cross_agreement(verify_run):
+    _entry(verify_run, 2)
 
 
-def test_criterion_03_euler_identities():
-    _run(verify.criterion_3)
+def test_criterion_03_euler_identities(verify_run):
+    _entry(verify_run, 3)
 
 
-def test_criterion_04_hilbert_consistency():
-    _run(verify.criterion_4)
+def test_criterion_04_hilbert_consistency(verify_run):
+    _entry(verify_run, 4)
 
 
-def test_criterion_05_point_sheaf_constants():
-    _run(verify.criterion_5)
+def test_criterion_05_point_sheaf_constants(verify_run):
+    _entry(verify_run, 5)
 
 
-def test_criterion_06_rank1_partition_oracle():
-    _run(verify.criterion_6)
+def test_criterion_06_rank1_partition_oracle(verify_run):
+    _entry(verify_run, 6)
 
 
-def test_criterion_07_lattice_invariants():
-    _run(verify.criterion_7)
+def test_criterion_07_lattice_invariants(verify_run):
+    _entry(verify_run, 7)
 
 
-def test_criterion_08_fan_golden_examples():
-    _run(verify.criterion_8)
+def test_criterion_08_fan_golden_examples(verify_run):
+    _entry(verify_run, 8)
 
 
-def test_criterion_09_shift_covariance(shared):
-    _run(verify.criterion_9, shared)
+def test_criterion_09_shift_covariance(verify_run):
+    _entry(verify_run, 9)
 
 
-def test_criterion_10_stabilization_robustness(shared):
-    _run(verify.criterion_10, shared)
+def test_criterion_10_stabilization_robustness(verify_run):
+    _entry(verify_run, 10)
 
 
-def test_criterion_report(capsys):
-    if not RESULTS:  # lets this test run standalone
-        for res in verify.run_all():
-            RESULTS[res.index] = res
-    ordered = [RESULTS[i] for i in sorted(RESULTS)]
+def test_criterion_report(verify_run, capsys):
+    results = [verify.CriterionResult(**entry)
+               for entry in verify_run.payload["criteria"]]
     with capsys.disabled():
         print()
-        print(verify.format_report(ordered))
-    assert all(res.passed for res in ordered)
+        print(verify_run.proc.stdout, end="")
+    # the printed report is the JSON payload's, line for line
+    assert verify_run.proc.stdout == verify.format_report(results) + "\n"
+    assert verify_run.payload["passed"]

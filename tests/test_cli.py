@@ -9,7 +9,7 @@ import shlex
 import subprocess
 import sys
 
-from orbifold import cli
+from orbifold import cli, genfun
 from orbifold.exact import HalfExpLaurent
 from orbifold.stackyfan import StackyFanData
 
@@ -87,6 +87,20 @@ def test_domain_error_is_one_line_exit_1():
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: ")
+
+
+def test_memory_error_is_one_line_exit_1(monkeypatch, capsys):
+    # stands in for a window too deep to allocate, without allocating it
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(genfun, "rank2_vb_closed_p12", out_of_memory)
+    code = cli.main(["genfun", "rank2-vb", "-a", "1", "-b", "2", "-m", "0",
+                     "-n", "0", "--engine", "closed", "--min-exp=-1e12"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "error: out of memory\n"
 
 
 def test_unwritable_out_is_one_line_exit_1(tmp_path, capsys):
@@ -182,8 +196,8 @@ def test_rank2_tf_rejects_engine_all():
     assert "single engine" in proc.stderr
 
 
-def test_verify_subcommand_passes():
-    proc = run_cli("verify")
+def test_verify_subcommand_passes(verify_run):
+    proc = verify_run.proc
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.strip().splitlines()
     assert lines[-1] == "all criteria passed"

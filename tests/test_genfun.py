@@ -349,10 +349,26 @@ def test_closed_t_limit_is_complete():
             acc = [0] * (genfun._P12_TOP2 - lo2 + 1)
             term(acc, t, lo2)
             assert not any(acc), (cls, t)
+        # the families the engine skips, up to twice its limit, add nothing
         for lo2 in range(-80, 17):
-            twice = 2 * genfun._p12_tmax(lo2)
-            assert rank2_vb_closed_p12(cls, lo2) == \
-                rank2_vb_closed_p12(cls, lo2, bound=twice), (cls, lo2)
+            tmax = genfun._p12_tmax(lo2)
+            for t in range(tmax + 1, 2 * tmax + 1):
+                acc = [0] * (genfun._P12_TOP2 - lo2 + 1)
+                term(acc, t, lo2)
+                assert not any(acc), (cls, lo2, t)
+
+
+def test_closed_bound_stops_at_t_limit(monkeypatch):
+    calls = []
+    term = genfun._P12_TERMS[(0, 0)]
+
+    def counted(acc, t, lo2):
+        calls.append(t)
+        term(acc, t, lo2)
+
+    monkeypatch.setitem(genfun._P12_TERMS, (0, 0), counted)
+    rank2_vb_closed_p12((0, 0), -16, bound=256)
+    assert calls == [1, 2] and genfun._p12_tmax(-16) == 2
 
 
 def test_window_truncation_consistency(engines120):

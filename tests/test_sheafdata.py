@@ -42,6 +42,14 @@ def random_coprime_params(rng, max_ab=5, max_r=5):
 # ------------------------------------------------------------ line bundles
 
 
+def test_line_bundle_refuses_non_integral_grading():
+    with pytest.raises(ValueError, match="gradings must be integers"):
+        EquivLineBundle(0.5, 0, 0, 0)
+    bundle = EquivLineBundle(2.0, 0, 0, -1.0)
+    assert bundle == EquivLineBundle(2, 0, 0, -1)
+    assert all(type(x) is int for x in bundle.as_tuple())
+
+
 def test_underlying_c1_examples():
     pr = derive_params(2, 3, 2)
     assert underlying_c1(EquivLineBundle(1, 0, 0, 0), pr) == PicClass(-1, 0)
@@ -337,6 +345,15 @@ def test_rank2_c1_chi_raises_when_non_integral():
         rank2_c1_chi(Rank2Datum(0, 0, (1, 1, 2, 0), ("type2", 4)), pr)
 
 
+def test_rank2_chi_exponent_refuses_non_integral_jump():
+    pr = derive_params(1, 2, 0)
+    for lam in [(2.7, 1, 2, 1), (2, 1, 2)]:
+        with pytest.raises(ValueError, match="lam must be four integers"):
+            rank2_chi_exponent(pr, (0, 0), lam)
+    assert rank2_chi_exponent(pr, (0, 0), (2.0, 1, 2, 1)) == \
+        rank2_chi_exponent(pr, (0, 0), (2, 1, 2, 1))
+
+
 def test_rank2_chi_exponent_degenerate_doubles_line_bundle():
     rng = random.Random(69)
     for _ in range(60):
@@ -369,6 +386,12 @@ def test_partition_quadruple_validation():
         PartitionQuadruple((1, 2))
     with pytest.raises(ValueError):
         PartitionQuadruple((0,))
+
+
+def test_partition_quadruple_refuses_non_integral_part():
+    with pytest.raises(ValueError, match="partition parts must be integers"):
+        PartitionQuadruple((2.5, 1))
+    assert PartitionQuadruple((), (2.0, 1)).p2 == (2, 1)
 
 
 def test_rank1_quotient_chi_examples():
