@@ -24,7 +24,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence, Tuple, Union
+from typing import Iterable, Mapping, Optional, Tuple, Union
+
+from .intlattice import _integer, _integers
 
 Rational = Fraction
 RationalLike = Union[int, Fraction]
@@ -371,25 +373,23 @@ def _frac_str(c: Fraction) -> str:
 class HalfExpLaurent:
     """Truncated Laurent series in q with exponents in (1/2)Z.
 
-    Terms are stored as ``{2*exponent: coefficient}``.  ``min2exp`` is the
-    doubled cutoff: coefficients at doubled exponents >= min2exp are exact,
+    Built from a doubled integer cutoff ``min2exp`` and a mapping
+    ``{2*exponent: coefficient}`` with integer keys; zero coefficients and
+    keys below the cutoff are dropped, and a non-integral cutoff or key is
+    refused.  Coefficients at doubled exponents >= min2exp are exact,
     anything lower has been dropped and is unknown.  The high end is always
-    exact (truncation only ever discards low-order tail).
+    exact (truncation only ever discards low-order tail).  Two series
+    compare on the intersection of their sound windows through
+    ``first_difference``.
     """
 
     __slots__ = ("min2exp", "_terms")
 
-    def __init__(self, min2exp: int, terms: Union[Mapping[int, RationalLike], Iterable] = ()):
-        self.min2exp = int(min2exp)
-        data = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for e2, c in items:
-            e2 = int(e2)
-            c = Fraction(c)
-            if c == 0 or e2 < self.min2exp:
-                continue
-            data[e2] = data.get(e2, Fraction(0)) + c
-        self._terms = {e: c for e, c in data.items() if c != 0}
+    def __init__(self, min2exp: int, terms: Mapping[int, RationalLike] = {}):
+        self.min2exp = lo = _integer(min2exp, "min2exp must be an integer")
+        keys = _integers(terms.keys(), "doubled exponents must be integers")
+        coeffs = map(Fraction, terms.values())
+        self._terms = {e2: c for e2, c in zip(keys, coeffs) if c and e2 >= lo}
 
     # -- inspection --------------------------------------------------------
 
@@ -468,15 +468,16 @@ class HalfExpLaurent:
     def __hash__(self):
         return hash((self.min2exp, tuple(sorted(self._terms.items()))))
 
+    def first_difference(self, other: "HalfExpLaurent") -> Optional[int]:
+        """Highest doubled exponent in both sound windows at which the
+        coefficients differ, or None if they agree on all of it."""
+        lo = max(self.min2exp, other.min2exp)
+        return max((e for e, _ in self._terms.items() ^ other._terms.items()
+                    if e >= lo), default=None)
+
     def same_window_coeffs(self, other: "HalfExpLaurent") -> bool:
         """Equality of coefficients on the intersection of sound windows."""
-        lo = max(self.min2exp, other.min2exp)
-        keys = {e for e in self._terms if e >= lo}
-        keys |= {e for e in other._terms if e >= lo}
-        return all(
-            self._terms.get(e, Fraction(0)) == other._terms.get(e, Fraction(0))
-            for e in keys
-        )
+        return self.first_difference(other) is None
 
     def to_json(self) -> dict:
         items = sorted(self._terms.items(), reverse=True)

@@ -44,6 +44,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 from .exact import HalfExpLaurent, monomial
 from .geometry import ClassLike, HirzebruchParams, _as_class, \
     derive_params, modified_euler_characteristic
+from .intlattice import _integer
 from .sheafdata import STRATA, Rank2Datum, f4_exponent, rank2_c1_chi, \
     stability_check
 
@@ -286,7 +287,7 @@ def rank2_vb_csets(params: HirzebruchParams, cls: ClassLike, min2exp: int,
         raise ValueError("rank-2 series engines need r >= 0")
     cls = _as_class(cls)
     m, n = cls.m, cls.n
-    min2exp = int(min2exp)
+    min2exp = _integer(min2exp, "min2exp must be an integer")
     box = _box(params, m, n, min2exp) if bound is None else bound
     return _laurent(min2exp, _csets_counts(params, m, n, min2exp, box))
 
@@ -397,7 +398,7 @@ def rank2_vb_r0(a: int, b: int, cls: ClassLike, min2exp: int,
     params = derive_params(a, b, 0)
     cls = _as_class(cls)
     m, n = cls.m, cls.n
-    min2exp = int(min2exp)
+    min2exp = _integer(min2exp, "min2exp must be an integer")
     box = _box(params, m, n, min2exp) if bound is None else bound
     return _laurent(min2exp, _r0_counts(a, b, m, n, min2exp, box))
 
@@ -576,7 +577,7 @@ def rank2_vb_closed_p12(cls: ClassLike, min2exp: int,
     refusal = _p12_class_refusal(cls.m, cls.n)
     if refusal:
         raise ValueError(refusal)
-    min2exp = int(min2exp)
+    min2exp = _integer(min2exp, "min2exp must be an integer")
     term = _P12_TERMS[(cls.m, cls.n)]
     tmax = _p12_tmax(min2exp)
     if bound is not None:
@@ -734,7 +735,7 @@ def rank2_vb_lambda(params: HirzebruchParams, cls: ClassLike, min2exp: int,
         raise ValueError("rank-2 series engines need r >= 0")
     cls = _as_class(cls)
     m, n = cls.m, cls.n
-    min2exp = int(min2exp)
+    min2exp = _integer(min2exp, "min2exp must be an integer")
     box = _lambda_box(params, m, n, min2exp) if bound is None else bound
     return _laurent(min2exp, _lambda_counts(params, m, n, min2exp, box))
 
@@ -836,19 +837,15 @@ def crosscheck(params: HirzebruchParams, cls: ClassLike, min2exp: int,
     the highest one at which any two engines differ.
     """
     cls = _as_class(cls)
-    min2exp = int(min2exp)
+    min2exp = _integer(min2exp, "min2exp must be an integer")
     windows = [(name, engine.run(params, cls, min2exp))
                for name, engine in ENGINES.items()
                if engine.refusal(params, cls.m, cls.n) is None
                and (include_lambda or not engine.experimental)]
 
-    top = max(win.max2exp for _, win in windows)
-    first_bad = None
-    for e2 in range(top, min2exp - 1, -1):
-        vals = {win.coeff2(e2) for _, win in windows}
-        if len(vals) > 1:
-            first_bad = e2
-            break
+    # two windows that differ at e2 cannot both equal the first one there
+    diffs = [windows[0][1].first_difference(win) for _, win in windows[1:]]
+    first_bad = max((e2 for e2 in diffs if e2 is not None), default=None)
     return CrosscheckReport(params.a, params.b, params.r, cls.m, cls.n,
                             min2exp, tuple(windows), first_bad is None,
                             first_bad)

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence, Tuple, Union
 
 from .exact import Cyclotomic, RatPoly, rational_part
 from .stackyfan import RayImage, StackyFanData, hirzebruch_shear
-from .intlattice import AbelianGroupStructure
+from .intlattice import AbelianGroupStructure, _integers
 
 __all__ = [
     "HirzebruchParams",
@@ -66,8 +66,7 @@ ClassLike = Union[PicClass, Tuple[int, int]]
 def _as_class(cls: ClassLike) -> PicClass:
     if isinstance(cls, PicClass):
         return cls
-    m, n = cls
-    return PicClass(int(m), int(n))
+    return PicClass(*_integers(cls, "a class is two integers (m, n)", 2))
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,7 @@ def derive_params(a: int, b: int, r: int) -> HirzebruchParams:
     >>> (pr.s, pr.t, pr.p, pr.q, pr.u, pr.v1, pr.v2, pr.C)
     (2, -1, 1, 1, 1, 1, 1, 10)
     """
-    a, b, r = int(a), int(b), int(r)
+    a, b, r = _integers((a, b, r), "a, b, r must be integers")
     if a < 1 or b < 1 or math.gcd(a, b) != 1:
         raise ValueError("a, b must be positive and coprime")
     s, t = hirzebruch_shear(a, b, r)
@@ -369,6 +368,14 @@ ADJACENT_PAIRS = (frozenset((1, 2)), frozenset((2, 3)),
                   frozenset((3, 4)), frozenset((4, 1)))
 
 
+def _require_divisibility(lam: Sequence[int], params: HirzebruchParams):
+    """The jump rule of a rank-2 datum: a divides L1 and b divides L3."""
+    if lam[0] % params.a != 0:
+        raise ValueError("first jump must be divisible by a")
+    if lam[2] % params.b != 0:
+        raise ValueError("third jump must be divisible by b")
+
+
 def rank2_indecomposable_mhp(params: HirzebruchParams, b1: int, b2: int,
                              lam: Sequence[int],
                              coincidences: Iterable = ()) -> RatPoly:
@@ -378,16 +385,14 @@ def rank2_indecomposable_mhp(params: HirzebruchParams, b1: int, b2: int,
     coincidences lists the adjacent corner pairs {i, i+1} whose attached
     points coincide, which cancels the corresponding corner correction.
     """
-    l1, l2, l3, l4 = (int(x) for x in lam)
-    if min(l1, l2, l3, l4) < 0:
+    jumps = _integers(lam, "lam must be four integers", 4)
+    if min(jumps) < 0:
         raise ValueError("jumps must be nonnegative")
-    if l1 % params.a != 0:
-        raise ValueError("first jump must be divisible by a")
-    if l3 % params.b != 0:
-        raise ValueError("third jump must be divisible by b")
+    _require_divisibility(jumps, params)
+    l1, l2, l3, l4 = jumps
     coinc = set()
     for pair in coincidences:
-        f = frozenset(int(x) for x in pair)
+        f = frozenset(pair)
         if f not in ADJACENT_PAIRS:
             raise ValueError("coincidence %r is not an adjacent pair" % (pair,))
         coinc.add(f)
@@ -395,7 +400,6 @@ def rank2_indecomposable_mhp(params: HirzebruchParams, b1: int, b2: int,
     total = modified_hilbert_polynomial(params, (-b1, -b2))
     total = total + modified_hilbert_polynomial(
         params, (-b1 - l1 - l3 - l4 * r, -b2 - l2 - l4))
-    jumps = (l1, l2, l3, l4)
     corner = 0
     for pair in ADJACENT_PAIRS:
         if pair not in coinc:

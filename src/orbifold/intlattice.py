@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "IntMatrix",
@@ -23,6 +23,23 @@ __all__ = [
     "hermite_row_basis",
     "lattices_equal",
 ]
+
+
+def _integers(values: Iterable, message: str,
+              length: Optional[int] = None) -> Tuple[int, ...]:
+    """The values as ints; ValueError(message) unless each is integral
+    (2.0 becomes 2; 2.5 and "2" are refused) and, given ``length``, there
+    are that many."""
+    values = tuple(values)
+    ints = tuple(map(int, values))
+    if ints != values or length not in (None, len(ints)):
+        raise ValueError(message)
+    return ints
+
+
+def _integer(value, message: str) -> int:
+    """The value as an int, by the rule of ``_integers``."""
+    return _integers((value,), message)[0]
 
 
 @dataclass(frozen=True)

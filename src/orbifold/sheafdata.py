@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 from .geometry import (
     ADJACENT_PAIRS,
@@ -23,8 +23,10 @@ from .geometry import (
     HirzebruchParams,
     PicClass,
     _as_class,
+    _require_divisibility,
     modified_euler_characteristic,
 )
+from .intlattice import _integers
 
 __all__ = [
     "EquivLineBundle",
@@ -46,17 +48,6 @@ __all__ = [
     "rank1_quotient_chi",
     "tensor_shift",
 ]
-
-
-def _integers(values: Sequence, message: str,
-              length: Optional[int] = None) -> Tuple[int, ...]:
-    """The values as ints; ValueError(message) unless each is integral
-    (2.0 becomes 2; 2.5 and "2" are refused) and, given ``length``, there
-    are that many."""
-    ints = tuple(map(int, values))
-    if ints != tuple(values) or length not in (None, len(ints)):
-        raise ValueError(message)
-    return ints
 
 
 @dataclass(frozen=True)
@@ -199,13 +190,6 @@ class Rank2Datum:
         object.__setattr__(self, "b2", b2)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "incidence", incidence)
-
-
-def _require_divisibility(lam: Sequence[int], params: HirzebruchParams):
-    if lam[0] % params.a != 0:
-        raise ValueError("first jump must be divisible by a")
-    if lam[2] % params.b != 0:
-        raise ValueError("third jump must be divisible by b")
 
 
 def stability_check(datum: Rank2Datum, params: HirzebruchParams) -> bool:

@@ -26,6 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 from .intlattice import (
     AbelianGroupStructure,
     IntMatrix,
+    _integers,
     cokernel_invariants,
     smith_normal_form,
     solve_gcd_chain_row,
@@ -185,7 +186,7 @@ def wps_fan(weights: Sequence[int]) -> StackyFanData:
     >>> wps_fan((2, 3)).ray_matrix().rows
     ((3, -2),)
     """
-    ws = [int(w) for w in weights]
+    ws = _integers(weights, "weights must be integers")
     if len(ws) < 2:
         raise ValueError("need at least two weights")
     if any(w <= 0 for w in ws):
@@ -221,7 +222,7 @@ def wps_gerbe_fan(weights: Sequence[int]) -> StackyFanData:
     residue c_i.  The residues satisfy sum(c_i w_i/lam) = 1 mod lam and are
     chosen canonically: smallest values reading from the last coordinate back.
     """
-    ws = [int(w) for w in weights]
+    ws = _integers(weights, "weights must be integers")
     if len(ws) < 2 or any(w <= 0 for w in ws):
         raise ValueError("need at least two positive weights")
     lam = math.gcd(*ws)

@@ -1,10 +1,12 @@
 """End-to-end verification of the package's numerical contracts.
 
 Ten independent checks cover the series engines, the closed Euler and
-Hilbert formulas, the lattice algorithms, and the fan constructors.  Each
-check runs standalone and returns a CriterionResult; ``run_all`` shares the
-expensive series windows between checks, and ``format_report`` renders one
-pass/fail line per criterion for the CLI.
+Hilbert formulas, the lattice algorithms, and the fan constructors; each
+returns a CriterionResult.  The series checks (criteria 1, 2, 9 and 10)
+read the windows of the seven ``genfun.crosscheck`` reports that
+``series_reports`` runs once from ``SERIES_RUNS``, and ``run_all`` passes
+them in; the other six checks take no input.  ``format_report`` renders
+one pass/fail line per criterion for the CLI.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .exact import HalfExpLaurent
 from .geometry import (
@@ -24,7 +26,8 @@ from .geometry import (
     modified_hilbert_polynomial,
     point_sheaf_mhp,
 )
-from .genfun import ENGINES, rank1_series, rank2_vb_csets
+from .genfun import CrosscheckReport, crosscheck, rank1_series, \
+    rank2_vb_csets, run_engine
 from .intlattice import IntMatrix, integer_kernel, lattices_equal, smith_normal_form
 from .sheafdata import tensor_shift
 from .stackyfan import (
@@ -68,60 +71,33 @@ class CriterionResult:
     detail: str
 
 
-class SharedRuns:
-    """Caches the engine windows used by several criteria.
+# The crosscheck runs that criteria 1, 2, 9 and 10 read: surface, class,
+# doubled cutoff, and the slots the csets window must span from its lead.
+SERIES_RUNS = tuple(((1, 2, 0), cls, -16, 11) for cls in CLASSES) + (
+    ((1, 1, 0), (0, 0), -22, 12), ((1, 3, 0), (0, 0), -14, 12),
+    ((2, 3, 0), (0, 0), -6, 12))
 
-    Every cached run (over the engine's derived box) is registered with a
-    re-runnable closure so criterion 10 can replay it at explicit bounds.
-    """
 
-    def __init__(self):
-        self.p120 = derive_params(1, 2, 0)
-        self.registry: List[Tuple[str, Callable[[Optional[int]], HalfExpLaurent],
-                                  HalfExpLaurent]] = []
-        self._triples: Optional[Dict] = None
-        self._pairs: Optional[Dict] = None
+def series_reports() -> Tuple[CrosscheckReport, ...]:
+    """One ``crosscheck`` report per row of ``SERIES_RUNS``: csets, r0 and
+    closed on the four (1,2,0) classes, csets and r0 on the r = 0 products."""
+    return tuple(crosscheck(derive_params(*abr), cls, min2exp)
+                 for abr, cls, min2exp, _ in SERIES_RUNS)
 
-    def _run(self, name, params, cls, min2exp):
-        run = ENGINES[name].run
 
-        def replay(bound):
-            return run(params, cls, min2exp, bound)
-
-        window = replay(None)
-        self.registry.append(("%s (%d,%d,%d) %s" % (
-            name, params.a, params.b, params.r, cls), replay, window))
-        return window
-
-    def triples(self):
-        """csets/r0/closed windows for (1,2,0), all four classes, to q^-8."""
-        if self._triples is None:
-            self._triples = {
-                cls: {name: self._run(name, self.p120, cls, -16)
-                      for name in ("csets", "r0", "closed")}
-                for cls in CLASSES}
-        return self._triples
-
-    def pairs(self):
-        """csets/r0 windows for the r = 0 products, 12 slots from the lead."""
-        if self._pairs is None:
-            self._pairs = {}
-            for (a, b), lo2 in (((1, 1), -22), ((1, 3), -14), ((2, 3), -6)):
-                pr = derive_params(a, b, 0)
-                self._pairs[(a, b)] = {
-                    name: self._run(name, pr, (0, 0), lo2)
-                    for name in ("csets", "r0")}
-        return self._pairs
+def _windows_120(reports) -> Dict[Tuple[int, int], Dict[str, HalfExpLaurent]]:
+    """The (1,2,0) windows of the reports, by class, then by engine name."""
+    return {(rep.m, rep.n): dict(rep.windows) for rep in reports
+            if (rep.a, rep.b, rep.r) == (1, 2, 0)}
 
 
 def _slots(window: HalfExpLaurent) -> int:
     return (window.max2exp - window.min2exp) // 2 + 1
 
 
-def criterion_1(shared: Optional[SharedRuns] = None) -> CriterionResult:
+def criterion_1(reports) -> CriterionResult:
     """Golden rank-2 windows on q^6..q^-4, with logged engine overrides."""
-    shared = shared or SharedRuns()
-    triples = shared.triples()
+    triples = _windows_120(reports)
     matched = 0
     logged: List[str] = []
     ok = True
@@ -149,22 +125,17 @@ def criterion_1(shared: Optional[SharedRuns] = None) -> CriterionResult:
     return CriterionResult(1, "golden series windows", ok, detail)
 
 
-def criterion_2(shared: Optional[SharedRuns] = None) -> CriterionResult:
+def criterion_2(reports) -> CriterionResult:
     """Independent engines agree coefficient-by-coefficient."""
-    shared = shared or SharedRuns()
     problems: List[str] = []
-    for cls, wins in shared.triples().items():
-        if _slots(wins["csets"]) < 11:
-            problems.append("window for (1,2,0) %s too short" % (cls,))
-        for name in ("r0", "closed"):
-            if not wins["csets"].same_window_coeffs(wins[name]):
-                problems.append("csets vs %s disagree on (1,2,0) %s"
-                                % (name, cls))
-    for (a, b), wins in shared.pairs().items():
-        if _slots(wins["csets"]) < 12:
-            problems.append("window for (%d,%d,0) too short" % (a, b))
-        if not wins["csets"].same_window_coeffs(wins["r0"]):
-            problems.append("csets vs r0 disagree on (%d,%d,0)" % (a, b))
+    for rep, (_, _, _, slots) in zip(reports, SERIES_RUNS):
+        label = "(%d,%d,%d) %s" % (rep.a, rep.b, rep.r, (rep.m, rep.n))
+        if _slots(dict(rep.windows)["csets"]) < slots:
+            problems.append("window for %s too short" % label)
+        if not rep.agree:
+            problems.append("%s disagree on %s at q^%s" % (
+                ", ".join(rep.engines), label,
+                Fraction(rep.first_disagreement2, 2)))
     detail = ("four classes triple-checked on (1,2,0), three r=0 products "
               "double-checked" if not problems else "; ".join(problems))
     return CriterionResult(2, "engine cross-agreement", not problems, detail)
@@ -371,18 +342,18 @@ def criterion_8() -> CriterionResult:
     return CriterionResult(8, "fan golden examples", not problems, detail)
 
 
-def criterion_9(shared: Optional[SharedRuns] = None) -> CriterionResult:
+def criterion_9(reports) -> CriterionResult:
     """Tensoring by a line bundle shifts the rank-2 series exponent."""
-    shared = shared or SharedRuns()
-    base = shared.triples()[(0, 0)]["csets"]
+    base = _windows_120(reports)[(0, 0)]["csets"]
+    p120 = derive_params(1, 2, 0)
     problems: List[str] = []
     for (i, j), g_expected in (((1, 0), 2), ((0, 1), 4), ((1, 1), 8)):
-        g = tensor_shift(i, j, (0, 0), shared.p120)
+        g = tensor_shift(i, j, (0, 0), p120)
         if g != g_expected:
             problems.append("g(%d,%d) = %d, expected %d"
                             % (i, j, g, g_expected))
             continue
-        moved = rank2_vb_csets(shared.p120, (2 * i, 2 * j), -16 + 2 * g)
+        moved = rank2_vb_csets(p120, (2 * i, 2 * j), -16 + 2 * g)
         if moved != base.shift2(2 * g):
             problems.append("shifted series mismatch for (i,j)=(%d,%d)"
                             % (i, j))
@@ -391,28 +362,29 @@ def criterion_9(shared: Optional[SharedRuns] = None) -> CriterionResult:
     return CriterionResult(9, "shift covariance", not problems, detail)
 
 
-def criterion_10(shared: Optional[SharedRuns] = None) -> CriterionResult:
+def criterion_10(reports) -> CriterionResult:
     """Re-running every series at explicit bounds 128 and 256 changes nothing.
 
     Every engine's loops stop at the last index that can reach the window,
     so a bound above the derived box runs the same loops again: this checks
     that an explicit ``bound`` adds no term, not that the box is complete.
     """
-    shared = shared or SharedRuns()
-    shared.triples()
-    shared.pairs()
     problems: List[str] = []
-    for label, fn, window in shared.registry:
-        if fn(128) != window or fn(256) != window:
-            problems.append(label)
-    detail = ("%d engine runs stable at bounds 128 and 256"
-              % len(shared.registry) if not problems
-              else "unstable: " + "; ".join(problems))
+    for rep in reports:
+        params = derive_params(rep.a, rep.b, rep.r)
+        for name, window in rep.windows:
+            if any(run_engine(name, params, (rep.m, rep.n), rep.min2exp,
+                              bound) != window for bound in (128, 256)):
+                problems.append("%s (%d,%d,%d) %s" % (
+                    name, rep.a, rep.b, rep.r, (rep.m, rep.n)))
+    runs = sum(len(rep.windows) for rep in reports)
+    detail = ("%d engine runs stable at bounds 128 and 256" % runs
+              if not problems else "unstable: " + "; ".join(problems))
     return CriterionResult(10, "stabilization robustness",
                            not problems, detail)
 
 
-# (index, check, whether the check reads the shared series windows)
+# (index, check, whether the check reads the ``series_reports``)
 _RUNNERS: Tuple[Tuple[int, Callable, bool], ...] = (
     (1, criterion_1, True), (2, criterion_2, True), (3, criterion_3, False),
     (4, criterion_4, False), (5, criterion_5, False), (6, criterion_6, False),
@@ -422,11 +394,13 @@ _RUNNERS: Tuple[Tuple[int, Callable, bool], ...] = (
 
 
 def run_all() -> Tuple[CriterionResult, ...]:
-    shared = SharedRuns()
+    reports: Tuple[CrosscheckReport, ...] = ()
     results = []
-    for index, runner, uses_shared in _RUNNERS:
+    for index, runner, reads_reports in _RUNNERS:
         try:
-            results.append(runner(shared) if uses_shared else runner())
+            if reads_reports:
+                reports = reports or series_reports()
+            results.append(runner(reports) if reads_reports else runner())
         except Exception as exc:  # a crashed check is a failed check
             results.append(CriterionResult(index, runner.__name__, False,
                                            "raised %r" % (exc,)))
@@ -446,7 +420,8 @@ def format_report(results) -> str:
 
 
 __all__ = [
-    "CriterionResult", "SharedRuns", "run_all", "format_report",
+    "CriterionResult", "SERIES_RUNS", "series_reports", "run_all",
+    "format_report",
     "criterion_1", "criterion_2", "criterion_3", "criterion_4",
     "criterion_5", "criterion_6", "criterion_7", "criterion_8",
     "criterion_9", "criterion_10", "GRID",

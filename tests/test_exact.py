@@ -194,6 +194,29 @@ def test_zero_coefficients_are_dropped():
     assert t.is_zero
 
 
+def test_series_refuses_non_integral_cutoff_and_keys():
+    with pytest.raises(ValueError, match="doubled exponents must be integers"):
+        HalfExpLaurent(0, {2.5: 1})
+    with pytest.raises(ValueError, match="min2exp must be an integer"):
+        HalfExpLaurent(-7.5, {0: 1})
+    # integral values of another type are kept as ints
+    s = HalfExpLaurent(-4.0, {2.0: 1, Fraction(-2): 3})
+    assert s == HalfExpLaurent(-4, {2: 1, -2: 3})
+    assert [type(e2) for e2 in s.terms] == [int, int]
+
+
+def test_first_difference_is_highest_differing_exponent():
+    s = HalfExpLaurent(-8, {4: 2, 0: 5, -4: 8})
+    assert s.first_difference(s) is None
+    # a term the other series lacks counts as a difference
+    assert s.first_difference(HalfExpLaurent(-8, {4: 2, 2: 1, 0: 6})) == 2
+    assert HalfExpLaurent(-8, {4: 2, 0: 6}).first_difference(s) == 0
+    # below either cutoff nothing is compared
+    assert s.first_difference(HalfExpLaurent(-2, {4: 2, 0: 5})) is None
+    assert s.same_window_coeffs(HalfExpLaurent(-2, {4: 2, 0: 5}))
+    assert not s.same_window_coeffs(HalfExpLaurent(-8, {4: 2, 0: 5}))
+
+
 def test_geometric_factor_binomials():
     s = geometric_factor(1, 2, -6)
     assert [s.coeff(-j) for j in range(4)] == [1, 2, 3, 4]

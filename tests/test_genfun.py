@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbifold import genfun
+from orbifold import cli, genfun, verify
 from orbifold.exact import HalfExpLaurent, geometric_factor, monomial
 from orbifold.geometry import derive_params, modified_euler_characteristic
 from orbifold.genfun import (
@@ -376,6 +376,15 @@ def test_window_truncation_consistency(engines120):
     assert deep.truncate(-6) == rank2_vb_csets(P120, (1, 0), min2exp=-6)
 
 
+def test_engines_refuse_non_integral_cutoff():
+    for engine in genfun.ENGINES.values():
+        with pytest.raises(ValueError, match="min2exp must be an integer"):
+            engine.run(P120, (0, 0), -7.5)
+    with pytest.raises(ValueError, match="min2exp must be an integer"):
+        crosscheck(P120, (0, 0), -7.5)
+    assert rank2_vb_csets(P120, (0, 0), -8.0) == rank2_vb_csets(P120, (0, 0), -8)
+
+
 def test_engine_domain_errors():
     with pytest.raises(ValueError):
         rank2_vb_csets(derive_params(1, 2, -1), (0, 0), -4)
@@ -416,6 +425,35 @@ def test_crosscheck_reports_shared_coefficients():
     assert set(data["engines"]) == {"csets", "r0", "closed", "lambda"}
     assert data["agree"] is True
     assert data["first_disagreement_exp2"] is None
+
+
+def test_crosscheck_reports_first_disagreement(monkeypatch, capsys):
+    # r0 differs from csets at q^0 (csets: 5) and, higher, at q^1, where
+    # csets has no term; the first disagreement is the higher exponent
+    r0 = genfun.ENGINES["r0"]
+
+    def perturbed(*args, **kwargs):
+        return r0.run(*args, **kwargs) + HalfExpLaurent(-8, {2: 3, 0: 1})
+
+    monkeypatch.setitem(genfun.ENGINES, "r0", r0._replace(run=perturbed))
+    rep = crosscheck(P120, (0, 0), -8)
+    assert rep.engines == ("csets", "r0", "closed")
+    assert dict(rep.windows)["csets"].coeff2(2) == 0
+    assert not rep.agree
+    assert rep.first_disagreement2 == 2
+    assert rep.to_json()["agree"] is False
+    assert rep.to_json()["first_disagreement_exp2"] == 2
+    # the verify criterion that reads such reports names the exponent
+    result = verify.criterion_2((rep,))
+    assert not result.passed
+    assert "csets, r0, closed disagree on (1,2,0) (0, 0) at q^1" \
+        in result.detail
+
+    code = cli.main(["crosscheck", "-a", "1", "-b", "2", "-m", "0", "-n", "0",
+                     "--min-exp", "-4"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[-1] == "agree: no, first disagreement at q^1"
 
 
 @pytest.mark.parametrize("name", ["exact", "geometry", "intlattice",

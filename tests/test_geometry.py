@@ -9,6 +9,7 @@ from orbifold.geometry import (
     ADJACENT_PAIRS,
     HirzebruchParams,
     PicClass,
+    _as_class,
     chart_weight_tables,
     coarse_ample,
     coarse_cartier,
@@ -66,6 +67,20 @@ def test_derive_params_rejects_bad_input():
         derive_params(0, 1, 0)
     with pytest.raises(ValueError):
         derive_params(3, -1, 0)
+
+
+def test_derive_params_refuses_non_integral_input():
+    with pytest.raises(ValueError, match="a, b, r must be integers"):
+        derive_params(1.5, 2, 0.7)
+    assert derive_params(1.0, 2.0, 0) == derive_params(1, 2, 0)
+
+
+def test_class_refuses_non_integral_coordinates():
+    with pytest.raises(ValueError, match="two integers"):
+        _as_class((0.5, 1.7))
+    with pytest.raises(ValueError, match="two integers"):
+        _as_class((0, 1, 2))
+    assert _as_class((0.0, 1)) == PicClass(0, 1)
 
 
 def test_derive_params_arithmetic_relations():
@@ -460,6 +475,10 @@ def test_rank2_mhp_validation():
         rank2_indecomposable_mhp(pr, 0, 0, (2, 0, 3, -1))
     with pytest.raises(ValueError):
         rank2_indecomposable_mhp(pr, 0, 0, (2, 0, 3, 0), [(1, 3)])
+    with pytest.raises(ValueError, match="lam must be four integers"):
+        rank2_indecomposable_mhp(pr, 0, 0, (2.5, 0, 3, 0))
+    with pytest.raises(ValueError, match="not an adjacent pair"):
+        rank2_indecomposable_mhp(pr, 0, 0, (2, 0, 3, 0), [(1.5, 2)])
 
 
 # ------------------------------------------------------------ kernel lattice

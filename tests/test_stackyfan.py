@@ -62,6 +62,14 @@ def test_wps_fan_cones_and_validation():
         wps_fan((0, 1))
 
 
+def test_wps_fans_refuse_non_integral_weights():
+    with pytest.raises(ValueError, match="weights must be integers"):
+        wps_fan((1.9, 2))
+    with pytest.raises(ValueError, match="weights must be integers"):
+        wps_gerbe_fan((2, 4.5))
+    assert fans_equal_up_to_ray_order(wps_fan((1.0, 2.0)), wps_fan((1, 2)))
+
+
 def test_wps_fan_random_invariants():
     rng = random.Random(4101)
     done = 0
