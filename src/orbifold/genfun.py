@@ -16,21 +16,25 @@ The rank-2 locally-free series is evaluated by four independent routes:
   jumps inside the stratum's stability parts; each datum is checked by
   ``stability_check`` and placed at its ``rank2_c1_chi``.
 
-Each engine is a plain loop that adds every constraint set (term family,
-stratum) into one preallocated integer list, ``acc[e2 - lo2]`` for the
-doubled exponent e2 >= lo2, up to the highest exponent any term can reach
-(f4/2 for csets, r0 and lambda, 12 for the closed sums); the series is built
-once from its nonzero entries.  ``ENGINES`` maps each engine name
-to its entry point and to the inputs it covers; ``crosscheck`` and the
-command line both dispatch through it.  All engines return exact integer
-coefficients on an explicitly tracked sound window (see
-``exact.HalfExpLaurent``); ``crosscheck`` runs every applicable engine and
-reports the first disagreeing exponent, if any.  Each engine enumerates
-once, over the box that ``_box``, ``_p12_tmax`` or ``_lambda_box`` derives
-from the depth of the window, or over ``bound`` when given, which caps
-every index; inside it each csets, r0 and lambda loop visits only indices
-whose cost Q can reach the window (see ``_box`` and ``_lambda_box``), and
-the closed loop stops at the last term family that can (``_p12_tmax``).
+Each engine adds every constraint set (term family, stratum) into one
+preallocated integer list, ``acc[e2 - lo2]`` for the doubled exponent
+e2 >= lo2, up to the highest exponent any term can reach (f4/2 for csets,
+r0 and lambda, 12 for the closed sums); the series is built once from its
+nonzero entries.  Each engine enumerates once, over the box that ``_box``,
+``_p12_tmax`` or ``_lambda_box`` derives from the depth of the window, or
+over ``bound`` when given, which caps every index; inside it each csets, r0
+and lambda loop visits only indices whose cost Q can reach the window, and
+the closed loop stops at the last term family that can.  A csets or r0 term
+of cost Q sits at index (f4 - Q)/2 - lo2, which is >= 0 iff Q <= D (see
+``_box``) and inside the list as Q > 0.  The congruences of a set leave one
+residue class of i mod 2ab, whose terms at one k lie a fixed stride apart
+in the list, so the set adds each run with one strided range up to its last
+Q <= D, or one count where the exponent does not depend on k.  ``ENGINES``
+maps each engine name to its entry point and to the inputs it covers;
+``crosscheck`` and the command line both dispatch through it.  All engines
+return exact integer coefficients on an explicitly tracked sound window
+(see ``exact.HalfExpLaurent``); ``crosscheck`` runs every applicable engine
+and reports the first disagreeing exponent, if any.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .exact import HalfExpLaurent, monomial
@@ -147,112 +151,113 @@ def _check_half_integer(e4: int, j: int):
 # ---------------------------------------------------------------------------
 
 def _cs_pinned(acc, j, f4, m, a, b, r, pq, lo2, M):
-    """Set 1: four-index tuples pinned to the hyperplane i = pq*j (weight -1)."""
-    i = pq * j
-    if i > M or (m + i) % 2:
+    """Set 1: four-index tuples pinned to the hyperplane i = pq*j (weight -1).
+
+    All at Q = (2pq + r) j^2 > 0, counted if Q <= D: per l, the k in
+    (-i - r(j - l), i), k >= -M, with k = i (mod 2b), k = -i - r(j - l)
+    (mod 2a).
+    """
+    i, e4 = pq * j, f4 - (2 * pq + r) * j * j
+    if i > M or (m + i) % 2 or e4 < 2 * lo2:
         return
-    e4 = f4 - 2 * i * j - r * j * j
-    if e4 < 2 * lo2:
-        return
+    inv, period, hits = pow(b, -1, a), 2 * a * b, 0
     for l in range(-j + 2, j, 2):
         rjl = r * (j - l)
-        k_lo = -pq * j - rjl
-        k = k_lo + 1 + ((i - (k_lo + 1)) % (2 * b))
-        while k < pq * j:
-            if abs(k) <= M and (i + k + rjl) % (2 * a) == 0:
-                acc[(e4 >> 1) - lo2] -= 1
-            k += 2 * b
+        k_lo = max(-i - rjl + 1, -M)
+        k = i + 2 * b * ((-i - rjl // 2) * inv % a)
+        hits += len(range(k_lo + (k - k_lo) % period, i, period))
+    acc[(e4 >> 1) - lo2] -= hits
 
 
 def _cs_quad(acc, j, f4, m, a, b, r, pq, lo2, M, step, cross_mod, plus_form):
     """Sets 2-5: the generic four-index family with the bilinear exponent.
 
     ``plus_form`` picks the sign convention tying the congruence target and
-    the k-interval to j+l (sets 2 and 3) or to j-l (sets 4 and 5).  As
-    Q >= (2pq + r) l^2 + 2j, |l| <= isqrt((D - 2j) / (2pq + r)); the i and
-    k loops stop at the first term past D.
+    the k-interval to j+l (sets 2 and 3) or to j-l (sets 4 and 5).  Per l,
+    k walks down (k = m mod 2, k_floor < k < pq*l, |k| <= M), each adding
+    its i = k (mod ``step``), i = -k - shift (mod ``cross_mod``) from
+    lo = max(pq*l, -k - shift) + 1 to hi, the last i <= M with Q <= D, at
+    indices ab (j + l) apart; lo rises and hi falls, so it ends at the first
+    empty run.  i > pq*l > k gives Q >= (2pq + r) l^2 + 2j > 0, bounding |l|;
+    i > -k - shift gives Q >= 3j + (1 - 2pq j) l - shift (j + l) + r l^2,
+    bounding l below.
     """
-    L = min(M, isqrt(max(0, f4 - 2 * lo2 - 2 * j) // (2 * pq + r)))
-    for l in range(max(-j + 2, -L + (j + L) % 2), min(j - 2, L) + 1, 2):
-        rl2 = r * l * l
-        if plus_form:
-            shift = r * (j + l)
-            k_floor = -pq * j - shift
-        else:
-            shift = -r * (j - l)
-            k_floor = -pq * j
-        k_hi = pq * l
-        i = pq * l + 1
-        if (m + i) % 2:
-            i += 1
-        while i <= M:
-            if f4 - i * (j + l) + k_hi * (j - l) - rl2 < 2 * lo2:
+    span = f4 - 2 * lo2
+    L = min(M, isqrt(max(0, span - 2 * j) // (2 * pq + r)))
+    l_lo = -((span - 3 * j + r * j * j) // (2 * (pq + r) * j - 1) if plus_form
+             else (span - 3 * j - r * j * j) // (2 * pq * j - 1))
+    l_lo = max(-j + 2, -L, l_lo)
+    mod, period = cross_mod // 2, step * cross_mod // 2
+    inv = pow(step // 2, -1, mod)
+    for l in range(l_lo + (j + l_lo) % 2, min(j - 2, L) + 1, 2):
+        jp, jm, pql = j + l, j - l, pq * l
+        shift = r * jp if plus_form else -r * jm
+        k_floor = -pq * j - shift if plus_form else -pq * j
+        room, half, stride = span - r * l * l, shift // 2, period // 2 * jp
+        k_top = pql - 1 if pql <= M else M
+        for k in range(k_top - (k_top - m) % 2, max(k_floor, -M - 1), -2):
+            cap = room + k * jm  # twice the index of (i, k) is cap - i (j + l)
+            lo = (pql if pql > -k - shift else -k - shift) + 1
+            hi = cap // jp
+            if hi > M:
+                hi = M
+            if lo > hi:
                 break
-            k_lo = max(-i - shift, k_floor)
-            k = k_hi - 1 - ((k_hi - 1 - i) % step)
-            if k > M:
-                k -= step * ((k - M + step - 1) // step)
-            while k > k_lo and k >= -M:
-                e4 = f4 - i * (j + l) + k * (j - l) - rl2
-                if e4 < 2 * lo2:
-                    break
-                if (i + k + shift) % cross_mod == 0:
-                    acc[(e4 >> 1) - lo2] += 1
-                k -= step
-            i += 2
+            i = k + step * ((-k - half) * inv % mod)
+            i = lo + (i - lo) % period
+            for x in range((cap - i * jp) // 2, (cap - hi * jp) // 2 - 1,
+                           -stride):
+                acc[x] += 1
 
 
 def _cs_ratio(acc, j, f4, m, a, b, r, pq, lo2, M, div_mod):
-    """Sets 6-7: three-index tuples with congruence 2*div_mod | 2i + r(j+k)."""
-    if r > 0:
-        # i may dip below 1 when the twist dominates; the k-window is only
-        # nonempty while (2*pq + r) * |i| < r * pq * j
-        i_lo = -((r * pq * j) // (2 * pq + r)) - 1
-    else:
-        i_lo = 1
-    i = i_lo + ((m + i_lo) % 2)
-    while i <= min(pq * j - 1, M):
-        e4 = f4 - 2 * i * j - r * j * j
-        if e4 < 2 * lo2:
-            break
-        k_hi = (i - 1) // pq
+    """Sets 6-7: three-index tuples with congruence 2*div_mod | 2i + r(j+k).
+
+    Q = 2ij + r j^2 does not involve k: each i up to the last Q <= D adds
+    its s = (j + k)/2 (|k| < M as i, j <= M) with r s = -i (mod div_mod),
+    which needs g = gcd(r, div_mod) | i.  A row with Q <= 0 has no k
+    (k > -(2i + r j)/r >= 0 > (i - 1)/pq) and is not written.
+    """
+    # i may dip below 1 when the twist dominates; the k-window is only
+    # nonempty while (2*pq + r) * |i| < r * pq * j
+    i_lo = -((r * pq * j) // (2 * pq + r)) - 1 if r else 1
+    cap = f4 - 2 * lo2 - r * j * j  # twice the index of row i is cap - 2ij
+    g = gcd(r, div_mod)
+    if m % 2 and g % 2 == 0:
+        return  # i = m (mod 2) and g | i
+    mod, period = div_mod // g, lcm(2, g)
+    inv = pow(r // g, -1, mod)
+    for i in range(i_lo + (g * (m % 2) - i_lo) % period,
+                   min(pq * j - 1, M, cap // (2 * j)) + 1, period):
         k_lo = (-i - r * j) // (r + pq) + 1
         if r > 0:
             k_lo = max(k_lo, (-2 * i - r * j) // r + 1)
-        for k in range(max(k_lo, -M), min(k_hi, M) + 1):
-            if (j + k) % 2:
-                continue
-            if (2 * i + r * (j + k)) % (2 * div_mod) == 0:
-                acc[(e4 >> 1) - lo2] += 1
-        i += 2
+        s = (k_lo + j + 1) // 2
+        s += (-(i // g) * inv - s) % mod
+        hits = len(range(s, ((i - 1) // pq + j) // 2 + 1, mod))
+        if hits:
+            acc[cap // 2 - i * j] += hits
 
 
 def _cs_tail(acc, j, f4, m, a, b, r, pq, lo2, M, twisted):
     """Sets 8-9: three-index tuples beyond the i = pq*j wall.
 
     ``twisted`` widens the k-interval by the twist and twists the
-    congruence; the plain variant drops r entirely.  Only j with
-    (2pq + r) j^2 + 2j <= D reach the window, as i >= pq*j + 1.
+    congruence; the plain variant drops r entirely.  The i of a k (i = k
+    mod 2b, i = -k - shift mod 2a) run from pq*j + 1, so Q >= (2pq + r) j^2
+    + 2j > 0, to the last i <= M with Q <= D, at indices 2ab j apart.
     """
-    if (2 * pq + r) * j * j + 2 * j > f4 - 2 * lo2:
+    cap = f4 - 2 * lo2 - r * j * j  # twice the index of (i, k) is cap - 2ij
+    if 2 * pq * j * j + 2 * j > cap:
         return
-    if twisted:
-        k_floor = -(pq + 2 * r) * j
-        target_shift = 2 * r * j
-    else:
-        k_floor = -pq * j
-        target_shift = 0
-    for k in range(max(k_floor + 1, -M), min(pq * j - 1, M) + 1):
-        if (m + k) % 2:
-            continue
-        i = pq * j + 1 + ((k - (pq * j + 1)) % (2 * b))
-        while i <= M:
-            e4 = f4 - 2 * i * j - r * j * j
-            if e4 < 2 * lo2:
-                break
-            if (i + k + target_shift) % (2 * a) == 0:
-                acc[(e4 >> 1) - lo2] += 1
-            i += 2 * b
+    k_floor, half = (-(pq + 2 * r) * j, r * j) if twisted else (-pq * j, 0)
+    i_hi, inv, period = min(M, cap // (2 * j)), pow(b, -1, a), 2 * a * b
+    k_lo = max(k_floor + 1, -M)
+    for k in range(k_lo + (m + k_lo) % 2, min(pq * j - 1, M) + 1, 2):
+        i = k + 2 * b * ((-k - half) * inv % a)
+        i = pq * j + 1 + (i - pq * j - 1) % period
+        for x in range(cap // 2 - i * j, cap // 2 - i_hi * j - 1, -period * j):
+            acc[x] += 1
 
 
 def _csets_counts(params: HirzebruchParams, m: int, n: int,
@@ -297,79 +302,75 @@ def rank2_vb_csets(params: HirzebruchParams, cls: ClassLike, min2exp: int,
 # ---------------------------------------------------------------------------
 
 def _r0_pinned(acc, j, f4, m, a, b, lo2, M):
-    ab = a * b
-    i = ab * j
-    if i > M or (m + i) % 2:
-        return
-    e4 = f4 - 2 * i * j
-    if e4 < 2 * lo2:
-        return
-    for l in range(-j + 2, j, 2):
-        k = -ab * j + 1 + ((i - (-ab * j + 1)) % (2 * b))
-        while k < ab * j:
-            if abs(k) <= M and (i + k) % (2 * a) == 0:
-                acc[(e4 >> 1) - lo2] -= 1
-            k += 2 * b
+    """Pinned set of the r = 0 family: i = ab*j, weight -1, Q = 2ab j^2.
+
+    k = i (mod 2b), i + k = 0 (mod 2a) say k = i (mod 2ab): each of the
+    j - 1 values of l counts k = i - 2ab t, 0 < t < j (|k| < i <= M).
+    """
+    i, e4 = a * b * j, f4 - 2 * a * b * j * j
+    if i <= M and (m + i) % 2 == 0 and e4 >= 2 * lo2:
+        acc[(e4 >> 1) - lo2] -= (j - 1) ** 2
 
 
 def _r0_quad(acc, j, f4, m, a, b, lo2, M, step, cross_mod):
-    """Sets 2-3 of the r = 0 family: Q >= 2ab l^2 + 2j as in ``_cs_quad``."""
-    ab = a * b
-    L = min(M, isqrt(max(0, f4 - 2 * lo2 - 2 * j) // (2 * ab)))
-    for l in range(max(-j + 2, -L + (j + L) % 2), min(j - 2, L) + 1, 2):
-        k_hi = ab * l
-        i = ab * l + 1
-        if (m + i) % 2:
-            i += 1
-        while i <= M:
-            if f4 - i * (j + l) + k_hi * (j - l) < 2 * lo2:
+    """Sets 2-3 of the r = 0 family, each counted twice.
+
+    As ``_cs_quad`` at r = 0, with i > max(ab*l, -k), -ab*j < k < ab*l:
+    Q >= 2ab l^2 + 2j > 0 bounds |l|, Q >= 3j + (1 - 2ab j) l bounds l
+    below, and each k adds its i = k (mod ``step``), i = -k (mod
+    ``cross_mod``) up to the last i <= M with Q <= D, ab (j + l) apart.
+    """
+    ab, span = a * b, f4 - 2 * lo2
+    L = min(M, isqrt(max(0, span - 2 * j) // (2 * ab)))
+    l_lo = max(-j + 2, -L, -((span - 3 * j) // (2 * ab * j - 1)))
+    mod, inv = cross_mod // 2, pow(step // 2, -1, cross_mod // 2)
+    for l in range(l_lo + (j + l_lo) % 2, min(j - 2, L) + 1, 2):
+        jp, jm, abl = j + l, j - l, ab * l
+        k_top = abl - 1 if abl <= M else M
+        for k in range(k_top - (k_top - m) % 2, max(-ab * j, -M - 1), -2):
+            cap = span + k * jm  # twice the index is cap - i (j + l)
+            lo = (abl if abl > -k else -k) + 1
+            hi = cap // jp
+            if hi > M:
+                hi = M
+            if lo > hi:
                 break
-            k_lo = max(-i, -ab * j)
-            k = k_hi - 1 - ((k_hi - 1 - i) % step)
-            if k > M:
-                k -= step * ((k - M + step - 1) // step)
-            while k > k_lo and k >= -M:
-                e4 = f4 - i * (j + l) + k * (j - l)
-                if e4 < 2 * lo2:
-                    break
-                if (i + k) % cross_mod == 0:
-                    acc[(e4 >> 1) - lo2] += 1
-                k -= step
-            i += 2
+            i = k + step * (-k * inv % mod)
+            i = lo + (i - lo) % (2 * ab)
+            for x in range((cap - i * jp) // 2, (cap - hi * jp) // 2 - 1,
+                           -ab * jp):
+                acc[x] += 2
 
 
 def _r0_cone(acc, j, f4, m, a, b, lo2, M, div):
-    """Sets 4-5 of the r = 0 family: div | i inside the open cone |ab*k| < i."""
-    ab = a * b
-    i = 1 if (m + 1) % 2 == 0 else 2
-    while i <= min(ab * j - 1, M):
-        e4 = f4 - 2 * i * j
-        if e4 < 2 * lo2:
-            break
-        if i % div == 0:
+    """Sets 4-5 of the r = 0 family: div | i inside the open cone |ab*k| < i.
+
+    Q = 2ij > 0 does not involve k: each i up to the last Q <= D adds its
+    k = j (mod 2), |k| <= (i - 1) // ab (inside |k| <= M, as i <= M).
+    """
+    ab, cap = a * b, f4 - 2 * lo2  # twice the index of row i is cap - 2ij
+    for i in range(div, min(ab * j - 1, M, cap // (2 * j)) + 1, div):
+        if (m + i) % 2 == 0:
             k_max = (i - 1) // ab
-            for k in range(max(-k_max, -M), min(k_max, M) + 1):
-                if (j + k) % 2 == 0:
-                    acc[(e4 >> 1) - lo2] += 1
-        i += 2
+            acc[cap // 2 - i * j] += k_max + 1 - (k_max + j) % 2
 
 
 def _r0_tail(acc, j, f4, m, a, b, lo2, M):
-    """Wall tail of the r = 0 family: i > ab*j, so Q = 2ij >= 2ab j^2 + 2j."""
-    ab = a * b
-    if 2 * ab * j * j + 2 * j > f4 - 2 * lo2:
+    """Wall tail of the r = 0 family: i > ab*j, so Q = 2ij >= 2ab j^2 + 2j.
+
+    The i of a k (i = k mod 2b, i = -k mod 2a), each counted twice, run
+    from ab*j + 1 to the last i <= M with Q <= D, at indices 2ab j apart.
+    """
+    ab, cap = a * b, f4 - 2 * lo2  # twice the index of (i, k) is cap - 2ij
+    if 2 * ab * j * j + 2 * j > cap:
         return
-    for k in range(max(-ab * j + 1, -M), min(ab * j - 1, M) + 1):
-        if (m + k) % 2:
-            continue
-        i = ab * j + 1 + ((k - (ab * j + 1)) % (2 * b))
-        while i <= M:
-            e4 = f4 - 2 * i * j
-            if e4 < 2 * lo2:
-                break
-            if (i + k) % (2 * a) == 0:
-                acc[(e4 >> 1) - lo2] += 2
-            i += 2 * b
+    i_hi, inv = min(M, cap // (2 * j)), pow(b, -1, a)
+    k_lo = max(-ab * j + 1, -M)
+    for k in range(k_lo + (m + k_lo) % 2, min(ab * j - 1, M) + 1, 2):
+        i = k + 2 * b * (-k * inv % a)
+        i = ab * j + 1 + (i - ab * j - 1) % (2 * ab)
+        for x in range(cap // 2 - i * j, cap // 2 - i_hi * j - 1, -2 * ab * j):
+            acc[x] += 2
 
 
 def _r0_counts(a, b, m, n, lo2, M) -> List[int]:
@@ -379,9 +380,8 @@ def _r0_counts(a, b, m, n, lo2, M) -> List[int]:
     for j in range(2 - n % 2, M + 1, 2):  # every set needs j = n (mod 2)
         _check_half_integer(f4, j)  # see ``_box``, with r = 0
         _r0_pinned(acc, j, f4, m, a, b, lo2, M)
-        for _ in range(2):  # sets 2 and 3 each count twice
-            _r0_quad(acc, j, f4, m, a, b, lo2, M, 2 * b, 2 * a)
-            _r0_quad(acc, j, f4, m, a, b, lo2, M, 2 * a, 2 * b)
+        _r0_quad(acc, j, f4, m, a, b, lo2, M, 2 * b, 2 * a)
+        _r0_quad(acc, j, f4, m, a, b, lo2, M, 2 * a, 2 * b)
         _r0_cone(acc, j, f4, m, a, b, lo2, M, b)
         _r0_cone(acc, j, f4, m, a, b, lo2, M, a)
         _r0_tail(acc, j, f4, m, a, b, lo2, M)

@@ -55,7 +55,8 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        return cls(tuple(tuple(int(x) for x in r) for r in rows))
+        return cls(tuple(_integers(r, "matrix entries must be integers")
+                         for r in rows))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -427,7 +428,7 @@ def solve_gcd_chain_row(weights: Sequence[int], i: int) -> Tuple[int, ...]:
     >>> solve_gcd_chain_row((2, 3), 1)
     (3, -2)
     """
-    ws = [int(w) for w in weights]
+    ws = _integers(weights, "weights must be integers")
     if any(w <= 0 for w in ws):
         raise ValueError("weights must be positive")
     n = len(ws) - 1

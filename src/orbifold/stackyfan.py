@@ -62,8 +62,10 @@ class RayImage:
     torsion: Tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "free", tuple(int(x) for x in self.free))
-        object.__setattr__(self, "torsion", tuple(int(x) for x in self.torsion))
+        object.__setattr__(self, "free", _integers(
+            self.free, "ray coordinates must be integers"))
+        object.__setattr__(self, "torsion", _integers(
+            self.torsion, "torsion residues must be integers"))
 
 
 @dataclass(frozen=True)
@@ -263,7 +265,7 @@ def line_bundle_total_space(fan: StackyFanData, coeffs: Sequence[int]) -> Stacky
     """
     if fan.lattice.torsion:
         raise ValueError("line bundle total spaces need a torsion-free lattice")
-    a = [int(x) for x in coeffs]
+    a = _integers(coeffs, "coefficients must be integers")
     if len(a) != fan.n_rays:
         raise ValueError("need one coefficient per ray")
     rank = fan.lattice.free_rank
@@ -286,7 +288,8 @@ def projective_bundle(fan: StackyFanData,
     """
     if fan.lattice.torsion:
         raise ValueError("projective bundles need a torsion-free lattice")
-    rows = [tuple(int(x) for x in d) for d in divisors]
+    rows = [_integers(d, "divisor coefficients must be integers")
+            for d in divisors]
     if len(rows) < 2:
         raise ValueError("need at least two divisors")
     if any(len(d) != fan.n_rays for d in rows):

@@ -99,6 +99,25 @@ def test_csets_r0_agree_on_product_surfaces():
             assert sc.coeff2(e2) == coeff
 
 
+def test_engines_agree_at_depth():
+    # deep windows, where the csets and r0 sets add long runs of terms at
+    # once: csets, r0 and the closed sums on (1,2,0) at q^-64, and csets
+    # against r0 on two more r = 0 surfaces 40 below f
+    for cls in GOLD_120:
+        sc = rank2_vb_csets(P120, cls, min2exp=-128)
+        assert rank2_vb_r0(1, 2, cls, min2exp=-128).first_difference(sc) \
+            is None, cls
+        assert rank2_vb_closed_p12(cls, min2exp=-128).first_difference(sc) \
+            is None, cls
+    for a, b in ((1, 3), (2, 3)):
+        pr = derive_params(a, b, 0)
+        for cls in GOLD_120:
+            lo2 = 2 * (math.floor(f_exponent(pr, *cls)) - 40)
+            sc = rank2_vb_csets(pr, cls, min2exp=lo2)
+            assert rank2_vb_r0(a, b, cls, min2exp=lo2).first_difference(sc) \
+                is None, ((a, b), cls)
+
+
 def test_lambda_agrees_at_positive_twist():
     pr = derive_params(2, 3, 1)
     for cls, lo2 in [((0, 0), 0), ((1, 0), 2)]:

@@ -223,3 +223,16 @@ def test_matrix_det():
             return total
 
         assert m.det() == minor_det([list(r) for r in m.rows])
+
+
+def test_from_rows_refuses_non_integral_entries():
+    with pytest.raises(ValueError, match="matrix entries must be integers"):
+        IntMatrix.from_rows([[1.5, 2]])
+    m = IntMatrix.from_rows([[2.0, 1]])
+    assert m.rows == ((2, 1),) and type(m.rows[0][0]) is int
+
+
+def test_gcd_chain_row_refuses_non_integral_weights():
+    with pytest.raises(ValueError, match="weights must be integers"):
+        solve_gcd_chain_row((1.5, 2), 1)
+    assert solve_gcd_chain_row((2.0, 3), 1) == (3, -2)

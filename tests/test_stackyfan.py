@@ -70,6 +70,30 @@ def test_wps_fans_refuse_non_integral_weights():
     assert fans_equal_up_to_ray_order(wps_fan((1.0, 2.0)), wps_fan((1, 2)))
 
 
+def test_ray_image_refuses_non_integral_coordinates():
+    with pytest.raises(ValueError, match="ray coordinates must be integers"):
+        RayImage((1.5, 2))
+    with pytest.raises(ValueError, match="torsion residues must be integers"):
+        RayImage((1, 2), (0.5,))
+    assert RayImage((1.0, 2), (3.0,)) == RayImage((1, 2), (3,))
+
+
+def test_line_bundle_refuses_non_integral_coefficients():
+    with pytest.raises(ValueError, match="coefficients must be integers"):
+        line_bundle_total_space(wps_fan((2, 1)), (-1.7, -1))
+    assert line_bundle_total_space(wps_fan((2, 1)), (-1.0, -1)) == \
+        line_bundle_total_space(wps_fan((2, 1)), (-1, -1))
+
+
+def test_projective_bundle_refuses_non_integral_divisors():
+    base = wps_fan((1, 1))
+    with pytest.raises(ValueError, match="divisor coefficients must be "
+                                         "integers"):
+        projective_bundle(base, ((0, 0), (0.5, 1)))
+    assert projective_bundle(base, ((0, 0), (1.0, 0))) == \
+        projective_bundle(base, ((0, 0), (1, 0)))
+
+
 def test_wps_fan_random_invariants():
     rng = random.Random(4101)
     done = 0
