@@ -29,12 +29,13 @@ of cost Q sits at index (f4 - Q)/2 - lo2, which is >= 0 iff Q <= D (see
 ``_box``) and inside the list as Q > 0.  The congruences of a set leave one
 residue class of i mod 2ab, whose terms at one k lie a fixed stride apart
 in the list, so the set adds each run with one strided range up to its last
-Q <= D, or one count where the exponent does not depend on k.  ``ENGINES``
-maps each engine name to its entry point and to the inputs it covers;
-``crosscheck`` and the command line both dispatch through it.  All engines
-return exact integer coefficients on an explicitly tracked sound window
-(see ``exact.HalfExpLaurent``); ``crosscheck`` runs every applicable engine
-and reports the first disagreeing exponent, if any.
+Q <= D, or one count where the exponent does not depend on k.  At r = 0 the
+csets shift is 0 and its sets 4, 5 and 9 repeat 3, 2 and 8, so it runs each
+pair once at weight 2, as r0 runs its sets 2 and 3.  ``ENGINES`` maps each
+engine name to its entry point and to the inputs it covers; the command
+line and ``crosscheck``, which runs every applicable engine and reports the
+first disagreeing exponent, dispatch through it.  Every coefficient is
+exact, on a tracked sound window (``exact.HalfExpLaurent``).
 """
 
 from __future__ import annotations
@@ -84,6 +85,7 @@ def vb_to_tf(series: HalfExpLaurent, rank: int,
     (1 - q^-s) is 2*rank passes of coeffs[i] += coeffs[i - 2s] for each
     step s = a*k, b*k inside the window, which is the input's sound one.
     """
+    rank = _integer(rank, "rank must be a positive integer")
     if rank < 1:
         raise ValueError("rank must be a positive integer")
     if series.is_zero:
@@ -140,6 +142,17 @@ def _laurent(lo2: int, acc: List[int]) -> HalfExpLaurent:
     return HalfExpLaurent(lo2, {lo2 + i: c for i, c in enumerate(acc) if c})
 
 
+def _enumerate(counts, derive_box, params, cls, min2exp, bound):
+    """The window of ``counts`` over ``bound``, or ``derive_box``'s box."""
+    if params.r < 0:
+        raise ValueError("rank-2 series engines need r >= 0")
+    cls = _as_class(cls)
+    min2exp = _integer(min2exp, "min2exp must be an integer")
+    box = (derive_box(params, cls.m, cls.n, min2exp) if bound is None
+           else _integer(bound, "bound must be an integer"))
+    return _laurent(min2exp, counts(params, cls.m, cls.n, min2exp, box))
+
+
 def _check_half_integer(e4: int, j: int):
     if e4 & 1:
         raise ArithmeticError("series exponents at j = %d are not "
@@ -169,7 +182,8 @@ def _cs_pinned(acc, j, f4, m, a, b, r, pq, lo2, M):
     acc[(e4 >> 1) - lo2] -= hits
 
 
-def _cs_quad(acc, j, f4, m, a, b, r, pq, lo2, M, step, cross_mod, plus_form):
+def _cs_quad(acc, j, f4, m, a, b, r, pq, lo2, M, step, cross_mod, plus_form,
+             weight):
     """Sets 2-5: the generic four-index family with the bilinear exponent.
 
     ``plus_form`` picks the sign convention tying the congruence target and
@@ -180,7 +194,8 @@ def _cs_quad(acc, j, f4, m, a, b, r, pq, lo2, M, step, cross_mod, plus_form):
     indices ab (j + l) apart; lo rises and hi falls, so it ends at the first
     empty run.  i > pq*l > k gives Q >= (2pq + r) l^2 + 2j > 0, bounding |l|;
     i > -k - shift gives Q >= 3j + (1 - 2pq j) l - shift (j + l) + r l^2,
-    bounding l below.
+    bounding l below.  Each hit adds ``weight``: at r = 0 both forms have
+    shift 0, one k-floor, l floor and target, so one runs with weight 2.
     """
     span = f4 - 2 * lo2
     L = min(M, isqrt(max(0, span - 2 * j) // (2 * pq + r)))
@@ -207,7 +222,7 @@ def _cs_quad(acc, j, f4, m, a, b, r, pq, lo2, M, step, cross_mod, plus_form):
             i = lo + (i - lo) % period
             for x in range((cap - i * jp) // 2, (cap - hi * jp) // 2 - 1,
                            -stride):
-                acc[x] += 1
+                acc[x] += weight
 
 
 def _cs_ratio(acc, j, f4, m, a, b, r, pq, lo2, M, div_mod):
@@ -239,13 +254,14 @@ def _cs_ratio(acc, j, f4, m, a, b, r, pq, lo2, M, div_mod):
             acc[cap // 2 - i * j] += hits
 
 
-def _cs_tail(acc, j, f4, m, a, b, r, pq, lo2, M, twisted):
+def _cs_tail(acc, j, f4, m, a, b, r, pq, lo2, M, twisted, weight):
     """Sets 8-9: three-index tuples beyond the i = pq*j wall.
 
     ``twisted`` widens the k-interval by the twist and twists the
-    congruence; the plain variant drops r entirely.  The i of a k (i = k
-    mod 2b, i = -k - shift mod 2a) run from pq*j + 1, so Q >= (2pq + r) j^2
-    + 2j > 0, to the last i <= M with Q <= D, at indices 2ab j apart.
+    congruence; the plain variant drops r, so at r = 0 the two coincide and
+    one runs, each hit adding ``weight`` 2.  The i of a k (i = k mod 2b,
+    i = -k - shift mod 2a) run from pq*j + 1, so Q >= (2pq + r) j^2 + 2j
+    > 0, to the last i <= M with Q <= D, at indices 2ab j apart.
     """
     cap = f4 - 2 * lo2 - r * j * j  # twice the index of (i, k) is cap - 2ij
     if 2 * pq * j * j + 2 * j > cap:
@@ -257,7 +273,7 @@ def _cs_tail(acc, j, f4, m, a, b, r, pq, lo2, M, twisted):
         i = k + 2 * b * ((-k - half) * inv % a)
         i = pq * j + 1 + (i - pq * j - 1) % period
         for x in range(cap // 2 - i * j, cap // 2 - i_hi * j - 1, -period * j):
-            acc[x] += 1
+            acc[x] += weight
 
 
 def _csets_counts(params: HirzebruchParams, m: int, n: int,
@@ -266,17 +282,17 @@ def _csets_counts(params: HirzebruchParams, m: int, n: int,
     pq = params.p * params.q
     f4 = f4_exponent(params.C, r, m, n)
     acc = [0] * (f4 // 2 - lo2 + 1)
+    forms, weight = ((True, False), 1) if r else ((True,), 2)  # see _cs_quad
     for j in range(2 - n % 2, M + 1, 2):  # every set needs j = n (mod 2)
         _check_half_integer(f4 - r * j * j, j)  # see ``_box``
-        _cs_pinned(acc, j, f4, m, a, b, r, pq, lo2, M)
-        _cs_quad(acc, j, f4, m, a, b, r, pq, lo2, M, 2 * b, 2 * a, True)
-        _cs_quad(acc, j, f4, m, a, b, r, pq, lo2, M, 2 * a, 2 * b, True)
-        _cs_quad(acc, j, f4, m, a, b, r, pq, lo2, M, 2 * a, 2 * b, False)
-        _cs_quad(acc, j, f4, m, a, b, r, pq, lo2, M, 2 * b, 2 * a, False)
-        _cs_ratio(acc, j, f4, m, a, b, r, pq, lo2, M, b)
-        _cs_ratio(acc, j, f4, m, a, b, r, pq, lo2, M, a)
-        _cs_tail(acc, j, f4, m, a, b, r, pq, lo2, M, True)
-        _cs_tail(acc, j, f4, m, a, b, r, pq, lo2, M, False)
+        args = (acc, j, f4, m, a, b, r, pq, lo2, M)
+        _cs_pinned(*args)
+        _cs_ratio(*args, b)
+        _cs_ratio(*args, a)
+        for form in forms:
+            _cs_quad(*args, 2 * b, 2 * a, form, weight)
+            _cs_quad(*args, 2 * a, 2 * b, form, weight)
+            _cs_tail(*args, form, weight)
     return acc
 
 
@@ -288,13 +304,7 @@ def rank2_vb_csets(params: HirzebruchParams, cls: ClassLike, min2exp: int,
     mirrors and are out of scope here.  Enumerates once, over the box
     ``_box`` derives from the window, or over ``bound`` when given.
     """
-    if params.r < 0:
-        raise ValueError("rank-2 series engines need r >= 0")
-    cls = _as_class(cls)
-    m, n = cls.m, cls.n
-    min2exp = _integer(min2exp, "min2exp must be an integer")
-    box = _box(params, m, n, min2exp) if bound is None else bound
-    return _laurent(min2exp, _csets_counts(params, m, n, min2exp, box))
+    return _enumerate(_csets_counts, _box, params, cls, min2exp, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +383,9 @@ def _r0_tail(acc, j, f4, m, a, b, lo2, M):
             acc[x] += 2
 
 
-def _r0_counts(a, b, m, n, lo2, M) -> List[int]:
-    C = a + b + a * b - 1
-    f4 = f4_exponent(C, 0, m, n)
+def _r0_counts(params, m, n, lo2, M) -> List[int]:
+    a, b = params.a, params.b
+    f4 = f4_exponent(params.C, 0, m, n)
     acc = [0] * (f4 // 2 - lo2 + 1)
     for j in range(2 - n % 2, M + 1, 2):  # every set needs j = n (mod 2)
         _check_half_integer(f4, j)  # see ``_box``, with r = 0
@@ -395,12 +405,8 @@ def rank2_vb_r0(a: int, b: int, cls: ClassLike, min2exp: int,
     Transcribed from the specialized constraint sets rather than by setting
     r = 0 in the general engine, so the two evaluations are independent.
     """
-    params = derive_params(a, b, 0)
-    cls = _as_class(cls)
-    m, n = cls.m, cls.n
-    min2exp = _integer(min2exp, "min2exp must be an integer")
-    box = _box(params, m, n, min2exp) if bound is None else bound
-    return _laurent(min2exp, _r0_counts(a, b, m, n, min2exp, box))
+    return _enumerate(_r0_counts, _box, derive_params(a, b, 0), cls, min2exp,
+                      bound)
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +587,7 @@ def rank2_vb_closed_p12(cls: ClassLike, min2exp: int,
     term = _P12_TERMS[(cls.m, cls.n)]
     tmax = _p12_tmax(min2exp)
     if bound is not None:
-        tmax = min(bound, tmax)
+        tmax = min(_integer(bound, "bound must be an integer"), tmax)
     acc = [0] * (_P12_TOP2 - min2exp + 1)
     for t in range(1, tmax + 1):
         term(acc, t, min2exp)
@@ -731,13 +737,7 @@ def rank2_vb_lambda(params: HirzebruchParams, cls: ClassLike, min2exp: int,
     One object per datum keeps it an order of magnitude slower than the
     other engines, so ``crosscheck`` runs it only on request.
     """
-    if params.r < 0:
-        raise ValueError("rank-2 series engines need r >= 0")
-    cls = _as_class(cls)
-    m, n = cls.m, cls.n
-    min2exp = _integer(min2exp, "min2exp must be an integer")
-    box = _lambda_box(params, m, n, min2exp) if bound is None else bound
-    return _laurent(min2exp, _lambda_counts(params, m, n, min2exp, box))
+    return _enumerate(_lambda_counts, _lambda_box, params, cls, min2exp, bound)
 
 
 # ---------------------------------------------------------------------------

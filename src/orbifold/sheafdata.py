@@ -307,6 +307,7 @@ def rank1_quotient_chi(hull: ClassLike, quad: PartitionQuadruple,
 def tensor_shift(i: int, j: int, cls: ClassLike,
                  params: HirzebruchParams) -> int:
     """Exponent shift g(i, j) of the series when the class moves by (i, j)."""
+    i, j = _integers((i, j), "i, j must be integers")
     cls = _as_class(cls)
     m, n = cls.m, cls.n
     a, b, r = params.a, params.b, params.r

@@ -323,6 +323,7 @@ def hirzebruch_shear(a: int, b: int, r: int) -> Tuple[int, int]:
     >>> hirzebruch_shear(1, 2, 0)
     (0, 0)
     """
+    a, b, r = _integers((a, b, r), "a, b, r must be integers")
     if a < 1 or b < 1 or math.gcd(a, b) != 1:
         raise ValueError("parameters must be positive and coprime")
     s = (r * pow(a, -1, b)) % b if b > 1 else 0

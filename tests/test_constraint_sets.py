@@ -7,6 +7,7 @@ set, not whole windows, catches errors that cancel, as set 1 subtracts.
 """
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -18,17 +19,27 @@ from test_engine_windows import CLASSES6, SURFACES
 
 SHALLOW, DEEP = 6, 64
 DEEP_SURFACES = ((1, 2, 0), (2, 3, 1), (1, 3, 2), (3, 5, 0))
+WEIGHTED = ("_cs_quad", "_cs_tail")  # the csets sets that take a weight
 
 
-def csets_calls(a, b):
-    """The set functions ``_csets_counts`` runs, with their extra arguments."""
-    return [("_cs_pinned", ()),
-            ("_cs_quad", (2 * b, 2 * a, True)),
-            ("_cs_quad", (2 * a, 2 * b, True)),
-            ("_cs_quad", (2 * a, 2 * b, False)),
-            ("_cs_quad", (2 * b, 2 * a, False)),
-            ("_cs_ratio", (b,)), ("_cs_ratio", (a,)),
-            ("_cs_tail", (True,)), ("_cs_tail", (False,))]
+def csets_calls(a, b, r):
+    """The set functions ``_csets_counts`` runs, with their extra arguments
+    and weight; ``_cs_quad`` and ``_cs_tail`` take the weight as one more
+    argument.  At r = 0 sets 5, 4 and 9 repeat sets 2, 3 and 8, which run
+    once at weight 2."""
+    if r == 0:
+        return [("_cs_pinned", (), 1),
+                ("_cs_quad", (2 * b, 2 * a, True), 2),
+                ("_cs_quad", (2 * a, 2 * b, True), 2),
+                ("_cs_ratio", (b,), 1), ("_cs_ratio", (a,), 1),
+                ("_cs_tail", (True,), 2)]
+    return [("_cs_pinned", (), 1),
+            ("_cs_quad", (2 * b, 2 * a, True), 1),
+            ("_cs_quad", (2 * a, 2 * b, True), 1),
+            ("_cs_quad", (2 * a, 2 * b, False), 1),
+            ("_cs_quad", (2 * b, 2 * a, False), 1),
+            ("_cs_ratio", (b,), 1), ("_cs_ratio", (a,), 1),
+            ("_cs_tail", (True,), 1), ("_cs_tail", (False,), 1)]
 
 
 def r0_calls(a, b):
@@ -47,18 +58,20 @@ def set_mismatches(abr, cls, depth, bounds):
     pq = pr.p * pr.q
     f4 = f4_exponent(pr.C, r, m, n)
     lo2 = 2 * (math.floor(f_exponent(pr, m, n)) - depth)
-    calls = [(name, (r, pq), extra, 1) for name, extra in csets_calls(a, b)]
+    calls = [(name, (r, pq), extra, w)
+             for name, extra, w in csets_calls(a, b, r)]
     if r == 0:
         calls += [(name, (), extra, w) for name, extra, w in r0_calls(a, b)]
     bad = []
     for bound in bounds + (genfun._box(pr, m, n, lo2),):
         for name, surface, extra, weight in calls:
             new, ref = getattr(genfun, name), getattr(reference_sets, name)
+            tail = (weight,) if name in WEIGHTED else ()
             got = [0] * (f4 // 2 - lo2 + 1)
             want = list(got)
             for j in range(2 - n % 2, bound + 1, 2):
                 args = (j, f4, m, a, b) + surface + (lo2, bound) + extra
-                new(got, *args)
+                new(got, *args, *tail)
                 for _ in range(weight):
                     ref(want, *args)
                 if got != want:
@@ -73,3 +86,22 @@ def test_sets_match_per_candidate_loops(depth):
     bad = [(abr, cls, miss) for abr in surfaces for cls in CLASSES6
            for miss in set_mismatches(abr, cls, depth, (5, 17))]
     assert not bad, bad[:5]
+
+
+@pytest.mark.parametrize("abr, quads, tails",
+                         (((1, 2, 0), 2, 1), ((2, 3, 1), 4, 2)))
+def test_csets_runs_each_distinct_set_once(monkeypatch, abr, quads, tails):
+    """At r = 0 the repeated sets run once, so per j there are half the
+    ``_cs_quad`` and ``_cs_tail`` calls of a twisted surface."""
+    calls = {"_cs_quad": Counter(), "_cs_tail": Counter()}
+    for name, seen in calls.items():
+        def counted(acc, j, *rest, _run=getattr(genfun, name), _seen=seen):
+            _seen[j] += 1
+            return _run(acc, j, *rest)
+        monkeypatch.setattr(genfun, name, counted)
+    pr = derive_params(*abr)
+    genfun.rank2_vb_csets(pr, (0, 0), -40)
+    js = set(range(2, genfun._box(pr, 0, 0, -40) + 1, 2))
+    assert set(calls["_cs_quad"]) == set(calls["_cs_tail"]) == js
+    assert set(calls["_cs_quad"].values()) == {quads}
+    assert set(calls["_cs_tail"].values()) == {tails}

@@ -284,6 +284,13 @@ def test_vb_to_tf_zero_and_rank_guard():
         vb_to_tf(monomial(0), 0, P120)
 
 
+def test_vb_to_tf_refuses_non_integral_rank():
+    series = rank1_series(P120, (0, 0), -4)
+    assert vb_to_tf(series, 2.0, P120) == vb_to_tf(series, 2, P120)
+    with pytest.raises(ValueError, match="rank must be a positive integer"):
+        vb_to_tf(series, 1.5, P120)
+
+
 def test_vb_to_tf_rank2_first_correction():
     pr = derive_params(1, 1, 0)
     tf = vb_to_tf(monomial(0, 1, min2exp=-8), 2, pr)
@@ -402,6 +409,22 @@ def test_engines_refuse_non_integral_cutoff():
     with pytest.raises(ValueError, match="min2exp must be an integer"):
         crosscheck(P120, (0, 0), -7.5)
     assert rank2_vb_csets(P120, (0, 0), -8.0) == rank2_vb_csets(P120, (0, 0), -8)
+
+
+def test_engines_refuse_non_integral_bound():
+    for engine in genfun.ENGINES.values():
+        with pytest.raises(ValueError, match="bound must be an integer"):
+            engine.run(P120, (0, 0), -4, bound=2.5)
+    with pytest.raises(ValueError, match="bound must be an integer"):
+        rank2_vb_closed_p12((0, 0), -4, bound=2.5)
+    assert (rank2_vb_closed_p12((0, 0), -8, bound=2.0)
+            == rank2_vb_closed_p12((0, 0), -8, bound=2))
+
+
+def test_r0_takes_integral_float_surface():
+    assert rank2_vb_r0(1.0, 2, (0, 0), -4) == rank2_vb_r0(1, 2, (0, 0), -4)
+    with pytest.raises(ValueError, match="a, b, r must be integers"):
+        rank2_vb_r0(1.5, 2, (0, 0), -4)
 
 
 def test_engine_domain_errors():

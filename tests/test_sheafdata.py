@@ -432,6 +432,13 @@ def test_tensor_shift_examples():
     assert tensor_shift(1, 1, (0, 0), pr) == 8
 
 
+def test_tensor_shift_refuses_non_integral_shift():
+    pr = derive_params(1, 2, 0)
+    with pytest.raises(ValueError, match="i, j must be integers"):
+        tensor_shift(0.5, 0, (0, 0), pr)
+    assert tensor_shift(1.0, 1, (0, 0), pr) == 8
+
+
 def test_tensor_shift_is_f_difference():
     rng = random.Random(71)
     for _ in range(200):

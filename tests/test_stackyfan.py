@@ -218,6 +218,12 @@ def test_hirzebruch_shear():
     assert hirzebruch_shear(2, 1, 2) == (0, 2)
     with pytest.raises(ValueError):
         hirzebruch_shear(2, 4, 1)
+    with pytest.raises(ValueError, match="a, b, r must be integers"):
+        hirzebruch_shear(3, 1, 2.5)
+    with pytest.raises(ValueError, match="a, b, r must be integers"):
+        hirzebruch_fan(1, 1, 0.5)
+    assert hirzebruch_shear(2.0, 3, 1) == (2, -1)
+    assert hirzebruch_fan(2.0, 3, 1) == hirzebruch_fan(2, 3, 1)
 
 
 def test_hirzebruch_fan_examples():
