@@ -399,6 +399,7 @@ class HalfExpLaurent:
 
     def coeff2(self, e2: int) -> Fraction:
         """Coefficient at doubled exponent e2 (must be inside the sound window)."""
+        e2 = _integer(e2, "doubled exponent must be an integer")
         if e2 < self.min2exp:
             raise ValueError("exponent %s/2 is below the sound cutoff" % e2)
         return self._terms.get(e2, Fraction(0))

@@ -21,21 +21,21 @@ preallocated integer list, ``acc[e2 - lo2]`` for the doubled exponent
 e2 >= lo2, up to the highest exponent any term can reach (f4/2 for csets,
 r0 and lambda, 12 for the closed sums); the series is built once from its
 nonzero entries.  Each engine enumerates once, over the box that ``_box``,
-``_p12_tmax`` or ``_lambda_box`` derives from the depth of the window, or
-over ``bound`` when given, which caps every index; inside it each csets, r0
-and lambda loop visits only indices whose cost Q can reach the window, and
-the closed loop stops at the last term family that can.  A csets or r0 term
-of cost Q sits at index (f4 - Q)/2 - lo2, which is >= 0 iff Q <= D (see
-``_box``) and inside the list as Q > 0.  The congruences of a set leave one
-residue class of i mod 2ab, whose terms at one k lie a fixed stride apart
-in the list, so the set adds each run with one strided range up to its last
-Q <= D, or one count where the exponent does not depend on k.  At r = 0 the
-csets shift is 0 and its sets 4, 5 and 9 repeat 3, 2 and 8, so it runs each
-pair once at weight 2, as r0 runs its sets 2 and 3.  ``ENGINES`` maps each
-engine name to its entry point and to the inputs it covers; the command
-line and ``crosscheck``, which runs every applicable engine and reports the
-first disagreeing exponent, dispatch through it.  Every coefficient is
-exact, on a tracked sound window (``exact.HalfExpLaurent``).
+``_p12_tmax`` or ``_lambda_box`` derives from the depth of the window, and
+takes no other limit; inside it each csets, r0 and lambda loop visits only
+indices whose cost Q can reach the window, and the closed loop stops at the
+last term family that can.  A csets or r0 term of cost Q sits at index
+(f4 - Q)/2 - lo2, which is >= 0 iff Q <= D (see ``_box``) and inside the
+list as Q > 0.  The congruences of a set leave one residue class of i mod 2ab,
+whose terms at one k lie a fixed stride apart in the list, so the set adds
+each run with one strided range up to its last Q <= D, or one count where
+the exponent does not depend on k.  At r = 0 the csets shift is 0 and its
+sets 4, 5 and 9 repeat 3, 2 and 8, so it runs each pair once at weight 2,
+as r0 runs its sets 2 and 3.  ``ENGINES`` maps each engine name to its
+entry point, its enumeration at a fixed cap and the inputs it covers; the
+command line and ``crosscheck``, which runs every applicable engine and
+reports the first disagreeing exponent, dispatch through it.  Every
+coefficient is exact, on a tracked sound window (``exact.HalfExpLaurent``).
 """
 
 from __future__ import annotations
@@ -142,14 +142,13 @@ def _laurent(lo2: int, acc: List[int]) -> HalfExpLaurent:
     return HalfExpLaurent(lo2, {lo2 + i: c for i, c in enumerate(acc) if c})
 
 
-def _enumerate(counts, derive_box, params, cls, min2exp, bound):
-    """The window of ``counts`` over ``bound``, or ``derive_box``'s box."""
+def _enumerate(counts, derive_box, params, cls, min2exp):
+    """The window of ``counts`` over the box ``derive_box`` derives."""
     if params.r < 0:
         raise ValueError("rank-2 series engines need r >= 0")
     cls = _as_class(cls)
     min2exp = _integer(min2exp, "min2exp must be an integer")
-    box = (derive_box(params, cls.m, cls.n, min2exp) if bound is None
-           else _integer(bound, "bound must be an integer"))
+    box = derive_box(params, cls.m, cls.n, min2exp)
     return _laurent(min2exp, counts(params, cls.m, cls.n, min2exp, box))
 
 
@@ -296,15 +295,15 @@ def _csets_counts(params: HirzebruchParams, m: int, n: int,
     return acc
 
 
-def rank2_vb_csets(params: HirzebruchParams, cls: ClassLike, min2exp: int,
-                   bound: Optional[int] = None) -> HalfExpLaurent:
+def rank2_vb_csets(params: HirzebruchParams, cls: ClassLike,
+                   min2exp: int) -> HalfExpLaurent:
     """Rank-2 locally-free counting series by signed lattice enumeration.
 
     Needs r >= 0; the negatively twisted surfaces are isomorphic to their
     mirrors and are out of scope here.  Enumerates once, over the box
-    ``_box`` derives from the window, or over ``bound`` when given.
+    ``_box`` derives from the window.
     """
-    return _enumerate(_csets_counts, _box, params, cls, min2exp, bound)
+    return _enumerate(_csets_counts, _box, params, cls, min2exp)
 
 
 # ---------------------------------------------------------------------------
@@ -398,15 +397,14 @@ def _r0_counts(params, m, n, lo2, M) -> List[int]:
     return acc
 
 
-def rank2_vb_r0(a: int, b: int, cls: ClassLike, min2exp: int,
-                bound: Optional[int] = None) -> HalfExpLaurent:
+def rank2_vb_r0(a: int, b: int, cls: ClassLike,
+                min2exp: int) -> HalfExpLaurent:
     """Rank-2 locally-free series on the untwisted surface, r = 0 route.
 
     Transcribed from the specialized constraint sets rather than by setting
     r = 0 in the general engine, so the two evaluations are independent.
     """
-    return _enumerate(_r0_counts, _box, derive_params(a, b, 0), cls, min2exp,
-                      bound)
+    return _enumerate(_r0_counts, _box, derive_params(a, b, 0), cls, min2exp)
 
 
 # ---------------------------------------------------------------------------
@@ -564,14 +562,21 @@ def _p12_class_refusal(m: int, n: int) -> Optional[str]:
             "(0,0), (1,0), (0,1), (1,1); got (%d,%d)" % (m, n))
 
 
-def rank2_vb_closed_p12(cls: ClassLike, min2exp: int,
-                        bound: Optional[int] = None) -> HalfExpLaurent:
+def _closed_counts(params, m, n, lo2, M) -> List[int]:
+    """The term families t = 1 .. min(M, ``_p12_tmax``) of class (m, n)."""
+    acc = [0] * (_P12_TOP2 - lo2 + 1)
+    for t in range(1, min(M, _p12_tmax(lo2)) + 1):
+        _P12_TERMS[(m, n)](acc, t, lo2)
+    return acc
+
+
+def rank2_vb_closed_p12(cls: ClassLike, min2exp: int) -> HalfExpLaurent:
     """Rank-2 locally-free series on the (1,2;0) surface from explicit sums.
 
     Only the four parity representatives are written out; other classes
     reduce to them by an even twist and must be reduced by the caller.
     Runs the term families t = 1, 2, ... up to ``_p12_tmax``, the last one
-    that can reach the window; ``bound``, when given, caps t as well.
+    that can reach the window.
 
     A few tail coefficients differ from the commonly quoted closed forms:
     they were re-derived here from the lattice counts they summarize, and
@@ -584,14 +589,8 @@ def rank2_vb_closed_p12(cls: ClassLike, min2exp: int,
     if refusal:
         raise ValueError(refusal)
     min2exp = _integer(min2exp, "min2exp must be an integer")
-    term = _P12_TERMS[(cls.m, cls.n)]
-    tmax = _p12_tmax(min2exp)
-    if bound is not None:
-        tmax = min(_integer(bound, "bound must be an integer"), tmax)
-    acc = [0] * (_P12_TOP2 - min2exp + 1)
-    for t in range(1, tmax + 1):
-        term(acc, t, min2exp)
-    return _laurent(min2exp, acc)
+    return _laurent(min2exp, _closed_counts(None, cls.m, cls.n, min2exp,
+                                            _p12_tmax(min2exp)))
 
 
 # ---------------------------------------------------------------------------
@@ -725,8 +724,8 @@ def _lambda_box(params: HirzebruchParams, m: int, n: int,
     return max((span + params.r) // 2, (params.r * span + 3) // 4)
 
 
-def rank2_vb_lambda(params: HirzebruchParams, cls: ClassLike, min2exp: int,
-                    bound: Optional[int] = None) -> HalfExpLaurent:
+def rank2_vb_lambda(params: HirzebruchParams, cls: ClassLike,
+                    min2exp: int) -> HalfExpLaurent:
     """Experimental rank-2 engine summing over stable filtration jumps.
 
     Walks the strata of ``sheafdata.STRATA`` and, inside the box, only the
@@ -737,7 +736,7 @@ def rank2_vb_lambda(params: HirzebruchParams, cls: ClassLike, min2exp: int,
     One object per datum keeps it an order of magnitude slower than the
     other engines, so ``crosscheck`` runs it only on request.
     """
-    return _enumerate(_lambda_counts, _lambda_box, params, cls, min2exp, bound)
+    return _enumerate(_lambda_counts, _lambda_box, params, cls, min2exp)
 
 
 # ---------------------------------------------------------------------------
@@ -780,13 +779,16 @@ def _covers_all(params, m, n):
 class Engine(NamedTuple):
     """One rank-2 engine as the command line and ``crosscheck`` see it.
 
-    ``run`` takes ``(params, cls, min2exp, bound=None)``.  ``refusal`` takes
-    ``(params, m, n)`` and returns why the engine does not cover that input,
-    or None; engines that check their own input return None throughout.
+    ``run`` takes ``(params, cls, min2exp)``; ``counts`` takes ``(params, m,
+    n, lo2, M)`` and returns its enumeration with every index capped at M,
+    the list ``_laurent`` makes the window of.  ``refusal`` takes ``(params,
+    m, n)`` and returns why the engine does not cover that input, or None;
+    engines that check their own input return None throughout.
     ``experimental`` engines join ``crosscheck`` only on request.
     """
 
-    run: Callable[..., HalfExpLaurent]
+    run: Callable[[HirzebruchParams, ClassLike, int], HalfExpLaurent]
+    counts: Callable[[HirzebruchParams, int, int, int, int], List[int]]
     refusal: Callable[[HirzebruchParams, int, int],
                       Optional[str]] = _covers_all
     experimental: bool = False
@@ -805,28 +807,29 @@ def _closed_refusal(params, m, n):
 # The entries call the engines through their module-level names at call
 # time, so a wrapper later bound to one of those names sees every call.
 ENGINES: Dict[str, Engine] = {
-    "csets": Engine(lambda params, cls, min2exp, bound=None:
-                    rank2_vb_csets(params, cls, min2exp, bound)),
-    "r0": Engine(lambda params, cls, min2exp, bound=None:
-                 rank2_vb_r0(params.a, params.b, cls, min2exp, bound),
-                 _r0_refusal),
-    "closed": Engine(lambda params, cls, min2exp, bound=None:
-                     rank2_vb_closed_p12(cls, min2exp, bound), _closed_refusal),
-    "lambda": Engine(lambda params, cls, min2exp, bound=None:
-                     rank2_vb_lambda(params, cls, min2exp, bound),
+    "csets": Engine(lambda params, cls, min2exp:
+                    rank2_vb_csets(params, cls, min2exp), _csets_counts),
+    "r0": Engine(lambda params, cls, min2exp:
+                 rank2_vb_r0(params.a, params.b, cls, min2exp),
+                 _r0_counts, _r0_refusal),
+    "closed": Engine(lambda params, cls, min2exp:
+                     rank2_vb_closed_p12(cls, min2exp), _closed_counts,
+                     _closed_refusal),
+    "lambda": Engine(lambda params, cls, min2exp:
+                     rank2_vb_lambda(params, cls, min2exp), _lambda_counts,
                      experimental=True),
 }
 
 
 def run_engine(name: str, params: HirzebruchParams, cls: ClassLike,
-               min2exp: int, bound: Optional[int] = None) -> HalfExpLaurent:
+               min2exp: int) -> HalfExpLaurent:
     """Rank-2 series from the named engine; ValueError if it does not apply."""
     engine = ENGINES[name]
     c = _as_class(cls)
     refusal = engine.refusal(params, c.m, c.n)
     if refusal:
         raise ValueError(refusal)
-    return engine.run(params, cls, min2exp, bound)
+    return engine.run(params, cls, min2exp)
 
 
 def crosscheck(params: HirzebruchParams, cls: ClassLike, min2exp: int,

@@ -333,6 +333,7 @@ def coarse_fan(params: HirzebruchParams) -> StackyFanData:
 
 def coarse_cartier(params: HirzebruchParams, t1: int, t2: int) -> bool:
     """Whether the coarse Weil divisor t1 D1 + t2 D2 is Cartier."""
+    t1, t2 = _integers((t1, t2), "t1, t2 must be integers")
     bp = params.b // params.p
     bapq = (params.b * params.a) // (params.p * params.q)
     return t1 % bp == 0 and t2 % bapq == 0
@@ -345,6 +346,7 @@ def coarse_ample(params: HirzebruchParams, t1: int, t4: int) -> bool:
     the third one is implied by the first two whenever r >= 0, so it only
     binds on negatively twisted surfaces.
     """
+    t1, t4 = _integers((t1, t4), "t1, t4 must be integers")
     r_red = params.r // (params.p * params.q)
     return t1 > 0 and t4 > 0 and t1 + r_red * t4 > 0
 
@@ -357,6 +359,7 @@ def coarse_cartier_ample(params: HirzebruchParams, t1: int,
     coefficients rather than assumed (a D4 coefficient obeys the same rule
     as a D2 one); in these coordinates it always holds.
     """
+    t1, t4 = _integers((t1, t4), "t1, t4 must be integers")
     bp = params.b // params.p
     bapq = (params.b * params.a) // (params.p * params.q)
     cartier = coarse_cartier(params, t1 * bp, t4 * bapq)

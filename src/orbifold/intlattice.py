@@ -159,6 +159,10 @@ class AbelianGroupStructure:
     torsion: Tuple[int, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "free_rank", _integer(
+            self.free_rank, "rank must be an integer"))
+        object.__setattr__(self, "torsion", _integers(
+            self.torsion, "torsion factors must be integers"))
         if self.free_rank < 0:
             raise ValueError("negative rank")
         for a, b in zip(self.torsion, self.torsion[1:]):
@@ -293,6 +297,8 @@ def solve_diophantine(coeffs: Sequence[int], target: int) -> Tuple[int, ...]:
     >>> solve_diophantine((1, 1), -1)
     (0, -1)
     """
+    coeffs = _integers(coeffs, "coefficients must be integers")
+    target = _integer(target, "target must be an integer")
     if not coeffs:
         if target != 0:
             raise ValueError("no solution")
@@ -340,7 +346,8 @@ def hermite_row_basis(vectors: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...]
     [0, pivot), and zero rows are dropped; this is the canonical form used
     to compare lattices.
     """
-    rows = [list(v) for v in vectors]
+    rows = [list(_integers(v, "lattice vectors must be integers"))
+            for v in vectors]
     if not rows:
         return ()
     ncols = len(rows[0])

@@ -232,6 +232,7 @@ def f4_exponent(C: int, r: int, m: int, n: int) -> int:
 
 def f_exponent(params: HirzebruchParams, m: int, n: int) -> Fraction:
     """Base exponent f(m, n) of the rank-2 series for first Chern class (m, n)."""
+    m, n = _integers((m, n), "m, n must be integers")
     return Fraction(f4_exponent(params.C, params.r, m, n), 4)
 
 

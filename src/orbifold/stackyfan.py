@@ -94,7 +94,8 @@ class StackyFanData:
             rays.append(RayImage(ray.free, reduced))
         cones = []
         for cone in self.max_cones:
-            idx = tuple(sorted(int(i) for i in cone))
+            idx = tuple(sorted(_integers(
+                cone, "cone indices must be integers")))
             if len(set(idx)) != len(idx):
                 raise ValueError("cone %r repeats a ray" % (cone,))
             if idx and (idx[0] < 0 or idx[-1] >= len(rays)):
@@ -145,17 +146,14 @@ class StackyFanData:
 
     @classmethod
     def from_json(cls, doc: dict) -> "StackyFanData":
-        lattice = AbelianGroupStructure(
-            int(doc["lattice"]["rank"]),
-            tuple(int(t) for t in doc["lattice"]["torsion"]),
-        )
-        rays = tuple(
-            RayImage(tuple(int(x) for x in r["free"]),
-                     tuple(int(x) for x in r.get("torsion", ())))
-            for r in doc["rays"]
-        )
-        cones = tuple(tuple(int(i) for i in c) for c in doc["cones"])
-        return cls(lattice, rays, cones)
+        def parsed(values):  # ``to_json`` writes group elements as strings
+            return tuple(int(x) if isinstance(x, str) else x for x in values)
+
+        lattice = AbelianGroupStructure(doc["lattice"]["rank"],
+                                        parsed(doc["lattice"]["torsion"]))
+        rays = tuple(RayImage(parsed(r["free"]), parsed(r.get("torsion", ())))
+                     for r in doc["rays"])
+        return cls(lattice, rays, tuple(map(tuple, doc["cones"])))
 
     def __str__(self):
         factors = "".join(" x Z/%d" % t for t in self.lattice.torsion)

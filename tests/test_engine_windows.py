@@ -2,13 +2,14 @@
 
 Each digest is the sha256 (first 16 hex digits) of the ``to_json()`` forms of
 every window one engine gives on one surface: six classes, several depths
-below the base exponent f, each at the box the engine derives from the
-window and at every explicit ``bound`` of ``BOUNDS`` below that box.  The
-derived-box checks in ``test_genfun`` rerun the same loops at a larger box,
-so a loop limit that drops a term in the window shows up only against these
-recorded values; the explicit bounds check that ``bound`` still caps every
-index.  The closed engine, which covers only the (1,2;0) surface, has one
-digest over its four classes, a run of cutoffs and a few explicit bounds.
+below the base exponent f, each from the engine's entry point, which
+enumerates over the box it derives from the window, and from its
+``counts`` at every cap of ``CAPS`` below that box.  The derived-box checks
+in ``test_genfun`` rerun the same loops at a larger box, so a loop limit
+that drops a term in the window shows up only against these recorded
+values; the caps check that ``counts`` still caps every index.  The closed
+engine, which covers only the (1,2;0) surface, has one digest over its four
+classes, a run of cutoffs and a few caps.
 Two more checks need no recorded values: lambda builds only stable data on
 its grid, and it agrees with csets (and r0 where r = 0) on the csets grid.
 """
@@ -26,7 +27,7 @@ from orbifold.sheafdata import f_exponent
 CLASSES6 = ((0, 0), (1, 0), (0, 1), (1, 1), (2, -1), (-3, 2))
 DEPTHS = {"csets": (0, 1, 3, 7, 12, 20), "r0": (0, 1, 3, 7, 12, 20),
           "lambda": (0, 1, 2, 3, 4)}
-BOUNDS = {"csets": (5, 17), "r0": (5, 17), "lambda": (7,)}
+CAPS = {"csets": (5, 17), "r0": (5, 17), "lambda": (7,)}
 BOXES = {"csets": genfun._box, "r0": genfun._box, "lambda": genfun._lambda_box}
 
 # csets: coprime a <= 5, b <= 7, 0 <= r <= 4; r0 where r = 0;
@@ -41,18 +42,24 @@ SURFACES = {
 }
 
 
+def capped(engine, params, cls, lo2, cap):
+    """The window of ``engine``'s ``counts`` with every index capped."""
+    return genfun._laurent(lo2, genfun.ENGINES[engine].counts(
+        params, *cls, lo2, cap))
+
+
 def surface_digest(engine, abr):
     pr = derive_params(*abr)
-    run = genfun.ENGINES[engine].run
     h = hashlib.sha256()
     for cls in CLASSES6:
         for depth in DEPTHS[engine]:
             lo2 = 2 * (math.floor(f_exponent(pr, *cls)) - depth)
             box = BOXES[engine](pr, *cls, lo2)
-            bounds = [None] + [bd for bd in BOUNDS[engine] if bd < box]
-            for bound in bounds:
-                window = run(pr, cls, lo2, bound).to_json()
-                h.update(json.dumps(window, sort_keys=True).encode())
+            windows = [genfun.ENGINES[engine].run(pr, cls, lo2)]
+            windows += [capped(engine, pr, cls, lo2, cap)
+                        for cap in CAPS[engine] if cap < box]
+            for window in windows:
+                h.update(json.dumps(window.to_json(), sort_keys=True).encode())
     return h.hexdigest()[:16]
 
 
@@ -219,7 +226,9 @@ def test_closed_windows_match_pin():
     h = hashlib.sha256()
     for cls in ((0, 0), (1, 0), (0, 1), (1, 1)):
         for lo2 in list(range(-120, 17)) + [-400, -401]:
-            for bound in (None, 1, 2, 5):
-                window = genfun.rank2_vb_closed_p12(cls, lo2, bound).to_json()
-                h.update(json.dumps(window, sort_keys=True).encode())
+            windows = [genfun.rank2_vb_closed_p12(cls, lo2)]
+            windows += [capped("closed", None, cls, lo2, cap)
+                        for cap in (1, 2, 5)]
+            for window in windows:
+                h.update(json.dumps(window.to_json(), sort_keys=True).encode())
     assert h.hexdigest()[:16] == CLOSED_PIN

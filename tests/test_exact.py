@@ -205,6 +205,13 @@ def test_series_refuses_non_integral_cutoff_and_keys():
     assert [type(e2) for e2 in s.terms] == [int, int]
 
 
+def test_coeff2_refuses_non_integral_exponent():
+    s = HalfExpLaurent(-4, {0: 1, -2: 3})
+    with pytest.raises(ValueError, match="doubled exponent must be an integer"):
+        s.coeff2(2.5)
+    assert s.coeff2(-2.0) == 3 and s.coeff2(2) == 0
+
+
 def test_first_difference_is_highest_differing_exponent():
     s = HalfExpLaurent(-8, {4: 2, 0: 5, -4: 8})
     assert s.first_difference(s) is None

@@ -1,11 +1,14 @@
 import doctest
 import importlib
+import inspect
 import math
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 
+import orbifold
 from orbifold import cli, genfun, verify
 from orbifold.exact import HalfExpLaurent, geometric_factor, monomial
 from orbifold.geometry import derive_params, modified_euler_characteristic
@@ -16,10 +19,12 @@ from orbifold.genfun import (
     rank2_vb_csets,
     rank2_vb_lambda,
     rank2_vb_r0,
+    run_engine,
     vb_to_tf,
 )
 from orbifold.sheafdata import f_exponent, tensor_shift
 from orbifold.verify import CLASSES
+from test_engine_windows import capped
 
 P120 = derive_params(1, 2, 0)
 
@@ -325,10 +330,10 @@ def test_rank2_shift_covariance(engines120):
 
 def test_explicit_bounds_match_stabilized(engines120):
     auto = engines120[(0, 0)]["csets"].truncate(-12)
-    for bound in (64, 128):
-        assert rank2_vb_csets(P120, (0, 0), min2exp=-12, bound=bound) == auto
+    for cap in (64, 128):
+        assert capped("csets", P120, (0, 0), -12, cap) == auto
     auto_l = engines120[(0, 0)]["lambda"].truncate(-12)
-    assert rank2_vb_lambda(P120, (0, 0), min2exp=-12, bound=64) == auto_l
+    assert capped("lambda", P120, (0, 0), -12, 64) == auto_l
 
 
 # every coprime (a, b) with a <= 5, b <= 6
@@ -352,17 +357,17 @@ def test_derived_box_is_complete():
                     lo2 = _below_f(pr, cls, depth)
                     twice = 2 * genfun._box(pr, *cls, lo2)
                     assert rank2_vb_csets(pr, cls, lo2) == \
-                        rank2_vb_csets(pr, cls, lo2, bound=twice), \
+                        capped("csets", pr, cls, lo2, twice), \
                         (a, b, r, cls, depth)
                     if r == 0:
                         assert rank2_vb_r0(a, b, cls, lo2) == \
-                            rank2_vb_r0(a, b, cls, lo2, bound=twice), \
+                            capped("r0", pr, cls, lo2, twice), \
                             (a, b, cls, depth)
                 if r <= 3:
                     lo2 = _below_f(pr, cls, 2)
                     twice = 2 * genfun._lambda_box(pr, *cls, lo2)
                     assert rank2_vb_lambda(pr, cls, lo2) == \
-                        rank2_vb_lambda(pr, cls, lo2, bound=twice), \
+                        capped("lambda", pr, cls, lo2, twice), \
                         (a, b, r, cls)
 
 
@@ -393,7 +398,7 @@ def test_closed_bound_stops_at_t_limit(monkeypatch):
         term(acc, t, lo2)
 
     monkeypatch.setitem(genfun._P12_TERMS, (0, 0), counted)
-    rank2_vb_closed_p12((0, 0), -16, bound=256)
+    capped("closed", P120, (0, 0), -16, 256)
     assert calls == [1, 2] and genfun._p12_tmax(-16) == 2
 
 
@@ -411,14 +416,40 @@ def test_engines_refuse_non_integral_cutoff():
     assert rank2_vb_csets(P120, (0, 0), -8.0) == rank2_vb_csets(P120, (0, 0), -8)
 
 
-def test_engines_refuse_non_integral_bound():
+def test_engines_refuse_bound():
+    # a window is enumerated over the box derived from it, and nothing else
+    calls = [(rank2_vb_csets, (P120, (0, 0), -4)),
+             (rank2_vb_r0, (1, 2, (0, 0), -4)),
+             (rank2_vb_closed_p12, ((0, 0), -4)),
+             (rank2_vb_lambda, (P120, (0, 0), -4)),
+             (run_engine, ("csets", P120, (0, 0), -4))]
+    calls += [(engine.run, (P120, (0, 0), -4))
+              for engine in genfun.ENGINES.values()]
+    for fn, args in calls:
+        assert "bound" not in inspect.signature(fn).parameters, fn
+        with pytest.raises(TypeError):
+            fn(*args, bound=256)
+        with pytest.raises(TypeError):
+            fn(*args, 256)
     for engine in genfun.ENGINES.values():
-        with pytest.raises(ValueError, match="bound must be an integer"):
-            engine.run(P120, (0, 0), -4, bound=2.5)
-    with pytest.raises(ValueError, match="bound must be an integer"):
-        rank2_vb_closed_p12((0, 0), -4, bound=2.5)
-    assert (rank2_vb_closed_p12((0, 0), -8, bound=2.0)
-            == rank2_vb_closed_p12((0, 0), -8, bound=2))
+        assert list(inspect.signature(engine.run).parameters) == \
+            ["params", "cls", "min2exp"]
+
+
+def test_counts_at_derived_box_match_run():
+    boxes = {"csets": genfun._box, "r0": genfun._box,
+             "closed": lambda pr, m, n, lo2: genfun._p12_tmax(lo2),
+             "lambda": genfun._lambda_box}
+    assert set(boxes) == set(genfun.ENGINES)
+    for abr in ((1, 2, 0), (2, 3, 0), (1, 1, 1), (1, 3, 2), (2, 5, 4)):
+        pr = derive_params(*abr)
+        for cls in CLASSES + ((2, -1),):
+            lo2 = _below_f(pr, cls, 3)
+            for name, engine in genfun.ENGINES.items():
+                if engine.refusal(pr, *cls) is None:
+                    box = boxes[name](pr, *cls, lo2)
+                    assert capped(name, pr, cls, lo2, box) == \
+                        engine.run(pr, cls, lo2), (name, abr, cls)
 
 
 def test_r0_takes_integral_float_surface():
@@ -498,9 +529,11 @@ def test_crosscheck_reports_first_disagreement(monkeypatch, capsys):
     assert lines[-1] == "agree: no, first disagreement at q^1"
 
 
-@pytest.mark.parametrize("name", ["exact", "geometry", "intlattice",
-                                  "sheafdata", "stackyfan", "genfun"])
+@pytest.mark.parametrize("name", sorted(
+    info.name for info in pkgutil.iter_modules(orbifold.__path__)))
 def test_module_doctests(name):
-    result = doctest.testmod(importlib.import_module("orbifold." + name))
-    assert result.attempted > 0
+    module = importlib.import_module("orbifold." + name)
+    result = doctest.testmod(module)
     assert result.failed == 0
+    # a module with examples must run them
+    assert result.attempted > 0 or ">>>" not in inspect.getsource(module)

@@ -490,3 +490,15 @@ def test_surface_ray_matrix_kernel():
         kernel = integer_kernel(fan.ray_matrix())
         expected = ((pr.a, 0, pr.b, pr.r), (0, 1, 0, 1))
         assert lattices_equal(kernel, expected)
+
+
+def test_coarse_divisors_refuse_non_integral_coefficients():
+    pr = derive_params(2, 3, 1)
+    with pytest.raises(ValueError, match="t1, t4 must be integers"):
+        coarse_ample(pr, 0.5, 1)
+    with pytest.raises(ValueError, match="t1, t2 must be integers"):
+        coarse_cartier(pr, 1.5, 0)
+    with pytest.raises(ValueError, match="t1, t4 must be integers"):
+        coarse_cartier_ample(pr, 0.5, 1)
+    assert coarse_ample(pr, 1.0, 1) == coarse_ample(pr, 1, 1)
+    assert coarse_cartier_ample(pr, 1.0, 2) == coarse_cartier_ample(pr, 1, 2)

@@ -236,3 +236,29 @@ def test_gcd_chain_row_refuses_non_integral_weights():
     with pytest.raises(ValueError, match="weights must be integers"):
         solve_gcd_chain_row((1.5, 2), 1)
     assert solve_gcd_chain_row((2.0, 3), 1) == (3, -2)
+
+
+def test_solve_diophantine_refuses_non_integral_input():
+    with pytest.raises(ValueError, match="coefficients must be integers"):
+        solve_diophantine((1.5, 1), 1)
+    with pytest.raises(ValueError, match="target must be an integer"):
+        solve_diophantine((2, 3), 0.5)
+    assert solve_diophantine((2.0, 3), 1.0) == solve_diophantine((2, 3), 1)
+
+
+def test_hermite_basis_refuses_non_integral_vectors():
+    with pytest.raises(ValueError, match="lattice vectors must be integers"):
+        hermite_row_basis([[1.5, 2], [0, 1]])
+    with pytest.raises(ValueError, match="lattice vectors must be integers"):
+        lattices_equal([[1.5, 2]], [[1, 2]])
+    assert hermite_row_basis([[2.0, 0], [0, 1]]) == ((2, 0), (0, 1))
+
+
+def test_group_structure_refuses_non_integral_rank_and_factors():
+    with pytest.raises(ValueError, match="rank must be an integer"):
+        AbelianGroupStructure(1.5)
+    with pytest.raises(ValueError, match="torsion factors must be integers"):
+        AbelianGroupStructure(0, (2.5,))
+    group = AbelianGroupStructure(1.0, (2.0, 4))
+    assert group == AbelianGroupStructure(1, (2, 4))
+    assert type(group.free_rank) is int and group.torsion == (2, 4)

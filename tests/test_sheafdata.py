@@ -459,3 +459,10 @@ def test_rank2_exponent_shift_is_lam_independent():
         delta = (rank2_chi_exponent(pr, (m + 2 * i, n + 2 * j), lam)
                  - rank2_chi_exponent(pr, (m, n), lam))
         assert delta == tensor_shift(i, j, (m, n), pr)
+
+
+def test_f_exponent_refuses_non_integral_class():
+    pr = derive_params(1, 2, 0)
+    with pytest.raises(ValueError, match="m, n must be integers"):
+        f_exponent(pr, 0.5, 0)
+    assert f_exponent(pr, 1.0, 2) == f_exponent(pr, 1, 2)

@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 
@@ -367,6 +368,28 @@ def test_torsion_residues_are_reduced():
         ((0,), (1,)),
     )
     assert [r.torsion for r in fan.rays] == [(1,), (2,)]
+
+
+def test_fan_refuses_non_integral_cone_indices():
+    group, rays = AbelianGroupStructure(1), (RayImage((1,)), RayImage((-1,)))
+    for cones in (((0.5,), (1,)), (("0",), (1,))):
+        with pytest.raises(ValueError, match="cone indices must be integers"):
+            StackyFanData(group, rays, cones)
+    assert StackyFanData(group, rays, ((0.0,), (1,))).max_cones == ((0,), (1,))
+
+
+def test_fan_json_refuses_non_integral_input():
+    doc = hirzebruch_fan(2, 3, 1).to_json()
+    cone_half, cone_str, rank_half, ray_half = (copy.deepcopy(doc)
+                                                for _ in range(4))
+    cone_half["cones"][0][0] = 0.5
+    cone_str["cones"][0][0] = "0"
+    rank_half["lattice"]["rank"] = 1.5
+    ray_half["rays"][0]["free"][0] = 1.5
+    for bad, what in ((cone_half, "cone indices"), (cone_str, "cone indices"),
+                      (rank_half, "rank"), (ray_half, "ray coordinates")):
+        with pytest.raises(ValueError, match=what + " must be"):
+            StackyFanData.from_json(bad)
 
 
 def test_fan_json_round_trip():
