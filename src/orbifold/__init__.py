@@ -16,7 +16,6 @@ from orbifold.exact import (
     cyclotomic_poly,
     geometric_factor,
     monomial,
-    rational_part,
 )
 
 __version__ = "0.1.0"

@@ -421,7 +421,7 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except MemoryError:  # e.g. a window too deep for its coefficient list
+    except MemoryError:  # deep windows are refused first (MAX_WINDOW_SLOTS)
         print("error: out of memory", file=sys.stderr)
         return 1
     try:

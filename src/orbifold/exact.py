@@ -1,19 +1,24 @@
 """Exact arithmetic kernels shared by the whole package.
 
-Three small algebra layers live here:
+Three small algebra layers live here, each with only what the package uses:
 
-* ``RatPoly``: dense univariate polynomials over Q, used for Hilbert
-  polynomials in the auxiliary variable T.
+* ``RatPoly``: dense univariate polynomials over Q, kept for the Hilbert
+  polynomials in the auxiliary variable T that ``geometry`` builds, sums,
+  scales by a sign and serializes.
 * ``Cyclotomic``: elements of Q(zeta_n) stored as coefficient vectors modulo
-  the n-th cyclotomic polynomial.  Root-of-unity sums in the Riemann-Roch
-  formulas are evaluated in these fields and certified rational at the end;
-  nothing is ever approximated by floats.
+  the n-th cyclotomic polynomial, kept for the root-of-unity sums of the
+  Riemann-Roch formulas: ``geometry`` adds, subtracts, multiplies and
+  inverts elements of one field and certifies the total rational at the end
+  (``rational_part``); nothing is ever approximated by floats.
 * ``HalfExpLaurent``: truncated Laurent series in descending powers of q
-  whose exponents may be half-integers.  Exponents are keyed by their
-  doubles, so every key is an ordinary int.  Each series carries the cutoff
-  ``min2exp`` below which its coefficients are unknown, and multiplication
-  shrinks the sound window accordingly instead of silently producing
-  contaminated coefficients.
+  whose exponents may be half-integers, kept as the type of every counting
+  series.  Exponents are keyed by their doubles, so every key is an
+  ordinary int.  Each series carries the cutoff ``min2exp`` below which its
+  coefficients are unknown; two series compare on their common sound window
+  (``first_difference``).  Multiplication shrinks the sound window
+  accordingly instead of silently producing contaminated coefficients; it
+  and ``geometric_factor`` are the reference product that ``vb_to_tf`` is
+  tested against.
 
 All coefficients are ``fractions.Fraction``; ``Rational`` is an alias for it.
 """
@@ -37,7 +42,6 @@ __all__ = [
     "Cyclotomic",
     "HalfExpLaurent",
     "cyclotomic_poly",
-    "rational_part",
     "geometric_factor",
     "monomial",
 ]
@@ -174,49 +178,24 @@ class Cyclotomic:
         if self.order != other.order:
             raise ValueError("cyclotomic orders differ")
 
-    def __add__(self, other):
-        other = self._coerce(other)
+    def __add__(self, other: "Cyclotomic") -> "Cyclotomic":
         self._check(other)
         return Cyclotomic(
             self.order,
             tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
         )
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    def __sub__(self, other: "Cyclotomic") -> "Cyclotomic":
+        self._check(other)
+        return Cyclotomic(
+            self.order,
+            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
+        )
 
-    def __neg__(self):
-        return Cyclotomic(self.order, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + self._coerce(other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return Cyclotomic(self.order, tuple(a * f for a in self.coeffs))
+    def __mul__(self, other: "Cyclotomic") -> "Cyclotomic":
         self._check(other)
         prod = _poly_mul(list(self.coeffs), list(other.coeffs))
         return Cyclotomic(self.order, _reduce_mod_phi(self.order, prod))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            if f == 0:
-                raise ZeroDivisionError("division by zero")
-            return self * (1 / f)
-        return self * other.inverse()
-
-    def _coerce(self, other):
-        if isinstance(other, Cyclotomic):
-            return other
-        return Cyclotomic.from_rational(self.order, other)
 
     @property
     def is_zero(self) -> bool:
@@ -276,13 +255,6 @@ def _root_power(order: int, k: int) -> Cyclotomic:
     return Cyclotomic(order, _reduce_mod_phi(order, mono))
 
 
-def rational_part(z) -> Fraction:
-    """Certified rational value of a cyclotomic element (or pass a Fraction through)."""
-    if isinstance(z, (int, Fraction)):
-        return Fraction(z)
-    return z.rational_part()
-
-
 # ---------------------------------------------------------------------------
 # rational polynomials in one variable
 
@@ -334,14 +306,8 @@ class RatPoly:
             return RatPoly.from_coeffs([c * Fraction(other) for c in self.coeffs])
         return RatPoly(tuple(_poly_mul(list(self.coeffs), list(other.coeffs))))
 
-    __rmul__ = __mul__
-
     def to_json(self) -> dict:
         return {"coeffs": [_frac_str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RatPoly":
-        return cls.from_coeffs([Fraction(s) for s in data["coeffs"]])
 
     def __str__(self):
         if not self.coeffs:
@@ -404,12 +370,6 @@ class HalfExpLaurent:
             raise ValueError("exponent %s/2 is below the sound cutoff" % e2)
         return self._terms.get(e2, Fraction(0))
 
-    def coeff(self, e: RationalLike) -> Fraction:
-        e2 = Fraction(e) * 2
-        if e2.denominator != 1:
-            raise ValueError("exponent must be a half-integer")
-        return self.coeff2(int(e2))
-
     @property
     def max2exp(self):
         """Largest stored doubled exponent, or min2exp for an empty window."""
@@ -420,19 +380,6 @@ class HalfExpLaurent:
         return not self._terms
 
     # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: "HalfExpLaurent") -> "HalfExpLaurent":
-        lo = max(self.min2exp, other.min2exp)
-        merged = dict(self._terms)
-        for e, c in other._terms.items():
-            merged[e] = merged.get(e, Fraction(0)) + c
-        return HalfExpLaurent(lo, merged)
-
-    def __neg__(self):
-        return HalfExpLaurent(self.min2exp, {e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def shift2(self, d2: int) -> "HalfExpLaurent":
         """Multiply by q^(d2/2)."""
@@ -453,21 +400,12 @@ class HalfExpLaurent:
                 out[e] = out.get(e, Fraction(0)) + c1 * c2
         return HalfExpLaurent(lo, out)
 
-    def truncate(self, new_min2exp: int) -> "HalfExpLaurent":
-        """Restrict to a smaller window; the cutoff can only move up."""
-        if new_min2exp < self.min2exp:
-            raise ValueError("cannot widen a truncated series")
-        return HalfExpLaurent(new_min2exp, self._terms)
-
     # -- comparisons, serialization, display -------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, HalfExpLaurent):
             return NotImplemented
         return self.min2exp == other.min2exp and self._terms == other._terms
-
-    def __hash__(self):
-        return hash((self.min2exp, tuple(sorted(self._terms.items()))))
 
     def first_difference(self, other: "HalfExpLaurent") -> Optional[int]:
         """Highest doubled exponent in both sound windows at which the
@@ -476,10 +414,6 @@ class HalfExpLaurent:
         return max((e for e, _ in self._terms.items() ^ other._terms.items()
                     if e >= lo), default=None)
 
-    def same_window_coeffs(self, other: "HalfExpLaurent") -> bool:
-        """Equality of coefficients on the intersection of sound windows."""
-        return self.first_difference(other) is None
-
     def to_json(self) -> dict:
         items = sorted(self._terms.items(), reverse=True)
         return {
@@ -487,13 +421,6 @@ class HalfExpLaurent:
             "terms": [{"exp2": e, "coeff": _frac_str(c)} for e, c in items],
             "variable": "q",
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "HalfExpLaurent":
-        return cls(
-            int(data["min2exp"]),
-            {int(t["exp2"]): Fraction(t["coeff"]) for t in data["terms"]},
-        )
 
     def __str__(self):
         if not self._terms:
@@ -544,7 +471,7 @@ def geometric_factor(step: RationalLike, power: int, min2exp: int) -> HalfExpLau
     The coefficient of q^(-step*j) is binomial(j + power - 1, power - 1).
 
     >>> s = geometric_factor(1, 2, -6)
-    >>> [s.coeff(-j) for j in range(4)]
+    >>> [s.coeff2(-2 * j) for j in range(4)]
     [Fraction(1, 1), Fraction(2, 1), Fraction(3, 1), Fraction(4, 1)]
     """
     step2 = Fraction(step) * 2

@@ -58,6 +58,19 @@ from .sheafdata import STRATA, Rank2Datum, f4_exponent, rank2_c1_chi, \
 # rank 1
 # ---------------------------------------------------------------------------
 
+# The most doubled-exponent slots a window may span, from its highest
+# possible term down to its cutoff: each engine and ``vb_to_tf`` lays the
+# window out as one list, and refuses a longer one before building it.  A
+# q^-5000 window on (1,2;0) spans about 10,001 slots.
+MAX_WINDOW_SLOTS = 2 ** 15
+
+
+def _check_window(top2: int, lo2: int):
+    if top2 - lo2 + 1 > MAX_WINDOW_SLOTS:
+        raise ValueError("window spans %d coefficient slots, more than the "
+                         "limit of %d" % (top2 - lo2 + 1, MAX_WINDOW_SLOTS))
+
+
 def rank1_series(params: HirzebruchParams, cls: ClassLike,
                  min2exp: int) -> HalfExpLaurent:
     """Series counting torsion-free rank-1 sheaves with the given hull class.
@@ -91,6 +104,7 @@ def vb_to_tf(series: HalfExpLaurent, rank: int,
     if series.is_zero:
         return series
     top, terms = series.max2exp, series.terms
+    _check_window(top, series.min2exp)
     scale = lcm(*(c.denominator for c in terms.values()))
     coeffs = [0] * (top - series.min2exp + 1)
     for e2, c in terms.items():
@@ -148,6 +162,7 @@ def _enumerate(counts, derive_box, params, cls, min2exp):
         raise ValueError("rank-2 series engines need r >= 0")
     cls = _as_class(cls)
     min2exp = _integer(min2exp, "min2exp must be an integer")
+    _check_window(f4_exponent(params.C, params.r, cls.m, cls.n) // 2, min2exp)
     box = derive_box(params, cls.m, cls.n, min2exp)
     return _laurent(min2exp, counts(params, cls.m, cls.n, min2exp, box))
 
@@ -589,6 +604,7 @@ def rank2_vb_closed_p12(cls: ClassLike, min2exp: int) -> HalfExpLaurent:
     if refusal:
         raise ValueError(refusal)
     min2exp = _integer(min2exp, "min2exp must be an integer")
+    _check_window(_P12_TOP2, min2exp)
     return _laurent(min2exp, _closed_counts(None, cls.m, cls.n, min2exp,
                                             _p12_tmax(min2exp)))
 
@@ -855,7 +871,7 @@ def crosscheck(params: HirzebruchParams, cls: ClassLike, min2exp: int,
 
 
 __all__ = [
-    "ENGINES", "CrosscheckReport", "Engine", "crosscheck", "rank1_series",
-    "rank2_vb_closed_p12", "rank2_vb_csets", "rank2_vb_lambda", "rank2_vb_r0",
-    "run_engine", "vb_to_tf",
+    "ENGINES", "MAX_WINDOW_SLOTS", "CrosscheckReport", "Engine", "crosscheck",
+    "rank1_series", "rank2_vb_closed_p12", "rank2_vb_csets", "rank2_vb_lambda",
+    "rank2_vb_r0", "run_engine", "vb_to_tf",
 ]

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Tuple, Union
 
-from .exact import Cyclotomic, RatPoly, rational_part
+from .exact import Cyclotomic, RatPoly
 from .stackyfan import RayImage, StackyFanData, hirzebruch_shear
 from .intlattice import AbelianGroupStructure, _integers
 
@@ -148,7 +148,7 @@ def chart_weight_tables(params: HirzebruchParams) -> Tuple[ChartData, ...]:
 # ----------------------------------------------------- root-of-unity sums
 #
 # Both sums below are invariant under the Galois action l -> cl for units c,
-# so they are rational; rational_part raises if that ever failed.
+# so they are rational; total.rational_part() raises if that ever failed.
 
 
 @lru_cache(maxsize=None)
@@ -161,7 +161,7 @@ def _rho_sum(order: int, a_coef: int, m_res: int) -> Fraction:
         num = Cyclotomic.root_power(order, m_res * l)
         den = Cyclotomic.one(order) - Cyclotomic.root_power(order, -a_coef * l)
         total = total + num * den.inverse()
-    return rational_part(total)
+    return total.rational_part()
 
 
 @lru_cache(maxsize=None)
@@ -186,7 +186,7 @@ def _sigma_sum(order: int, skip: int, a_coef: int, s_coef: int,
         term = term * (one - Cyclotomic.root_power(order, -n1_res * s_coef * l))
         term = term * (one - Cyclotomic.root_power(order, -s_coef * l)).inverse()
         total = total + term
-    return rational_part(total)
+    return total.rational_part()
 
 
 def euler_characteristic(params: HirzebruchParams, cls: ClassLike) -> int:

@@ -346,11 +346,11 @@ def hermite_row_basis(vectors: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...]
     [0, pivot), and zero rows are dropped; this is the canonical form used
     to compare lattices.
     """
-    rows = [list(_integers(v, "lattice vectors must be integers"))
-            for v in vectors]
+    ncols = len(vectors[0]) if len(vectors) else 0
+    rows = [list(_integers(v, "lattice vectors must be integers of one "
+                              "length", ncols)) for v in vectors]
     if not rows:
         return ()
-    ncols = len(rows[0])
     out: List[List[int]] = []
     pivot_cols: List[int] = []
     for col in range(ncols):

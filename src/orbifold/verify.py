@@ -5,7 +5,8 @@ Hilbert formulas, the lattice algorithms, and the fan constructors; each
 returns a CriterionResult.  The series checks (criteria 1, 2, 9 and 10)
 read the windows of the seven ``genfun.crosscheck`` reports that
 ``series_reports`` runs once from ``SERIES_RUNS``, and ``run_all`` passes
-them in; the other six checks take no input.  ``format_report`` renders
+them in; criterion 1 also runs the lambda engine itself, on the four (1,2,0)
+classes to q^-4.  The other six checks take no input.  ``format_report`` renders
 one pass/fail line per criterion for the CLI.
 """
 
@@ -27,7 +28,7 @@ from .geometry import (
     point_sheaf_mhp,
 )
 from .genfun import ENGINES, CrosscheckReport, _laurent, crosscheck, \
-    rank1_series, rank2_vb_csets
+    rank1_series, rank2_vb_csets, rank2_vb_lambda
 from .intlattice import IntMatrix, integer_kernel, lattices_equal, smith_normal_form
 from .sheafdata import tensor_shift
 from .stackyfan import (
@@ -53,7 +54,8 @@ CLASSES = ((0, 0), (1, 0), (0, 1), (1, 1))
 # Quoted reference windows for the (1,2,0) rank-2 series on q^6..q^-4,
 # doubled-exponent keys, absent keys meaning 0.  The engines disagree with a
 # few of these entries; criterion 1 accepts such a coefficient only when all
-# three engines agree against it, and lists it in the report detail.
+# four engines agree against it, lambda (run by criterion 1 alone) among
+# them, and lists it in the report detail.
 QUOTED_120 = {
     (0, 0): {4: 2, 0: 5, -4: 8, -8: 18},
     (1, 0): {6: 2, 4: 4, 2: 6, 0: 8, -2: 12, -4: 12, -6: 14, -8: 20},
@@ -96,8 +98,16 @@ def _slots(window: HalfExpLaurent) -> int:
 
 
 def criterion_1(reports) -> CriterionResult:
-    """Golden rank-2 windows on q^6..q^-4, with logged engine overrides."""
+    """Golden rank-2 windows on q^6..q^-4, with logged engine overrides.
+
+    An override needs csets, r0, closed and lambda to agree; lambda counts
+    the stable data themselves, so it is the one route that is not a
+    transcription of the constraint sets.
+    """
     triples = _windows_120(reports)
+    p120 = derive_params(1, 2, 0)
+    for cls, wins in triples.items():
+        wins["lambda"] = rank2_vb_lambda(p120, cls, -8)
     matched = 0
     logged: List[str] = []
     ok = True
@@ -109,8 +119,8 @@ def criterion_1(reports) -> CriterionResult:
             if got == want:
                 matched += 1
                 continue
-            unanimous = (wins["r0"].coeff2(e2) == got
-                         and wins["closed"].coeff2(e2) == got)
+            unanimous = all(wins[name].coeff2(e2) == got
+                            for name in ("r0", "closed", "lambda"))
             if unanimous:
                 logged.append("%s q^%s: quoted %d, engines %d"
                               % (cls, Fraction(e2, 2), want, got))

@@ -38,12 +38,8 @@ def test_rank2_vb_series_text_and_json_roundtrip():
     assert text.stdout.strip() == "2*q^2 + 5 + 10*q^-2 + 18*q^-4 + O(q^-4)"
 
     as_json = run_cli(*args, "--json")
-    series = HalfExpLaurent.from_json(json.loads(as_json.stdout))
-    assert series.min2exp == -8
-    assert series.coeff2(4) == 2
-    assert series.coeff2(0) == 5
-    assert series.coeff2(-4) == 10
-    assert series.coeff2(-8) == 18
+    assert json.loads(as_json.stdout) == \
+        HalfExpLaurent(-8, {4: 2, 0: 5, -4: 10, -8: 18}).to_json()
 
 
 def readme_examples():
@@ -73,10 +69,11 @@ def test_half_integer_cutoff_attached_form():
     proc = run_cli("genfun", "rank1", "-a", "2", "-b", "3", "-r", "1",
                    "-m", "0", "-n", "0", "--min-exp=-7/2", "--json")
     assert proc.returncode == 0
-    series = HalfExpLaurent.from_json(json.loads(proc.stdout))
-    assert series.min2exp == -7
-    assert series.coeff2(10) == 1
-    assert series.coeff2(-6) == 30
+    doc = json.loads(proc.stdout)
+    terms = {t["exp2"]: t["coeff"] for t in doc["terms"]}
+    assert doc["min2exp"] == -7
+    assert terms[10] == "1"
+    assert terms[-6] == "30"
 
 
 def test_domain_error_is_one_line_exit_1():
@@ -101,6 +98,28 @@ def test_memory_error_is_one_line_exit_1(monkeypatch, capsys):
     assert code == 1
     assert out == ""
     assert err == "error: out of memory\n"
+
+
+def _cap_address_space():
+    # a window allocated after all fails with MemoryError under this cap
+    # instead of filling the machine's memory
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def test_window_over_the_limit_is_one_line_exit_1():
+    # 2e9 slots would be a 16 GB list; the refusal comes before any list
+    for args in (("genfun", "rank2-vb", "--engine", "all"),
+                 ("genfun", "rank2-tf", "--engine", "csets"),
+                 ("genfun", "rank1"), ("crosscheck", "--include-lambda")):
+        proc = run_cli(*args, "-a", "1", "-b", "2", "-m", "0", "-n", "0",
+                       "--min-exp=-1000000000",
+                       preexec_fn=_cap_address_space)
+        assert proc.returncode == 1, args
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: window spans 20000000")
+        assert proc.stderr.endswith(" more than the limit of 32768\n")
+        assert proc.stderr.count("\n") == 1
 
 
 def test_unwritable_out_is_one_line_exit_1(tmp_path, capsys):
@@ -185,8 +204,7 @@ def test_crosscheck_reports_agreement():
     assert set(report["engines"]) == {"csets", "r0", "closed"}
     # the same negative coefficient from every engine
     for doc in report["engines"].values():
-        series = HalfExpLaurent.from_json(doc)
-        assert series.coeff2(-6) == -4
+        assert {"exp2": -6, "coeff": "-4"} in doc["terms"]
 
 
 def test_rank2_tf_rejects_engine_all():

@@ -22,7 +22,7 @@ from orbifold.genfun import (
     run_engine,
     vb_to_tf,
 )
-from orbifold.sheafdata import f_exponent, tensor_shift
+from orbifold.sheafdata import f4_exponent, f_exponent, tensor_shift
 from orbifold.verify import CLASSES
 from test_engine_windows import capped
 
@@ -86,7 +86,8 @@ def test_all_engines_agree_on_112_surface(engines120):
         lead2 = wins["csets"].max2exp
         assert (lead2 + 16) // 2 + 1 >= 11
         for name in ("r0", "closed", "lambda"):
-            assert wins["csets"].same_window_coeffs(wins[name]), (cls, name)
+            assert wins["csets"].first_difference(wins[name]) is None, \
+                (cls, name)
             assert_window(wins[name], GOLD_120[cls])
 
 
@@ -99,7 +100,7 @@ def test_csets_r0_agree_on_product_surfaces():
         sc = rank2_vb_csets(pr, (0, 0), min2exp=lo2)
         sr = rank2_vb_r0(a, b, (0, 0), min2exp=lo2)
         assert (sc.max2exp - lo2) // 2 + 1 >= 12
-        assert sc.same_window_coeffs(sr)
+        assert sc.first_difference(sr) is None
         for e2, coeff in gold.items():
             assert sc.coeff2(e2) == coeff
 
@@ -129,7 +130,7 @@ def test_lambda_agrees_at_positive_twist():
         sc = rank2_vb_csets(pr, cls, min2exp=lo2)
         sl = rank2_vb_lambda(pr, cls, min2exp=lo2)
         assert not sc.is_zero
-        assert sc.same_window_coeffs(sl)
+        assert sc.first_difference(sl) is None
 
 
 @pytest.mark.parametrize("abr", [(1, 2, 1), (1, 2, 2), (1, 3, 1), (2, 3, 1),
@@ -329,10 +330,10 @@ def test_rank2_shift_covariance(engines120):
 
 
 def test_explicit_bounds_match_stabilized(engines120):
-    auto = engines120[(0, 0)]["csets"].truncate(-12)
+    auto = HalfExpLaurent(-12, engines120[(0, 0)]["csets"].terms)
     for cap in (64, 128):
         assert capped("csets", P120, (0, 0), -12, cap) == auto
-    auto_l = engines120[(0, 0)]["lambda"].truncate(-12)
+    auto_l = HalfExpLaurent(-12, engines120[(0, 0)]["lambda"].terms)
     assert capped("lambda", P120, (0, 0), -12, 64) == auto_l
 
 
@@ -404,7 +405,8 @@ def test_closed_bound_stops_at_t_limit(monkeypatch):
 
 def test_window_truncation_consistency(engines120):
     deep = engines120[(1, 0)]["csets"]
-    assert deep.truncate(-6) == rank2_vb_csets(P120, (1, 0), min2exp=-6)
+    assert HalfExpLaurent(-6, deep.terms) == \
+        rank2_vb_csets(P120, (1, 0), min2exp=-6)
 
 
 def test_engines_refuse_non_integral_cutoff():
@@ -414,6 +416,42 @@ def test_engines_refuse_non_integral_cutoff():
     with pytest.raises(ValueError, match="min2exp must be an integer"):
         crosscheck(P120, (0, 0), -7.5)
     assert rank2_vb_csets(P120, (0, 0), -8.0) == rank2_vb_csets(P120, (0, 0), -8)
+
+
+def test_criterion_1_overrides_need_lambda(monkeypatch):
+    reports = tuple(crosscheck(P120, cls, -16) for cls in CLASSES)
+    assert verify.criterion_1(reports).passed
+    lam = verify.rank2_vb_lambda
+
+    def dissenting(params, cls, min2exp):
+        # at (0, 0) q^-2 csets, r0 and closed read 10 against the quoted 8
+        win = lam(params, cls, min2exp)
+        terms = win.terms
+        if cls == (0, 0):
+            terms[-4] += 1
+        return HalfExpLaurent(win.min2exp, terms)
+
+    monkeypatch.setattr(verify, "rank2_vb_lambda", dissenting)
+    result = verify.criterion_1(reports)
+    assert not result.passed
+    assert "(0, 0) q^-2: quoted 8, csets 10, engines split" in result.detail
+
+
+def test_windows_over_the_slot_limit_are_refused():
+    # one slot over the limit: each path refuses before it builds its list
+    over = genfun.MAX_WINDOW_SLOTS + 1
+    lo2 = f4_exponent(P120.C, 0, 0, 0) // 2 - over + 1
+    chi = modified_euler_characteristic(P120, (0, 0))
+    calls = [(rank2_vb_csets, (P120, (0, 0), lo2)),
+             (rank2_vb_r0, (1, 2, (0, 0), lo2)),
+             (rank2_vb_lambda, (P120, (0, 0), lo2)),
+             (rank2_vb_closed_p12, ((0, 0), genfun._P12_TOP2 - over + 1)),
+             (vb_to_tf, (HalfExpLaurent(1 - over, {0: 1}), 2, P120)),
+             (rank1_series, (P120, (0, 0), 2 * chi - over + 1))]
+    for fn, args in calls:
+        with pytest.raises(ValueError, match="spans %d coefficient slots, "
+                           "more than the limit of 32768" % over):
+            fn(*args)
 
 
 def test_engines_refuse_bound():
@@ -506,7 +544,11 @@ def test_crosscheck_reports_first_disagreement(monkeypatch, capsys):
     r0 = genfun.ENGINES["r0"]
 
     def perturbed(*args, **kwargs):
-        return r0.run(*args, **kwargs) + HalfExpLaurent(-8, {2: 3, 0: 1})
+        win = r0.run(*args, **kwargs)
+        terms = win.terms
+        for e2, c in {2: 3, 0: 1}.items():
+            terms[e2] = terms.get(e2, 0) + c
+        return HalfExpLaurent(win.min2exp, terms)
 
     monkeypatch.setitem(genfun.ENGINES, "r0", r0._replace(run=perturbed))
     rep = crosscheck(P120, (0, 0), -8)

@@ -254,6 +254,16 @@ def test_hermite_basis_refuses_non_integral_vectors():
     assert hermite_row_basis([[2.0, 0], [0, 1]]) == ((2, 0), (0, 1))
 
 
+def test_hermite_basis_refuses_ragged_vectors():
+    # a shorter or a longer vector than the first is refused, not cut short
+    with pytest.raises(ValueError, match="of one length"):
+        hermite_row_basis([[1], [2, 3]])
+    with pytest.raises(ValueError, match="of one length"):
+        lattices_equal([[1], [2, 3]], [[1]])
+    with pytest.raises(ValueError, match="of one length"):
+        hermite_row_basis([[1, 2], [3]])
+
+
 def test_group_structure_refuses_non_integral_rank_and_factors():
     with pytest.raises(ValueError, match="rank must be an integer"):
         AbelianGroupStructure(1.5)
