@@ -54,10 +54,6 @@ from .sheafdata import STRATA, Rank2Datum, f4_exponent, rank2_c1_chi, \
     stability_check
 
 
-# ---------------------------------------------------------------------------
-# rank 1
-# ---------------------------------------------------------------------------
-
 # The most doubled-exponent slots a window may span, from its highest
 # possible term down to its cutoff: each engine and ``vb_to_tf`` lays the
 # window out as one list, and refuses a longer one before building it.  A
@@ -70,6 +66,10 @@ def _check_window(top2: int, lo2: int):
         raise ValueError("window spans %d coefficient slots, more than the "
                          "limit of %d" % (top2 - lo2 + 1, MAX_WINDOW_SLOTS))
 
+
+# ---------------------------------------------------------------------------
+# rank 1
+# ---------------------------------------------------------------------------
 
 def rank1_series(params: HirzebruchParams, cls: ClassLike,
                  min2exp: int) -> HalfExpLaurent:
