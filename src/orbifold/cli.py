@@ -8,7 +8,8 @@ strings, never floats, and identical invocations produce identical bytes.
 The parser is declared by one table, ``COMMANDS``: one row per subcommand
 with its path, help text, argument groups and handler.  ``ARGUMENTS``
 defines each argument group once.  ``build_parser`` turns the table into
-the parser in one loop and gives every subcommand ``--json`` and ``--out``.
+the parser in one loop and gives every subcommand ``--json`` and ``--out``;
+``main`` has it add arguments only to the subcommand it runs.
 
 Exit codes: 0 on success, 1 on a domain error (one line on stderr), 2 on a
 usage error.
@@ -389,7 +390,16 @@ COMMANDS = [
 ]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of ``COMMANDS``, or only as much of it as argv needs.
+
+    Every row gets its subparser and help text, so the listings and choice
+    errors of every level read the same; when a leaf's path opens argv, only
+    that leaf gets its arguments, as argparse runs no other.
+    """
+    argv = list(argv or ())
+    leaf = next((path for path, _, _, handler in COMMANDS if handler
+                 and path.split() == argv[:path.count(" ") + 1]), None)
     parser = argparse.ArgumentParser(
         prog="orbifold",
         description="Exact invariants and counting series for a family of "
@@ -402,6 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
         if handler is None:
             groups[path] = p.add_subparsers(dest="kind", required=True)
             continue
+        if leaf not in (None, path):
+            continue
         for group in names + ("output",):
             for flag, spec in ARGUMENTS[group]:
                 p.add_argument(flag, **spec)
@@ -410,8 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         payload, text = args.handler(args)
         doc = json.dumps(payload, sort_keys=True, indent=2)

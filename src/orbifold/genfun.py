@@ -1,7 +1,9 @@
 """Truncated q-series counting sheaves on the Hirzebruch orbifold family.
 
-``vb_to_tf`` multiplies a series by the quadruple-partition product as
-running sums over one integer list; the rank-1 torsion-free series is
+``vb_to_tf`` multiplies a series by the quadruple-partition product, in
+place on one integer list, by dividing it by sparse theta series: Euler's
+pentagonal series and Jacobi's cube of Prod (1 - x^k) have only O(sqrt(W))
+terms in a window of W slots.  The rank-1 torsion-free series is
 ``vb_to_tf`` at rank 1 of q^chi, chi the Euler characteristic of the hull.
 The rank-2 locally-free series is evaluated by four independent routes:
 
@@ -87,16 +89,35 @@ def rank1_series(params: HirzebruchParams, cls: ClassLike,
     return vb_to_tf(monomial(chi, 1, min2exp), 1, params)
 
 
+def _theta_taps(step: int, n: int, cube: bool) -> List[Tuple[int, int]]:
+    """Terms (o, k), 0 < o < n, of E = Prod_k (1 - x^(step*k)) or of E^3.
+
+    E = Sum_g (-1)^g x^(step*g(3g-1)/2) over all integers g (Euler's
+    pentagonal number theorem) and E^3 = Sum_{m>=0} (-1)^m (2m+1)
+    x^(step*m(m+1)/2) (Jacobi); both have constant term 1.
+    """
+    taps = []
+    for m in count(1):
+        for o, k in (((m * (m + 1) // 2, 2 * m + 1),) if cube else
+                     ((m * (3 * m - 1) // 2, 1), (m * (3 * m + 1) // 2, 1))):
+            if step * o >= n:
+                return taps
+            taps.append((step * o, -k if m & 1 else k))
+
+
 def vb_to_tf(series: HalfExpLaurent, rank: int,
              params: HirzebruchParams) -> HalfExpLaurent:
     """Convolve a locally-free counting series up to the torsion-free one.
 
     Multiplies by the quadruple-partition product with multiplicity 2*rank
     per step, i.e. one free Young-diagram pair per chart line of each of the
-    rank many hull summands.  With coeffs[i] at doubled exponent max2exp - i,
-    scaled to integers by the lcm of the denominators, dividing by
-    (1 - q^-s) is 2*rank passes of coeffs[i] += coeffs[i - 2s] for each
-    step s = a*k, b*k inside the window, which is the input's sound one.
+    rank many hull summands: it divides by E^(2*rank) for each base a, b,
+    where E = Prod_k (1 - q^(-base*k)).  With coeffs[i] at doubled exponent
+    max2exp - i, scaled to integers by the lcm of the denominators, E is
+    ``_theta_taps(2*base, ...)`` in slot units, and 2*rank = 3c + e passes:
+    c against E^3 and e against E.  Dividing by 1 + Sum_o k_o x^o is one
+    ascending pass of coeffs[i] -= Sum_{o <= i} k_o coeffs[i - o] over
+    O(sqrt(W/base)) taps, for W slots.  The window is the input's sound one.
     """
     rank = _integer(rank, "rank must be a positive integer")
     if rank < 1:
@@ -109,13 +130,22 @@ def vb_to_tf(series: HalfExpLaurent, rank: int,
     coeffs = [0] * (top - series.min2exp + 1)
     for e2, c in terms.items():
         coeffs[top - e2] = c.numerator * (scale // c.denominator)
+    cubes, ones = divmod(2 * rank, 3)
     for base in (params.a, params.b):
-        for step in range(2 * base, len(coeffs), 2 * base):
-            for _ in range(2 * rank):
-                for i in range(step, len(coeffs)):
-                    coeffs[i] += coeffs[i - step]
-    return HalfExpLaurent(series.min2exp, {top - i: Fraction(c, scale)
-                                           for i, c in enumerate(coeffs)})
+        for cube, passes in ((True, cubes), (False, ones)):
+            taps = _theta_taps(2 * base, len(coeffs), cube)
+            for _ in range(passes):
+                for i in range(len(coeffs)):
+                    acc = 0
+                    for o, k in taps:
+                        if o > i:
+                            break
+                        acc += k * coeffs[i - o]
+                    coeffs[i] -= acc
+    out = {top - i: c for i, c in enumerate(coeffs) if c}
+    if scale != 1:
+        out = {e2: Fraction(c, scale) for e2, c in out.items()}
+    return HalfExpLaurent(series.min2exp, out)
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +186,18 @@ def _laurent(lo2: int, acc: List[int]) -> HalfExpLaurent:
     return HalfExpLaurent(lo2, {lo2 + i: c for i, c in enumerate(acc) if c})
 
 
-def _enumerate(counts, derive_box, params, cls, min2exp):
-    """The window of ``counts`` over the box ``derive_box`` derives."""
+def _f4_top2(params: HirzebruchParams, m: int, n: int) -> int:
+    """Highest doubled exponent a csets, r0 or lambda term can reach."""
     if params.r < 0:
         raise ValueError("rank-2 series engines need r >= 0")
+    return f4_exponent(params.C, params.r, m, n) // 2
+
+
+def _enumerate(counts, derive_box, params, cls, min2exp):
+    """The window of ``counts`` over the box ``derive_box`` derives."""
     cls = _as_class(cls)
     min2exp = _integer(min2exp, "min2exp must be an integer")
-    _check_window(f4_exponent(params.C, params.r, cls.m, cls.n) // 2, min2exp)
+    _check_window(_f4_top2(params, cls.m, cls.n), min2exp)
     box = derive_box(params, cls.m, cls.n, min2exp)
     return _laurent(min2exp, counts(params, cls.m, cls.n, min2exp, box))
 
@@ -800,7 +835,9 @@ class Engine(NamedTuple):
     the list ``_laurent`` makes the window of.  ``refusal`` takes ``(params,
     m, n)`` and returns why the engine does not cover that input, or None;
     engines that check their own input return None throughout.
-    ``experimental`` engines join ``crosscheck`` only on request.
+    ``experimental`` engines join ``crosscheck`` only on request.  ``top2``
+    takes ``(params, m, n)`` and returns the top of the engine's window, so
+    ``crosscheck`` can refuse an over-long window before running any engine.
     """
 
     run: Callable[[HirzebruchParams, ClassLike, int], HalfExpLaurent]
@@ -808,6 +845,7 @@ class Engine(NamedTuple):
     refusal: Callable[[HirzebruchParams, int, int],
                       Optional[str]] = _covers_all
     experimental: bool = False
+    top2: Callable[[HirzebruchParams, int, int], int] = _f4_top2
 
 
 def _r0_refusal(params, m, n):
@@ -830,7 +868,7 @@ ENGINES: Dict[str, Engine] = {
                  _r0_counts, _r0_refusal),
     "closed": Engine(lambda params, cls, min2exp:
                      rank2_vb_closed_p12(cls, min2exp), _closed_counts,
-                     _closed_refusal),
+                     _closed_refusal, top2=lambda params, m, n: _P12_TOP2),
     "lambda": Engine(lambda params, cls, min2exp:
                      rank2_vb_lambda(params, cls, min2exp), _lambda_counts,
                      experimental=True),
@@ -853,14 +891,18 @@ def crosscheck(params: HirzebruchParams, cls: ClassLike, min2exp: int,
     """Run every applicable rank-2 engine and compare the windows.
 
     Disagreement is reported, not raised; the first disagreeing exponent is
-    the highest one at which any two engines differ.
+    the highest one at which any two engines differ.  Every engine's window
+    is checked against ``MAX_WINDOW_SLOTS`` before any engine runs.
     """
     cls = _as_class(cls)
     min2exp = _integer(min2exp, "min2exp must be an integer")
-    windows = [(name, engine.run(params, cls, min2exp))
-               for name, engine in ENGINES.items()
+    engines = [(name, engine) for name, engine in ENGINES.items()
                if engine.refusal(params, cls.m, cls.n) is None
                and (include_lambda or not engine.experimental)]
+    for _, engine in engines:
+        _check_window(engine.top2(params, cls.m, cls.n), min2exp)
+    windows = [(name, engine.run(params, cls, min2exp))
+               for name, engine in engines]
 
     # two windows that differ at e2 cannot both equal the first one there
     diffs = [windows[0][1].first_difference(win) for _, win in windows[1:]]

@@ -264,3 +264,34 @@ def test_parser_structure_matches_pin():
     assert list(built) == list(pinned)
     for path in pinned:
         assert built[path] == pinned[path], path
+
+
+def test_parser_for_argv_builds_only_its_leaf():
+    # the leaf that argv runs is built in full; every other leaf keeps its
+    # subparser and help text but gets no arguments
+    full = _parser_structure(cli.build_parser())
+    leaves = ["orbifold " + path for path, _, _, handler in cli.COMMANDS
+              if handler]
+    for leaf in leaves:
+        argv = leaf.split()[1:] + ["--json"]
+        built = _parser_structure(cli.build_parser(argv))
+        assert list(built) == list(full)
+        for path, node in built.items():
+            if path in leaves and path != leaf:
+                assert node == dict(full[path], handler=None,
+                                    actions=full[path]["actions"][:1]), path
+            else:
+                assert node == full[path], path
+    # argv that no leaf's path opens gets the whole tree
+    for argv in ([], ["genfun"], ["--help"], ["--", "euler"], ["-a", "1"]):
+        assert _parser_structure(cli.build_parser(argv)) == full
+
+
+def test_main_builds_the_parser_for_its_argv(monkeypatch, capsys):
+    seen, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda argv=None: seen.append(argv) or build(argv))
+    argv = ["euler", "-a", "2", "-b", "3", "-r", "1", "-m", "0", "-n", "1"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == "1\n"
+    assert seen == [argv]

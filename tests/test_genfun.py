@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import orbifold
+import reference_vb_to_tf
 from orbifold import cli, genfun, verify
 from orbifold.exact import HalfExpLaurent, geometric_factor, monomial
 from orbifold.geometry import derive_params, modified_euler_characteristic
@@ -283,6 +284,39 @@ def test_vb_to_tf_matches_geometric_products():
         assert above.is_zero and above.min2exp == 2 * chi + 3
 
 
+def _expand(step, n, power):
+    """Prod_k (1 - x^(step*k))^power as a dense list of its first n terms."""
+    out = [1] + [0] * (n - 1)
+    for s in range(step, n, step):
+        for _ in range(power):
+            for i in range(n - 1, s - 1, -1):
+                out[i] -= out[i - s]
+    return out
+
+
+@pytest.mark.parametrize("step, n", [(1, 1), (1, 2), (1, 400), (2, 401),
+                                     (3, 3), (3, 4), (6, 555)])
+def test_theta_taps_match_expanded_products(step, n):
+    for cube, power in ((False, 1), (True, 3)):
+        want = [(o, k) for o, k in enumerate(_expand(step, n, power)) if k]
+        assert [(0, 1)] + genfun._theta_taps(step, n, cube) == want
+
+
+@pytest.mark.parametrize("abr", [(1, 2, 0), (2, 3, 1), (2, 5, 4)])
+def test_vb_to_tf_matches_running_sums_deep(abr):
+    # windows to about q^-500, rational coefficients, odd and even cutoffs
+    pr = derive_params(*abr)
+    inputs = [
+        HalfExpLaurent(-1001, {7: Fraction(3, 4), 2: Fraction(-5, 6),
+                               -1: 2, -40: Fraction(1, 3)}),
+        HalfExpLaurent(-1000, rank2_vb_csets(pr, (1, 1), -40).terms),
+    ]
+    for series in inputs:
+        for rank in (1, 2, 3):
+            assert vb_to_tf(series, rank, pr) == \
+                reference_vb_to_tf.vb_to_tf(series, rank, pr), (series, rank)
+
+
 def test_vb_to_tf_zero_and_rank_guard():
     zero = HalfExpLaurent(-4, {})
     assert vb_to_tf(zero, 3, P120).is_zero
@@ -522,6 +556,29 @@ def test_crosscheck_collects_applicable_engines():
     rep23 = crosscheck(derive_params(2, 3, 0), (0, 0), 4)
     assert rep23.engines == ("csets", "r0")
     assert rep23.agree
+
+
+def test_crosscheck_refuses_a_long_window_before_any_engine(monkeypatch):
+    # csets' and r0's windows fit at lo2 = -32759; closed's, whose top is
+    # higher, does not, and is refused before csets or r0 runs
+    ran = []
+
+    def stub(name):
+        def run(params, cls, min2exp):
+            ran.append(name)
+            return HalfExpLaurent(min2exp, {})
+        return run
+
+    for name, engine in genfun.ENGINES.items():
+        monkeypatch.setitem(genfun.ENGINES, name,
+                            engine._replace(run=stub(name)))
+    with pytest.raises(ValueError, match="window spans 32772 coefficient "
+                       "slots, more than the limit of 32768"):
+        crosscheck(P120, (0, 0), -32759)
+    assert ran == []
+    assert crosscheck(P120, (0, 0), -32759 + 4).engines == \
+        ("csets", "r0", "closed")
+    assert ran == ["csets", "r0", "closed"]
 
 
 def test_crosscheck_reports_shared_coefficients():
