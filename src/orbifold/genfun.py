@@ -23,21 +23,23 @@ preallocated integer list, ``acc[e2 - lo2]`` for the doubled exponent
 e2 >= lo2, up to the highest exponent any term can reach (f4/2 for csets,
 r0 and lambda, 12 for the closed sums); the series is built once from its
 nonzero entries.  Each engine enumerates once, over the box that ``_box``,
-``_p12_tmax`` or ``_lambda_box`` derives from the depth of the window, and
-takes no other limit; inside it each csets, r0 and lambda loop visits only
-indices whose cost Q can reach the window, and the closed loop stops at the
-last term family that can.  A csets or r0 term of cost Q sits at index
-(f4 - Q)/2 - lo2, which is >= 0 iff Q <= D (see ``_box``) and inside the
-list as Q > 0.  The congruences of a set leave one residue class of i mod 2ab,
-whose terms at one k lie a fixed stride apart in the list, so the set adds
-each run with one strided range up to its last Q <= D, or one count where
-the exponent does not depend on k.  At r = 0 the csets shift is 0 and its
-sets 4, 5 and 9 repeat 3, 2 and 8, so it runs each pair once at weight 2,
-as r0 runs its sets 2 and 3.  ``ENGINES`` maps each engine name to its
-entry point, its enumeration at a fixed cap and the inputs it covers; the
-command line and ``crosscheck``, which runs every applicable engine and
-reports the first disagreeing exponent, dispatch through it.  Every
-coefficient is exact, on a tracked sound window (``exact.HalfExpLaurent``).
+``_p12_tmax`` or ``_lambda_box`` derives from the depth of the window; the
+box caps every index.  Inside it csets and r0 call each constraint set only
+for the j its own cost floor lets reach the window (see ``_box``), each
+csets, r0 and lambda loop visits only indices whose cost Q can reach the
+window, and the closed loop stops at the last term family that can.  A
+csets or r0 term of cost Q sits at index (f4 - Q)/2 - lo2, which is >= 0
+iff Q <= D (see ``_box``) and inside the list as Q > 0.  The congruences
+of a set leave one residue class of i mod 2ab, whose terms at one k lie a
+fixed stride apart in the list, so the set adds each run with one strided
+range up to its last Q <= D, or one count where the exponent does not
+depend on k.  At r = 0 the csets shift is 0 and its sets 4, 5 and 9 repeat
+3, 2 and 8, so it runs each pair once at weight 2, as r0 runs its sets 2
+and 3.  ``ENGINES`` maps each engine name to its entry point, its
+enumeration at a fixed cap and the inputs it covers; the command line and
+``crosscheck``, which runs every applicable engine and reports the first
+disagreeing exponent, dispatch through it.  Every coefficient is exact, on
+a tracked sound window (``exact.HalfExpLaurent``).
 """
 
 from __future__ import annotations
@@ -167,6 +169,18 @@ def _box(params: HirzebruchParams, m: int, n: int, min2exp: int) -> int:
       |i|, |k| < j and r j (r j + 2) < (2pq + r) D;
     1: i = pq*j and Q = (2pq + r) j^2; 8-9: i >= pq*j + 1, so
       Q >= (2pq + r) j^2 + 2j; in both i <= D/2 and |k| < (pq + 2r) j.
+    The box caps every index; each set also has its own largest j, from
+    the floor of its cost, with c = 2pq + r (r0: c = 2ab, and its pinned
+    and tail sets, quad sets and cone sets take the limits of 1 and 8-9,
+    2-5 and 6-7):
+    1, 8-9: Q >= c j^2, so j <= isqrt(D // c);
+    2-5, i = k (mod s), s = 2a or 2b: i > pq*l > k, so x + y = i - k >= s
+      and Q >= c l^2 + s (j - |l|) >= s j - s^2/(4c), so
+      j <= (4cD + s^2) // (4cs);
+    6-7 with div_mod d, r = 0: d | i >= 1, so Q = 2ij >= 2dj and
+      j <= D // (2d);
+    6-7, r > 0: r j (r j + 2) < c D, as above when i <= 0 and as
+      r j (r j + 2) <= r Q <= r D when i >= 1, so j <= (isqrt(c D) - 1) // r.
     Parity: sets 2-5 have l = j (mod 2), so (j + l) and (j - l) are even and
     r l^2 = r j^2 (mod 2); every other set has Q = 2ij + r j^2.  So every
     term at a given j has f4 - Q = f4 - r j^2 (mod 2), and the engines check
@@ -332,16 +346,24 @@ def _csets_counts(params: HirzebruchParams, m: int, n: int,
     f4 = f4_exponent(params.C, r, m, n)
     acc = [0] * (f4 // 2 - lo2 + 1)
     forms, weight = ((True, False), 1) if r else ((True,), 2)  # see _cs_quad
-    for j in range(2 - n % 2, M + 1, 2):  # every set needs j = n (mod 2)
+    # each set with the largest j its cost floor lets reach the window
+    c, span = 2 * pq + r, max(0, f4 - 2 * lo2)  # see ``_box``
+    wall = isqrt(span // c)
+    sets = [(wall, _cs_pinned, ())]
+    for d in (b, a):
+        sets.append(((isqrt(c * span) - 1) // r if r else span // (2 * d),
+                     _cs_ratio, (d,)))
+    for form in forms:
+        for s, t in ((2 * b, 2 * a), (2 * a, 2 * b)):
+            sets.append(((4 * c * span + s * s) // (4 * c * s), _cs_quad,
+                         (s, t, form, weight)))
+        sets.append((wall, _cs_tail, (form, weight)))
+    top = min(M, max(limit for limit, _, _ in sets))
+    for j in range(2 - n % 2, top + 1, 2):  # every set needs j = n (mod 2)
         _check_half_integer(f4 - r * j * j, j)  # see ``_box``
-        args = (acc, j, f4, m, a, b, r, pq, lo2, M)
-        _cs_pinned(*args)
-        _cs_ratio(*args, b)
-        _cs_ratio(*args, a)
-        for form in forms:
-            _cs_quad(*args, 2 * b, 2 * a, form, weight)
-            _cs_quad(*args, 2 * a, 2 * b, form, weight)
-            _cs_tail(*args, form, weight)
+        for limit, run, extra in sets:
+            if j <= limit:
+                run(acc, j, f4, m, a, b, r, pq, lo2, M, *extra)
     return acc
 
 
@@ -436,14 +458,22 @@ def _r0_counts(params, m, n, lo2, M) -> List[int]:
     a, b = params.a, params.b
     f4 = f4_exponent(params.C, 0, m, n)
     acc = [0] * (f4 // 2 - lo2 + 1)
-    for j in range(2 - n % 2, M + 1, 2):  # every set needs j = n (mod 2)
+    # the largest j of each set: Q >= 2ab j^2 on the pinned and tail sets;
+    # a quad set of step s has i - k >= s, so Q >= 2ab l^2 + s (j - |l|)
+    # >= s j - s^2 / (8ab); a cone set of divisor div has Q = 2ij >= 2 div j
+    ab, span = a * b, max(0, f4 - 2 * lo2)
+    wall = isqrt(span // (2 * ab))
+    sets = [(wall, _r0_pinned, ())]
+    sets += [((8 * ab * span + s * s) // (8 * ab * s), _r0_quad, (s, t))
+             for s, t in ((2 * b, 2 * a), (2 * a, 2 * b))]
+    sets += [(span // (2 * div), _r0_cone, (div,)) for div in (b, a)]
+    sets.append((wall, _r0_tail, ()))
+    top = min(M, max(limit for limit, _, _ in sets))
+    for j in range(2 - n % 2, top + 1, 2):  # every set needs j = n (mod 2)
         _check_half_integer(f4, j)  # see ``_box``, with r = 0
-        _r0_pinned(acc, j, f4, m, a, b, lo2, M)
-        _r0_quad(acc, j, f4, m, a, b, lo2, M, 2 * b, 2 * a)
-        _r0_quad(acc, j, f4, m, a, b, lo2, M, 2 * a, 2 * b)
-        _r0_cone(acc, j, f4, m, a, b, lo2, M, b)
-        _r0_cone(acc, j, f4, m, a, b, lo2, M, a)
-        _r0_tail(acc, j, f4, m, a, b, lo2, M)
+        for limit, run, extra in sets:
+            if j <= limit:
+                run(acc, j, f4, m, a, b, lo2, M, *extra)
     return acc
 
 
@@ -784,8 +814,10 @@ def rank2_vb_lambda(params: HirzebruchParams, cls: ClassLike,
     (see ``_lambda_counts``); it builds a ``Rank2Datum`` of the class for
     each, keeps it if ``stability_check`` holds (it always does), and adds
     the stratum's Euler weight at the exponent ``rank2_c1_chi`` gives it.
-    One object per datum keeps it an order of magnitude slower than the
-    other engines, so ``crosscheck`` runs it only on request.
+    One object per datum makes it the slowest engine: on (1,2;0), class
+    (0,0), it took 0.34 / 1.31 / 5.22 / 17.99 s to q^-128 / -256 / -512 /
+    -1024 (one run each, Python 3.11.7, 2 vCPUs), so ``crosscheck`` runs it
+    only on request.  ``MAX_WINDOW_SLOTS`` caps its memory, not its time.
     """
     return _enumerate(_lambda_counts, _lambda_box, params, cls, min2exp)
 

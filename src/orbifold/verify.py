@@ -376,8 +376,10 @@ def criterion_10(reports) -> CriterionResult:
     """Replaying every series through ``counts`` at caps 128 and 256 agrees.
 
     Every engine's loops stop at the last index that can reach the window,
-    so above the derived box the outer loop limit (j, l2 or t) adds no
-    term: this checks that, not that the box is complete.
+    so above the derived box the outer loop limit (l2 or t) adds no term:
+    this checks that, not that the box is complete.  The csets and r0 set
+    limits on j do not depend on the cap, so a replay cannot show one too
+    tight (``tests/test_constraint_sets.py`` checks them).
     """
     problems: List[str] = []
     for rep in reports:

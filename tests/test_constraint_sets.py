@@ -88,20 +88,85 @@ def test_sets_match_per_candidate_loops(depth):
     assert not bad, bad[:5]
 
 
+def set_limit(name, extra, r, pq, span):
+    """The largest j at which a set can add a term to a window of depth
+    span = D = f4 - 2*lo2, from the set's cost floor (see ``genfun._box``);
+    ``extra`` is the set's entry in ``csets_calls`` or ``r0_calls``, and an
+    r0 set has r = 0 and pq = ab."""
+    c = 2 * pq + r
+    if name in ("_cs_quad", "_r0_quad"):
+        step = extra[0]
+        return (4 * c * span + step * step) // (4 * c * step)
+    if name in ("_cs_ratio", "_r0_cone"):
+        return (math.isqrt(c * span) - 1) // r if r else span // (2 * extra[0])
+    return math.isqrt(span // c)  # pinned and tail
+
+
+def window_sets(abr, cls, lo2):
+    """(f4, box) of the window and (key, set, surface args, extra, weight,
+    limit) for each csets set, and each r0 set when r = 0."""
+    pr = derive_params(*abr)
+    a, b, r = abr
+    pq = pr.p * pr.q
+    f4 = f4_exponent(pr.C, r, *cls)
+    span = f4 - 2 * lo2
+    sets = [((name, pos, r > 0), name, (r, pq), extra, w,
+             set_limit(name, extra, r, pq, span))
+            for pos, (name, extra, w) in enumerate(csets_calls(a, b, r))]
+    if r == 0:
+        sets += [((name, pos, False), name, (), extra, w,
+                  set_limit(name, extra, 0, a * b, span))
+                 for pos, (name, extra, w) in enumerate(r0_calls(a, b))]
+    return (f4, genfun._box(pr, *cls, lo2)), sets
+
+
+def test_sets_add_nothing_past_their_limits():
+    """Each set and its per-candidate loop add nothing at any j past the
+    set's limit, up to twice the box, on both grids; and every limit is
+    reached: some window has a term at the last j of its parity within the
+    limit, so a limit one step of j lower would lose it."""
+    grid = [(abr, cls, SHALLOW) for abr in SURFACES["csets"]
+            for cls in CLASSES6]
+    grid += [(abr, cls, DEEP) for abr in DEEP_SURFACES for cls in CLASSES6]
+    past, reached, limits = [], set(), set()
+    for abr, (m, n), depth in grid:
+        lo2 = 2 * (math.floor(f_exponent(derive_params(*abr), m, n)) - depth)
+        (f4, box), sets = window_sets(abr, (m, n), lo2)
+        for key, name, surface, extra, weight, limit in sets:
+            limits.add(key)
+            runs = ((getattr(genfun, name),
+                     (weight,) if name in WEIGHTED else ()),
+                    (getattr(reference_sets, name), ()))
+            top = limit - (limit - n) % 2  # the last j = n (mod 2) in it
+            for j in range(max(top, 2 - n % 2), 2 * box + 1, 2):
+                args = (j, f4, m) + abr[:2] + surface + (lo2, 2 * box) + extra
+                for run, tail in runs:
+                    acc = [0] * (f4 // 2 - lo2 + 1)
+                    run(acc, *args, *tail)
+                    if any(acc) and j > limit:
+                        past.append((abr, (m, n), name, extra, j, limit))
+                    elif any(acc):
+                        reached.add(key)
+    assert not past, past[:5]
+    assert reached == limits, sorted(limits - reached)
+
+
 @pytest.mark.parametrize("abr, quads, tails",
                          (((1, 2, 0), 2, 1), ((2, 3, 1), 4, 2)))
 def test_csets_runs_each_distinct_set_once(monkeypatch, abr, quads, tails):
-    """At r = 0 the repeated sets run once, so per j there are half the
-    ``_cs_quad`` and ``_cs_tail`` calls of a twisted surface."""
-    calls = {"_cs_quad": Counter(), "_cs_tail": Counter()}
-    for name, seen in calls.items():
-        def counted(acc, j, *rest, _run=getattr(genfun, name), _seen=seen):
-            _seen[j] += 1
+    """At r = 0 the repeated sets run once, so at a j within every limit
+    there are half the ``_cs_quad`` and ``_cs_tail`` calls of a twisted
+    surface; and each set runs exactly at the j within its own limit."""
+    (_, box), sets = window_sets(abr, (0, 0), -40)
+    sets = [(name, limit) for _, name, _, _, _, limit in sets
+            if name.startswith("_cs")]
+    calls = Counter()
+    for name in {name for name, _ in sets}:
+        def counted(acc, j, *rest, _run=getattr(genfun, name), _name=name):
+            calls[_name, j] += 1
             return _run(acc, j, *rest)
         monkeypatch.setattr(genfun, name, counted)
-    pr = derive_params(*abr)
-    genfun.rank2_vb_csets(pr, (0, 0), -40)
-    js = set(range(2, genfun._box(pr, 0, 0, -40) + 1, 2))
-    assert set(calls["_cs_quad"]) == set(calls["_cs_tail"]) == js
-    assert set(calls["_cs_quad"].values()) == {quads}
-    assert set(calls["_cs_tail"].values()) == {tails}
+    genfun.rank2_vb_csets(derive_params(*abr), (0, 0), -40)
+    assert calls == Counter((name, j) for name, limit in sets
+                            for j in range(2, min(box, limit) + 1, 2))
+    assert (calls["_cs_quad", 2], calls["_cs_tail", 2]) == (quads, tails)
