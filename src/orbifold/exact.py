@@ -20,7 +20,9 @@ Three small algebra layers live here, each with only what the package uses:
   and ``geometric_factor`` are the reference product that ``vb_to_tf`` is
   tested against.
 
-All coefficients are ``fractions.Fraction``; ``Rational`` is an alias for it.
+Coefficients are exact: ``RatPoly`` and ``Cyclotomic`` keep
+``fractions.Fraction`` values (``Rational`` is an alias for it), and
+``HalfExpLaurent`` keeps an integral coefficient as an int.
 """
 
 from __future__ import annotations
@@ -346,7 +348,10 @@ class HalfExpLaurent:
     anything lower has been dropped and is unknown.  The high end is always
     exact (truncation only ever discards low-order tail).  Two series
     compare on the intersection of their sound windows through
-    ``first_difference``.
+    ``first_difference``.  An integral coefficient is stored as an int and
+    any other as a ``Fraction``, so a window of integer counts builds no
+    ``Fraction``; an int and the equal ``Fraction`` compare, hash and print
+    alike, and ``coeff2`` returns a ``Fraction`` either way.
     """
 
     __slots__ = ("min2exp", "_terms")
@@ -354,7 +359,8 @@ class HalfExpLaurent:
     def __init__(self, min2exp: int, terms: Mapping[int, RationalLike] = {}):
         self.min2exp = lo = _integer(min2exp, "min2exp must be an integer")
         keys = _integers(terms.keys(), "doubled exponents must be integers")
-        coeffs = map(Fraction, terms.values())
+        coeffs = [c if type(c) is int else _rational(c)
+                  for c in terms.values()]
         self._terms = {e2: c for e2, c in zip(keys, coeffs) if c and e2 >= lo}
 
     # -- inspection --------------------------------------------------------
@@ -368,7 +374,7 @@ class HalfExpLaurent:
         e2 = _integer(e2, "doubled exponent must be an integer")
         if e2 < self.min2exp:
             raise ValueError("exponent %s/2 is below the sound cutoff" % e2)
-        return self._terms.get(e2, Fraction(0))
+        return Fraction(self._terms.get(e2, 0))
 
     @property
     def max2exp(self):
@@ -397,7 +403,7 @@ class HalfExpLaurent:
                 e = e1 + e2
                 if e < lo:
                     continue
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return HalfExpLaurent(lo, out)
 
     # -- comparisons, serialization, display -------------------------------
@@ -444,6 +450,12 @@ class HalfExpLaurent:
         )
 
 
+def _rational(c: RationalLike) -> RationalLike:
+    """c as an exact number: an int if it is integral, else a Fraction."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _exp_str(e2: int) -> str:
     if e2 % 2 == 0:
         return str(e2 // 2)
@@ -462,7 +474,7 @@ def monomial(exp: RationalLike, coeff: RationalLike = 1, min2exp=None) -> HalfEx
     e2 = int(e2)
     if min2exp is None:
         min2exp = e2
-    return HalfExpLaurent(min2exp, {e2: Fraction(coeff)})
+    return HalfExpLaurent(min2exp, {e2: coeff})
 
 
 def geometric_factor(step: RationalLike, power: int, min2exp: int) -> HalfExpLaurent:
@@ -483,6 +495,6 @@ def geometric_factor(step: RationalLike, power: int, min2exp: int) -> HalfExpLau
     terms = {}
     j = 0
     while -step2 * j >= min2exp:
-        terms[-step2 * j] = Fraction(math.comb(j + power - 1, power - 1))
+        terms[-step2 * j] = math.comb(j + power - 1, power - 1)
         j += 1
     return HalfExpLaurent(min2exp, terms)

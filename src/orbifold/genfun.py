@@ -24,18 +24,21 @@ e2 >= lo2, up to the highest exponent any term can reach (f4/2 for csets,
 r0 and lambda, 12 for the closed sums); the series is built once from its
 nonzero entries.  Each engine enumerates once, over the box that ``_box``,
 ``_p12_tmax`` or ``_lambda_box`` derives from the depth of the window; the
-box caps every index.  Inside it csets and r0 call each constraint set only
-for the j its own cost floor lets reach the window (see ``_box``), each
-csets, r0 and lambda loop visits only indices whose cost Q can reach the
-window, and the closed loop stops at the last term family that can.  A
-csets or r0 term of cost Q sits at index (f4 - Q)/2 - lo2, which is >= 0
-iff Q <= D (see ``_box``) and inside the list as Q > 0.  The congruences
-of a set leave one residue class of i mod 2ab, whose terms at one k lie a
-fixed stride apart in the list, so the set adds each run with one strided
-range up to its last Q <= D, or one count where the exponent does not
-depend on k.  At r = 0 the csets shift is 0 and its sets 4, 5 and 9 repeat
-3, 2 and 8, so it runs each pair once at weight 2, as r0 runs its sets 2
-and 3.  ``ENGINES`` maps each engine name to its entry point, its
+box caps every index.  csets and r0 call each constraint set once per
+window, with the range of j from 1 or 2 (j = n mod 2) up to the largest j
+its own cost floor lets reach the window, capped by the box; the set works
+out its moduli, inverses and periods once and runs its own j loop (see
+``_box``), and the engine checks once per window that the exponents are
+half-integers.  Each csets, r0 and lambda loop visits only indices whose
+cost Q can reach the window, and the closed loop stops at the last term
+family that can.  A csets or r0 term of cost Q sits at index
+(f4 - Q)/2 - lo2, which is >= 0 iff Q <= D (see ``_box``) and inside the
+list as Q > 0.  The congruences of a set leave one residue class of i mod
+2ab, whose terms at one k lie a fixed stride apart in the list, so the set
+adds each run with one strided range up to its last Q <= D, or one count
+where the exponent does not depend on k.  At r = 0 the csets shift is 0
+and its sets 4, 5 and 9 repeat 3, 2 and 8, so it runs each pair once at
+weight 2, as r0 runs its sets 2 and 3.  ``ENGINES`` maps each engine name to its entry point, its
 enumeration at a fixed cap and the inputs it covers; the command line and
 ``crosscheck``, which runs every applicable engine and reports the first
 disagreeing exponent, dispatch through it.  Every coefficient is exact, on
@@ -170,9 +173,9 @@ def _box(params: HirzebruchParams, m: int, n: int, min2exp: int) -> int:
     1: i = pq*j and Q = (2pq + r) j^2; 8-9: i >= pq*j + 1, so
       Q >= (2pq + r) j^2 + 2j; in both i <= D/2 and |k| < (pq + 2r) j.
     The box caps every index; each set also has its own largest j, from
-    the floor of its cost, with c = 2pq + r (r0: c = 2ab, and its pinned
-    and tail sets, quad sets and cone sets take the limits of 1 and 8-9,
-    2-5 and 6-7):
+    the floor of its cost, and runs its own loop over the j up to it, with
+    c = 2pq + r (r0: c = 2ab, and its pinned and tail sets, quad sets and
+    cone sets take the limits of 1 and 8-9, 2-5 and 6-7):
     1, 8-9: Q >= c j^2, so j <= isqrt(D // c);
     2-5, i = k (mod s), s = 2a or 2b: i > pq*l > k, so x + y = i - k >= s
       and Q >= c l^2 + s (j - |l|) >= s j - s^2/(4c), so
@@ -181,11 +184,20 @@ def _box(params: HirzebruchParams, m: int, n: int, min2exp: int) -> int:
       j <= D // (2d);
     6-7, r > 0: r j (r j + 2) < c D, as above when i <= 0 and as
       r j (r j + 2) <= r Q <= r D when i >= 1, so j <= (isqrt(c D) - 1) // r.
+    The minus form (sets 4-5) also ends its loop at the first j whose l
+    floor l_lo(j) = ceil((3j + r j^2 - D) / (2pq j - 1)) exceeds L(j) =
+    min(M, isqrt((D - 2j) // c)), the cap on |l|, as its l interval is
+    then empty at every larger j: L falls as j rises, and l_lo rises, since
+    the j-derivative of (3j + r j^2 - D) / (2pq j - 1) has the sign of
+    2r j (pq j - 1) + 2pq D - 3 > 0 for j >= 1 once D >= 2 (and these
+    sets have no term when D < 2, as Q >= 2j >= 4).
     Parity: sets 2-5 have l = j (mod 2), so (j + l) and (j - l) are even and
     r l^2 = r j^2 (mod 2); every other set has Q = 2ij + r j^2.  So every
-    term at a given j has f4 - Q = f4 - r j^2 (mod 2), and the engines check
-    that f4 - r j^2 is even, i.e. that the exponents are half-integers, once
-    per j.  As j = n (mod 2) and f4 = r n^2 (mod 2), the check always holds.
+    term at a given j has f4 - Q = f4 - r j^2 (mod 2), and the exponents are
+    half-integers iff f4 - r j^2 is even.  Every j of a window has j = n
+    (mod 2), so j^2 = j = n (mod 2) and f4 - r j^2 = f4 - r n (mod 2): the
+    engines check that f4 - r n is even once per window.  As f4 = r n^2
+    (mod 2), the check always holds.
     """
     r, pq = params.r, params.p * params.q
     span = max(0, f4_exponent(params.C, r, m, n) - 2 * min2exp)
@@ -226,26 +238,30 @@ def _check_half_integer(e4: int, j: int):
 # engine: csets (general r >= 0)
 # ---------------------------------------------------------------------------
 
-def _cs_pinned(acc, j, f4, m, a, b, r, pq, lo2, M):
+def _cs_pinned(acc, js, f4, m, a, b, r, pq, lo2, M):
     """Set 1: four-index tuples pinned to the hyperplane i = pq*j (weight -1).
 
     All at Q = (2pq + r) j^2 > 0, counted if Q <= D: per l, the k in
     (-i - r(j - l), i), k >= -M, with k = i (mod 2b), k = -i - r(j - l)
     (mod 2a).
     """
-    i, e4 = pq * j, f4 - (2 * pq + r) * j * j
-    if i > M or (m + i) % 2 or e4 < 2 * lo2:
-        return
-    inv, period, hits = pow(b, -1, a), 2 * a * b, 0
-    for l in range(-j + 2, j, 2):
-        rjl = r * (j - l)
-        k_lo = max(-i - rjl + 1, -M)
-        k = i + 2 * b * ((-i - rjl // 2) * inv % a)
-        hits += len(range(k_lo + (k - k_lo) % period, i, period))
-    acc[(e4 >> 1) - lo2] -= hits
+    c, inv, period = 2 * pq + r, pow(b, -1, a), 2 * a * b
+    for j in js:
+        i, e4 = pq * j, f4 - c * j * j
+        if i > M or e4 < 2 * lo2:
+            return  # i rises and e4 falls with j
+        if (m + i) % 2:
+            continue
+        hits = 0
+        for l in range(-j + 2, j, 2):
+            rjl = r * (j - l)
+            k_lo = max(-i - rjl + 1, -M)
+            k = i + 2 * b * ((-i - rjl // 2) * inv % a)
+            hits += len(range(k_lo + (k - k_lo) % period, i, period))
+        acc[(e4 >> 1) - lo2] -= hits
 
 
-def _cs_quad(acc, j, f4, m, a, b, r, pq, lo2, M, step, cross_mod, plus_form,
+def _cs_quad(acc, js, f4, m, a, b, r, pq, lo2, M, step, cross_mod, plus_form,
              weight):
     """Sets 2-5: the generic four-index family with the bilinear exponent.
 
@@ -255,40 +271,48 @@ def _cs_quad(acc, j, f4, m, a, b, r, pq, lo2, M, step, cross_mod, plus_form,
     its i = k (mod ``step``), i = -k - shift (mod ``cross_mod``) from
     lo = max(pq*l, -k - shift) + 1 to hi, the last i <= M with Q <= D, at
     indices ab (j + l) apart; lo rises and hi falls, so it ends at the first
-    empty run.  i > pq*l > k gives Q >= (2pq + r) l^2 + 2j > 0, bounding |l|;
-    i > -k - shift gives Q >= 3j + (1 - 2pq j) l - shift (j + l) + r l^2,
-    bounding l below.  Each hit adds ``weight``: at r = 0 both forms have
-    shift 0, one k-floor, l floor and target, so one runs with weight 2.
+    empty run.  i > pq*l > k gives Q >= (2pq + r) l^2 + 2j > 0, bounding |l|
+    by L; i > -k - shift gives Q >= 3j + (1 - 2pq j) l - shift (j + l)
+    + r l^2, bounding l below.  The minus form's loop ends at the first j
+    whose l floor exceeds L (see ``_box``).  Each hit adds ``weight``: at
+    r = 0 both forms have shift 0, one k-floor, l floor and target, so one
+    runs with weight 2.
     """
-    span = f4 - 2 * lo2
-    L = min(M, isqrt(max(0, span - 2 * j) // (2 * pq + r)))
-    l_lo = -((span - 3 * j + r * j * j) // (2 * (pq + r) * j - 1) if plus_form
-             else (span - 3 * j - r * j * j) // (2 * pq * j - 1))
-    l_lo = max(-j + 2, -L, l_lo)
+    span, c = f4 - 2 * lo2, 2 * pq + r
     mod, period = cross_mod // 2, step * cross_mod // 2
     inv = pow(step // 2, -1, mod)
-    for l in range(l_lo + (j + l_lo) % 2, min(j - 2, L) + 1, 2):
-        jp, jm, pql = j + l, j - l, pq * l
-        shift = r * jp if plus_form else -r * jm
-        k_floor = -pq * j - shift if plus_form else -pq * j
-        room, half, stride = span - r * l * l, shift // 2, period // 2 * jp
-        k_top = pql - 1 if pql <= M else M
-        for k in range(k_top - (k_top - m) % 2, max(k_floor, -M - 1), -2):
-            cap = room + k * jm  # twice the index of (i, k) is cap - i (j + l)
-            lo = (pql if pql > -k - shift else -k - shift) + 1
-            hi = cap // jp
-            if hi > M:
-                hi = M
-            if lo > hi:
-                break
-            i = k + step * ((-k - half) * inv % mod)
-            i = lo + (i - lo) % period
-            for x in range((cap - i * jp) // 2, (cap - hi * jp) // 2 - 1,
-                           -stride):
-                acc[x] += weight
+    for j in js:
+        L = min(M, isqrt(max(0, span - 2 * j) // c))
+        if plus_form:
+            l_lo = -((span - 3 * j + r * j * j) // (2 * (pq + r) * j - 1))
+        else:
+            l_lo = -((span - 3 * j - r * j * j) // (2 * pq * j - 1))
+            if l_lo > L:
+                return
+        l_lo = max(-j + 2, -L, l_lo)
+        for l in range(l_lo + (j + l_lo) % 2, min(j - 2, L) + 1, 2):
+            jp, jm, pql = j + l, j - l, pq * l
+            shift = r * jp if plus_form else -r * jm
+            k_floor = -pq * j - shift if plus_form else -pq * j
+            room, half, stride = span - r * l * l, shift // 2, period // 2 * jp
+            k_top = pql - 1 if pql <= M else M
+            for k in range(k_top - (k_top - m) % 2, max(k_floor, -M - 1), -2):
+                # twice the index of (i, k) is cap - i (j + l)
+                cap = room + k * jm
+                lo = (pql if pql > -k - shift else -k - shift) + 1
+                hi = cap // jp
+                if hi > M:
+                    hi = M
+                if lo > hi:
+                    break
+                i = k + step * ((-k - half) * inv % mod)
+                i = lo + (i - lo) % period
+                for x in range((cap - i * jp) // 2, (cap - hi * jp) // 2 - 1,
+                               -stride):
+                    acc[x] += weight
 
 
-def _cs_ratio(acc, j, f4, m, a, b, r, pq, lo2, M, div_mod):
+def _cs_ratio(acc, js, f4, m, a, b, r, pq, lo2, M, div_mod):
     """Sets 6-7: three-index tuples with congruence 2*div_mod | 2i + r(j+k).
 
     Q = 2ij + r j^2 does not involve k: each i up to the last Q <= D adds
@@ -296,28 +320,29 @@ def _cs_ratio(acc, j, f4, m, a, b, r, pq, lo2, M, div_mod):
     which needs g = gcd(r, div_mod) | i.  A row with Q <= 0 has no k
     (k > -(2i + r j)/r >= 0 > (i - 1)/pq) and is not written.
     """
-    # i may dip below 1 when the twist dominates; the k-window is only
-    # nonempty while (2*pq + r) * |i| < r * pq * j
-    i_lo = -((r * pq * j) // (2 * pq + r)) - 1 if r else 1
-    cap = f4 - 2 * lo2 - r * j * j  # twice the index of row i is cap - 2ij
     g = gcd(r, div_mod)
     if m % 2 and g % 2 == 0:
         return  # i = m (mod 2) and g | i
     mod, period = div_mod // g, lcm(2, g)
-    inv = pow(r // g, -1, mod)
-    for i in range(i_lo + (g * (m % 2) - i_lo) % period,
-                   min(pq * j - 1, M, cap // (2 * j)) + 1, period):
-        k_lo = (-i - r * j) // (r + pq) + 1
-        if r > 0:
-            k_lo = max(k_lo, (-2 * i - r * j) // r + 1)
-        s = (k_lo + j + 1) // 2
-        s += (-(i // g) * inv - s) % mod
-        hits = len(range(s, ((i - 1) // pq + j) // 2 + 1, mod))
-        if hits:
-            acc[cap // 2 - i * j] += hits
+    inv, span = pow(r // g, -1, mod), f4 - 2 * lo2
+    for j in js:
+        # i may dip below 1 when the twist dominates; the k-window is only
+        # nonempty while (2*pq + r) * |i| < r * pq * j
+        i_lo = -((r * pq * j) // (2 * pq + r)) - 1 if r else 1
+        cap = span - r * j * j  # twice the index of row i is cap - 2ij
+        for i in range(i_lo + (g * (m % 2) - i_lo) % period,
+                       min(pq * j - 1, M, cap // (2 * j)) + 1, period):
+            k_lo = (-i - r * j) // (r + pq) + 1
+            if r > 0:
+                k_lo = max(k_lo, (-2 * i - r * j) // r + 1)
+            s = (k_lo + j + 1) // 2
+            s += (-(i // g) * inv - s) % mod
+            hits = len(range(s, ((i - 1) // pq + j) // 2 + 1, mod))
+            if hits:
+                acc[cap // 2 - i * j] += hits
 
 
-def _cs_tail(acc, j, f4, m, a, b, r, pq, lo2, M, twisted, weight):
+def _cs_tail(acc, js, f4, m, a, b, r, pq, lo2, M, twisted, weight):
     """Sets 8-9: three-index tuples beyond the i = pq*j wall.
 
     ``twisted`` widens the k-interval by the twist and twists the
@@ -326,17 +351,20 @@ def _cs_tail(acc, j, f4, m, a, b, r, pq, lo2, M, twisted, weight):
     i = -k - shift mod 2a) run from pq*j + 1, so Q >= (2pq + r) j^2 + 2j
     > 0, to the last i <= M with Q <= D, at indices 2ab j apart.
     """
-    cap = f4 - 2 * lo2 - r * j * j  # twice the index of (i, k) is cap - 2ij
-    if 2 * pq * j * j + 2 * j > cap:
-        return
-    k_floor, half = (-(pq + 2 * r) * j, r * j) if twisted else (-pq * j, 0)
-    i_hi, inv, period = min(M, cap // (2 * j)), pow(b, -1, a), 2 * a * b
-    k_lo = max(k_floor + 1, -M)
-    for k in range(k_lo + (m + k_lo) % 2, min(pq * j - 1, M) + 1, 2):
-        i = k + 2 * b * ((-k - half) * inv % a)
-        i = pq * j + 1 + (i - pq * j - 1) % period
-        for x in range(cap // 2 - i * j, cap // 2 - i_hi * j - 1, -period * j):
-            acc[x] += weight
+    span, inv, period = f4 - 2 * lo2, pow(b, -1, a), 2 * a * b
+    for j in js:
+        cap = span - r * j * j  # twice the index of (i, k) is cap - 2ij
+        if 2 * pq * j * j + 2 * j > cap:
+            return  # Q >= (2pq + r) j^2 + 2j rises with j
+        k_floor, half = (-(pq + 2 * r) * j, r * j) if twisted else (-pq * j, 0)
+        i_hi = min(M, cap // (2 * j))
+        k_lo = max(k_floor + 1, -M)
+        for k in range(k_lo + (m + k_lo) % 2, min(pq * j - 1, M) + 1, 2):
+            i = k + 2 * b * ((-k - half) * inv % a)
+            i = pq * j + 1 + (i - pq * j - 1) % period
+            for x in range(cap // 2 - i * j, cap // 2 - i_hi * j - 1,
+                           -period * j):
+                acc[x] += weight
 
 
 def _csets_counts(params: HirzebruchParams, m: int, n: int,
@@ -345,6 +373,8 @@ def _csets_counts(params: HirzebruchParams, m: int, n: int,
     pq = params.p * params.q
     f4 = f4_exponent(params.C, r, m, n)
     acc = [0] * (f4 // 2 - lo2 + 1)
+    first = 2 - n % 2  # every set needs j = n (mod 2)
+    _check_half_integer(f4 - r * n, first)  # see ``_box``
     forms, weight = ((True, False), 1) if r else ((True,), 2)  # see _cs_quad
     # each set with the largest j its cost floor lets reach the window
     c, span = 2 * pq + r, max(0, f4 - 2 * lo2)  # see ``_box``
@@ -358,12 +388,9 @@ def _csets_counts(params: HirzebruchParams, m: int, n: int,
             sets.append(((4 * c * span + s * s) // (4 * c * s), _cs_quad,
                          (s, t, form, weight)))
         sets.append((wall, _cs_tail, (form, weight)))
-    top = min(M, max(limit for limit, _, _ in sets))
-    for j in range(2 - n % 2, top + 1, 2):  # every set needs j = n (mod 2)
-        _check_half_integer(f4 - r * j * j, j)  # see ``_box``
-        for limit, run, extra in sets:
-            if j <= limit:
-                run(acc, j, f4, m, a, b, r, pq, lo2, M, *extra)
+    for limit, run, extra in sets:
+        run(acc, range(first, min(limit, M) + 1, 2), f4, m, a, b, r, pq, lo2,
+            M, *extra)
     return acc
 
 
@@ -382,18 +409,22 @@ def rank2_vb_csets(params: HirzebruchParams, cls: ClassLike,
 # engine: r0 (independent transcription of the r = 0 specialization)
 # ---------------------------------------------------------------------------
 
-def _r0_pinned(acc, j, f4, m, a, b, lo2, M):
+def _r0_pinned(acc, js, f4, m, a, b, lo2, M):
     """Pinned set of the r = 0 family: i = ab*j, weight -1, Q = 2ab j^2.
 
     k = i (mod 2b), i + k = 0 (mod 2a) say k = i (mod 2ab): each of the
     j - 1 values of l counts k = i - 2ab t, 0 < t < j (|k| < i <= M).
     """
-    i, e4 = a * b * j, f4 - 2 * a * b * j * j
-    if i <= M and (m + i) % 2 == 0 and e4 >= 2 * lo2:
-        acc[(e4 >> 1) - lo2] -= (j - 1) ** 2
+    ab = a * b
+    for j in js:
+        i, e4 = ab * j, f4 - 2 * ab * j * j
+        if i > M or e4 < 2 * lo2:
+            return  # i rises and e4 falls with j
+        if (m + i) % 2 == 0:
+            acc[(e4 >> 1) - lo2] -= (j - 1) ** 2
 
 
-def _r0_quad(acc, j, f4, m, a, b, lo2, M, step, cross_mod):
+def _r0_quad(acc, js, f4, m, a, b, lo2, M, step, cross_mod):
     """Sets 2-3 of the r = 0 family, each counted twice.
 
     As ``_cs_quad`` at r = 0, with i > max(ab*l, -k), -ab*j < k < ab*l:
@@ -402,62 +433,69 @@ def _r0_quad(acc, j, f4, m, a, b, lo2, M, step, cross_mod):
     ``cross_mod``) up to the last i <= M with Q <= D, ab (j + l) apart.
     """
     ab, span = a * b, f4 - 2 * lo2
-    L = min(M, isqrt(max(0, span - 2 * j) // (2 * ab)))
-    l_lo = max(-j + 2, -L, -((span - 3 * j) // (2 * ab * j - 1)))
     mod, inv = cross_mod // 2, pow(step // 2, -1, cross_mod // 2)
-    for l in range(l_lo + (j + l_lo) % 2, min(j - 2, L) + 1, 2):
-        jp, jm, abl = j + l, j - l, ab * l
-        k_top = abl - 1 if abl <= M else M
-        for k in range(k_top - (k_top - m) % 2, max(-ab * j, -M - 1), -2):
-            cap = span + k * jm  # twice the index is cap - i (j + l)
-            lo = (abl if abl > -k else -k) + 1
-            hi = cap // jp
-            if hi > M:
-                hi = M
-            if lo > hi:
-                break
-            i = k + step * (-k * inv % mod)
-            i = lo + (i - lo) % (2 * ab)
-            for x in range((cap - i * jp) // 2, (cap - hi * jp) // 2 - 1,
-                           -ab * jp):
-                acc[x] += 2
+    for j in js:
+        L = min(M, isqrt(max(0, span - 2 * j) // (2 * ab)))
+        l_lo = max(-j + 2, -L, -((span - 3 * j) // (2 * ab * j - 1)))
+        for l in range(l_lo + (j + l_lo) % 2, min(j - 2, L) + 1, 2):
+            jp, jm, abl = j + l, j - l, ab * l
+            k_top = abl - 1 if abl <= M else M
+            for k in range(k_top - (k_top - m) % 2, max(-ab * j, -M - 1), -2):
+                cap = span + k * jm  # twice the index is cap - i (j + l)
+                lo = (abl if abl > -k else -k) + 1
+                hi = cap // jp
+                if hi > M:
+                    hi = M
+                if lo > hi:
+                    break
+                i = k + step * (-k * inv % mod)
+                i = lo + (i - lo) % (2 * ab)
+                for x in range((cap - i * jp) // 2, (cap - hi * jp) // 2 - 1,
+                               -ab * jp):
+                    acc[x] += 2
 
 
-def _r0_cone(acc, j, f4, m, a, b, lo2, M, div):
+def _r0_cone(acc, js, f4, m, a, b, lo2, M, div):
     """Sets 4-5 of the r = 0 family: div | i inside the open cone |ab*k| < i.
 
     Q = 2ij > 0 does not involve k: each i up to the last Q <= D adds its
     k = j (mod 2), |k| <= (i - 1) // ab (inside |k| <= M, as i <= M).
     """
     ab, cap = a * b, f4 - 2 * lo2  # twice the index of row i is cap - 2ij
-    for i in range(div, min(ab * j - 1, M, cap // (2 * j)) + 1, div):
-        if (m + i) % 2 == 0:
-            k_max = (i - 1) // ab
-            acc[cap // 2 - i * j] += k_max + 1 - (k_max + j) % 2
+    for j in js:
+        for i in range(div, min(ab * j - 1, M, cap // (2 * j)) + 1, div):
+            if (m + i) % 2 == 0:
+                k_max = (i - 1) // ab
+                acc[cap // 2 - i * j] += k_max + 1 - (k_max + j) % 2
 
 
-def _r0_tail(acc, j, f4, m, a, b, lo2, M):
+def _r0_tail(acc, js, f4, m, a, b, lo2, M):
     """Wall tail of the r = 0 family: i > ab*j, so Q = 2ij >= 2ab j^2 + 2j.
 
     The i of a k (i = k mod 2b, i = -k mod 2a), each counted twice, run
     from ab*j + 1 to the last i <= M with Q <= D, at indices 2ab j apart.
     """
     ab, cap = a * b, f4 - 2 * lo2  # twice the index of (i, k) is cap - 2ij
-    if 2 * ab * j * j + 2 * j > cap:
-        return
-    i_hi, inv = min(M, cap // (2 * j)), pow(b, -1, a)
-    k_lo = max(-ab * j + 1, -M)
-    for k in range(k_lo + (m + k_lo) % 2, min(ab * j - 1, M) + 1, 2):
-        i = k + 2 * b * (-k * inv % a)
-        i = ab * j + 1 + (i - ab * j - 1) % (2 * ab)
-        for x in range(cap // 2 - i * j, cap // 2 - i_hi * j - 1, -2 * ab * j):
-            acc[x] += 2
+    inv = pow(b, -1, a)
+    for j in js:
+        if 2 * ab * j * j + 2 * j > cap:
+            return  # Q >= 2ab j^2 + 2j rises with j
+        i_hi = min(M, cap // (2 * j))
+        k_lo = max(-ab * j + 1, -M)
+        for k in range(k_lo + (m + k_lo) % 2, min(ab * j - 1, M) + 1, 2):
+            i = k + 2 * b * (-k * inv % a)
+            i = ab * j + 1 + (i - ab * j - 1) % (2 * ab)
+            for x in range(cap // 2 - i * j, cap // 2 - i_hi * j - 1,
+                           -2 * ab * j):
+                acc[x] += 2
 
 
 def _r0_counts(params, m, n, lo2, M) -> List[int]:
     a, b = params.a, params.b
     f4 = f4_exponent(params.C, 0, m, n)
     acc = [0] * (f4 // 2 - lo2 + 1)
+    first = 2 - n % 2  # every set needs j = n (mod 2)
+    _check_half_integer(f4, first)  # see ``_box``, with r = 0
     # the largest j of each set: Q >= 2ab j^2 on the pinned and tail sets;
     # a quad set of step s has i - k >= s, so Q >= 2ab l^2 + s (j - |l|)
     # >= s j - s^2 / (8ab); a cone set of divisor div has Q = 2ij >= 2 div j
@@ -468,12 +506,9 @@ def _r0_counts(params, m, n, lo2, M) -> List[int]:
              for s, t in ((2 * b, 2 * a), (2 * a, 2 * b))]
     sets += [(span // (2 * div), _r0_cone, (div,)) for div in (b, a)]
     sets.append((wall, _r0_tail, ()))
-    top = min(M, max(limit for limit, _, _ in sets))
-    for j in range(2 - n % 2, top + 1, 2):  # every set needs j = n (mod 2)
-        _check_half_integer(f4, j)  # see ``_box``, with r = 0
-        for limit, run, extra in sets:
-            if j <= limit:
-                run(acc, j, f4, m, a, b, lo2, M, *extra)
+    for limit, run, extra in sets:
+        run(acc, range(first, min(limit, M) + 1, 2), f4, m, a, b, lo2, M,
+            *extra)
     return acc
 
 
@@ -678,14 +713,45 @@ def rank2_vb_closed_p12(cls: ClassLike, min2exp: int) -> HalfExpLaurent:
 # engine: lambda (direct enumeration of rank-2 data)
 # ---------------------------------------------------------------------------
 
-# ``sheafdata.STRATA`` with its rows and slopes (see ``_lambda_counts``)
-_LAMBDA_STRATA = tuple(
-    (incidence, s.weight, s.zero,
-     tuple(tuple(sign if k in part else -sign
-                 for k, sign in ((1, 1), (3, 1), (2, -1), (4, -1)))
-           for part in s.parts), s.corner,
-     tuple(4 * (set(s.corner) == {x, c}) - 2 for x in (1, 3) for c in (2, 4)))
-    for incidence, s in STRATA.items())
+def _lambda_stratum(incidence, stratum):
+    """One ``_LAMBDA_STRATA`` entry (see ``_lambda_counts``): each l3 limit
+    and cut as (s, u2, u4, u0, ulo, utop), meaning s l1 + u2 W2 + u4 W4 + u0
+    + ulo lo3 + utop top3; a cut, upper minus lower limit, is kept if s != 0.
+    """
+    rows = [tuple(sign if k in part else -sign
+                  for k, sign in ((1, 1), (3, 1), (2, -1), (4, -1)))
+            for part in stratum.parts]
+    lows = [(0, 0, 0, 0, 1, 0)] + [(c1, -k2, -k4, 1, 0, 0)
+                                   for c1, c3, k2, k4 in rows if c3 < 0]
+    highs = [(0, 0, 0, 0, 0, 1)] + [(-c1, k2, k4, -1, 0, 0)
+                                    for c1, c3, k2, k4 in rows if c3 > 0]
+    cuts = [tuple(x - y for x, y in zip(high, low))
+            for low in lows for high in highs]
+    corner = set(stratum.corner)
+    return (incidence, stratum.weight, stratum.zero, stratum.corner,
+            tuple(4 * (corner == {x, c}) - 2 for x in (1, 3) for c in (2, 4)),
+            tuple(lows), tuple(highs),
+            tuple(cut for cut in cuts if cut[0] > 0),
+            tuple(cut for cut in cuts if cut[0] < 0))
+
+
+# ``sheafdata.STRATA`` as ``_lambda_counts`` reads it, built once
+_LAMBDA_STRATA = tuple(_lambda_stratum(incidence, stratum)
+                       for incidence, stratum in STRATA.items())
+
+
+def _lambda_l4_start(corner, l2: int, pq: int, r: int, span: int) -> int:
+    """An l4 >= 1 below which no slice (l2, l4) costs D = span or less
+    (see ``_lambda_counts``)."""
+    if corner:  # (r + 2pq) y^2 - 2y + 4 l2 - D <= 0 with y = l2 - l4 >= 1
+        c = r + 2 * pq
+        disc = 1 + c * (span - 4 * l2)
+        start = l2 - (1 + isqrt(disc)) // c if disc >= 0 else l2
+    else:  # B l4^2 - 2t l4 + D - A l2 >= 0, l4 >= 1 > the smaller root
+        big, t = 2 * pq + 3 * r, 1 - r * l2
+        disc = t * t - big * (span - ((2 * pq + r) * l2 + 2) * l2)
+        start = -((-t - isqrt(disc)) // big) if disc >= 0 else 1
+    return max(1, start)
 
 
 def _lambda_counts(params: HirzebruchParams, m: int, n: int,
@@ -702,29 +768,50 @@ def _lambda_counts(params: HirzebruchParams, m: int, n: int,
     4 lx lc to 4 chi).  They cut out the polygon the loops walk.  Each l3
     limit is s l1 + k (a row with c3 = -1 is the lower limit
     l3 >= c1 l1 - h, one with c3 = +1 the upper limit l3 <= h - c1 l1, h its
-    right side); pairing every lower limit with every upper one (and the
-    cost line with the limits on the side d3 pushes against) gives cuts
-    g l1 + h >= 0, hence the l1 interval, and each l1 its l3 interval, so
-    every datum built is stable and in the window.  A slice is skipped when
-    its least stable cost exceeds D: Q >= 2 (l2 + l4) max(lo1 + lo3,
-    |W2 - W4| + 1) + r (l2^2 - l4^2) without a restored corner (l1 + l3 >
-    |W2 - W4| on every such stratum), Q >= 2 (l2 + l4) + (r + 2pq)
-    (l4 - l2)^2 with one (see ``_lambda_box``).  Once l4 >= l2 the l4 loop
-    ends at the first slice past D of a bound rising with l4: the corner one
-    itself, and otherwise, as W4 >= W2 there, 2 (l2 + l4)(W4 - W2 + 1)
-    + r (l2^2 - l4^2) = (l2 + l4)(r (l2 + l4) + 2pq (l4 - l2) + 2).
+    right side, and the box gives lo3 <= l3 <= top3), k linear in (l2, l4).
+    Every lower limit paired with every upper one of another slope is a cut
+    g l1 + h >= 0, h linear in (l2, l4) too; ``_LAMBDA_STRATA`` pairs them
+    once, and each call fixes their coefficients.  With the cost line
+    paired with the limits on the side d3 pushes against, the cuts give the
+    l1 interval, and each l1 its l3 interval, so every datum built is
+    stable and in the window.  A slice is skipped when its least stable
+    cost q_min exceeds D: q_min = 2 (l2 + l4) max(lo1 + lo3, |W2 - W4| + 1)
+    + r (l2^2 - l4^2) without a restored corner (l1 + l3 > |W2 - W4| on
+    every such stratum), q_min = 2 (l2 + l4) + (r + 2pq)(l4 - l2)^2 with
+    one (see ``_lambda_box``).
+    The l4 loop starts at ``_lambda_l4_start``.  With a corner, q_min falls
+    as l4 rises to l2: in y = l2 - l4 >= 1 its slope 2 (r + 2pq) y - 2 is
+    positive.  So q_min <= D iff y <= (1 + sqrt(1 + (r + 2pq)(D - 4 l2)))
+    / (r + 2pq), and none if that root is not real.  Without one,
+    |W2 - W4| >= W2 - W4 gives q_min >= (l2 + l4)(A - B l4) with
+    A = (2pq + r) l2 + 2 and B = 2pq + 3r, whose l4-slope 2 (1 - r l2
+    - B l4) is negative for every l4 >= 1.  So that bound, and with it
+    q_min, exceeds D at every l4 >= 1 below (1 - r l2 + sqrt(disc)) / B,
+    disc = (1 - r l2)^2 - B (D - A l2); if disc < 0 the loop starts at 1.
+    Once l4 >= l2 the l4 loop ends at the first slice past D of a bound
+    rising with l4: the corner one itself, and otherwise, as W4 >= W2 there,
+    2 (l2 + l4)(W4 - W2 + 1) + r (l2^2 - l4^2)
+    = (l2 + l4)(r (l2 + l4) + 2pq (l4 - l2) + 2).
     """
     a, b, r = params.a, params.b, params.r
     pq = params.p * params.q
     f4 = f4_exponent(params.C, r, m, n)
     span = f4 - 2 * lo2
     acc = [0] * (f4 // 2 - lo2 + 1)
-    for incidence, weight, zero, rows, corner, slopes in _LAMBDA_STRATA:
+    for (incidence, weight, zero, corner, slopes, *forms) in _LAMBDA_STRATA:
         d12, d14, d32, d34 = slopes
         lo1, top1 = (0, 0) if zero == 1 else (a, M)
         lo3, top3 = (0, 0) if zero == 3 else (b, M)
+        # each form as (s, c2, c4, c0): s l1 + c2 l2 + c4 l4 + c0
+        lows, highs, rise, fall = (
+            [(s, u2 * pq, u4 * (r + pq), u0 + ulo * lo3 + utop * top3)
+             for s, u2, u4, u0, ulo, utop in part] for part in forms)
         for l2 in (0,) if zero == 2 else range(1, M + 1):
-            lo4, top4 = (0, 0) if zero == 4 else (1, min(M, span // 2 - l2))
+            if zero == 4:
+                lo4 = top4 = 0
+            else:
+                lo4 = _lambda_l4_start(corner, l2, pq, r, span)
+                top4 = min(M, span // 2 - l2)
             for l4 in range(lo4 + (lo4 + n + l2) % 2, top4 + 1, 2):
                 w2, w4 = pq * l2, (r + pq) * l4
                 rl = r * (l2 * l2 - l4 * l4)
@@ -742,24 +829,29 @@ def _lambda_counts(params: HirzebruchParams, m: int, n: int,
                     continue
                 e0 = span - rl
                 d1, d3 = d12 * l2 + d14 * l4, d32 * l2 + d34 * l4
-                lows, highs = [(0, lo3)], [(0, top3)]
-                for c1, c3, k2, k4 in rows:
-                    h = k2 * w2 + k4 * w4 - 1
-                    if c3 < 0:
-                        lows.append((c1, -h))
-                    else:
-                        highs.append((-c1, h))
-                cuts = [(s_hi - s_lo, k_hi - k_lo) for s_lo, k_lo in lows
-                        for s_hi, k_hi in highs]
-                cuts += [(d1 + d3 * s, e0 + d3 * k)
-                         for s, k in (lows if d3 < 0 else highs)]
                 # each cut is g l1 + h >= 0
-                l1_lo = max([lo1] + [-(h // g) for g, h in cuts if g > 0])
-                l1_hi = min([top1] + [h // -g for g, h in cuts if g < 0])
+                l1_lo, l1_hi = lo1, top1
+                for g, c2, c4, c0 in rise:
+                    x = -((c2 * l2 + c4 * l4 + c0) // g)
+                    if x > l1_lo:
+                        l1_lo = x
+                for g, c2, c4, c0 in fall:
+                    x = (c2 * l2 + c4 * l4 + c0) // -g
+                    if x < l1_hi:
+                        l1_hi = x
+                low_k = [(s, c2 * l2 + c4 * l4 + c0) for s, c2, c4, c0 in lows]
+                high_k = [(s, c2 * l2 + c4 * l4 + c0)
+                          for s, c2, c4, c0 in highs]
+                for s, k in low_k if d3 < 0 else high_k:
+                    g, h = d1 + d3 * s, e0 + d3 * k
+                    if g > 0 and -(h // g) > l1_lo:
+                        l1_lo = -(h // g)
+                    elif g < 0 and h // -g < l1_hi:
+                        l1_hi = h // -g
                 for l1 in range(l1_lo + (-l1_lo) % a, l1_hi + 1, a):
                     rest = e0 + d1 * l1
-                    l3_lo = max([s * l1 + k for s, k in lows])
-                    l3_hi = min([s * l1 + k for s, k in highs])
+                    l3_lo = max([s * l1 + k for s, k in low_k])
+                    l3_hi = min([s * l1 + k for s, k in high_k])
                     if d3 < 0:
                         l3_hi = min(l3_hi, rest // -d3)
                     elif d3 > 0:
@@ -815,9 +907,9 @@ def rank2_vb_lambda(params: HirzebruchParams, cls: ClassLike,
     each, keeps it if ``stability_check`` holds (it always does), and adds
     the stratum's Euler weight at the exponent ``rank2_c1_chi`` gives it.
     One object per datum makes it the slowest engine: on (1,2;0), class
-    (0,0), it took 0.34 / 1.31 / 5.22 / 17.99 s to q^-128 / -256 / -512 /
-    -1024 (one run each, Python 3.11.7, 2 vCPUs), so ``crosscheck`` runs it
-    only on request.  ``MAX_WINDOW_SLOTS`` caps its memory, not its time.
+    (0,0), it took 0.21-0.31 / 0.71-1.16 / 4.07-4.71 / 14.8-17.0 s to
+    q^-128 / -256 / -512 / -1024 (two runs each, Python 3.11.7, 2 vCPUs),
+    so ``crosscheck`` runs it only on request.  ``MAX_WINDOW_SLOTS`` caps its memory, not its time.
     """
     return _enumerate(_lambda_counts, _lambda_box, params, cls, min2exp)
 

@@ -1,0 +1,180 @@
+"""Committed mutants of the derived loop limits: the tests must kill each.
+
+Run from anywhere:  python tests/mutants.py
+
+Each row names a file, an exact piece of its text, a replacement that
+tightens (or loosens) one derived limit or wiring by one unit, and the tests
+that must then fail.  For each row the script copies ``src/`` and ``tests/``
+to a temporary directory, applies the replacement there, and runs
+``pytest -x -q`` on the named tests against the copy, after checking once
+that those tests pass on the code as it is.  A row whose text is not found
+exactly once is stale, and the script fails rather than pass it by; so
+does a mutant the tests let live.  pytest does not collect this
+file.  Mutation testing: DeMillo, Lipton and Sayward, "Hints on test data
+selection", IEEE Computer, 1978.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+GENFUN = "src/orbifold/genfun.py"
+SETS = "tests/test_constraint_sets.py"
+SETS_DEEP = SETS + "::test_sets_match_per_candidate_loops"
+SETS_PAST = SETS + "::test_sets_add_nothing_past_their_limits"
+SETS_ONCE = SETS + "::test_csets_runs_each_distinct_set_once"
+BOX = "tests/test_genfun.py::test_derived_box_is_complete"
+PINS = "tests/test_engine_windows.py::test_engine_windows_match_pins"
+CSETS_PINS, R0_PINS = PINS + "[csets]", PINS + "[r0]"
+LAMBDA_PINS = PINS + "[lambda]"
+L4_START = ("tests/test_engine_windows.py::"
+            "test_lambda_finds_no_datum_before_the_l4_start")
+
+
+class Row(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: Tuple[str, ...]
+
+
+ROWS = (
+    # each branch of genfun._box one unit lower; the twist branch has no
+    # row, as with pq <= r it never exceeds the other two (checked for
+    # D < 400, r < 60), so lowering it changes no box
+    Row("_box D/2 branch", GENFUN,
+        "box = max(span // 2, ", "box = max(span // 2 - 1, ", (BOX,)),
+    Row("_box wall branch", GENFUN,
+        "(pq + 2 * r) * isqrt(span // (2 * pq + r)))",
+        "(pq + 2 * r) * isqrt(span // (2 * pq + r)) - 1)", (CSETS_PINS,)),
+    # the quad sets' l lower limits one unit higher
+    Row("_cs_quad plus-form l floor", GENFUN,
+        "l_lo = -((span - 3 * j + r * j * j)",
+        "l_lo = 1 - ((span - 3 * j + r * j * j)", (SETS_DEEP,)),
+    Row("_cs_quad minus-form l floor", GENFUN,
+        "l_lo = -((span - 3 * j - r * j * j)",
+        "l_lo = 1 - ((span - 3 * j - r * j * j)", (SETS_DEEP,)),
+    Row("_r0_quad l floor", GENFUN,
+        "-L, -((span - 3 * j) // (2 * ab * j - 1)))",
+        "-L, 1 - ((span - 3 * j) // (2 * ab * j - 1)))", (SETS_DEEP,)),
+    # the minus form's loop ends one j early
+    Row("_cs_quad minus-form end", GENFUN,
+        "if l_lo > L:", "if l_lo >= L:", (SETS_DEEP,)),
+    # the closed engine's t limit both ways
+    Row("_p12_tmax lower", GENFUN,
+        "return isqrt(max(0, 16 - min2exp) // 4)",
+        "return isqrt(max(0, 16 - min2exp) // 4) - 1",
+        ("tests/test_genfun.py::test_closed_t_limit_is_complete",)),
+    Row("_p12_tmax higher", GENFUN,
+        "return isqrt(max(0, 16 - min2exp) // 4)",
+        "return isqrt(max(0, 16 - min2exp) // 4) + 1",
+        ("tests/test_genfun.py::test_closed_bound_stops_at_t_limit",)),
+    Row("_lambda_box", GENFUN,
+        "return max((span + params.r) // 2, (params.r * span + 3) // 4)",
+        "return max((span + params.r) // 2 - 1, (params.r * span + 3) // 4)",
+        (LAMBDA_PINS,)),
+    # lambda's l4 loop starts one l4 late
+    Row("_lambda_l4_start corner", GENFUN,
+        "start = l2 - (1 + isqrt(disc)) // c",
+        "start = l2 + 1 - (1 + isqrt(disc)) // c", (L4_START,)),
+    Row("_lambda_l4_start no corner", GENFUN,
+        "start = -((-t - isqrt(disc)) // big)",
+        "start = 1 - ((-t - isqrt(disc)) // big)", (L4_START,)),
+    # the r = 0 weight and the csets counts wiring
+    Row("csets weight at r = 0", GENFUN,
+        "if r else ((True,), 2)", "if r else ((True,), 1)", (CSETS_PINS,)),
+    Row("csets counts wired to r0", GENFUN,
+        "rank2_vb_csets(params, cls, min2exp), _csets_counts),",
+        "rank2_vb_csets(params, cls, min2exp), _r0_counts),", (CSETS_PINS,)),
+    # each per-set j limit one lower, in genfun and in the test's own copy
+    Row("_csets_counts wall limit", GENFUN,
+        "wall = isqrt(span // c)\n", "wall = isqrt(span // c) - 1\n",
+        (SETS_ONCE,)),
+    Row("_csets_counts twisted ratio limit", GENFUN,
+        "(isqrt(c * span) - 1) // r if r else span // (2 * d)",
+        "(isqrt(c * span) - 1) // r - 1 if r else span // (2 * d)",
+        (CSETS_PINS,)),
+    Row("_csets_counts untwisted ratio limit", GENFUN,
+        "(isqrt(c * span) - 1) // r if r else span // (2 * d)",
+        "(isqrt(c * span) - 1) // r if r else span // (2 * d) - 1",
+        (SETS_ONCE,)),
+    Row("_csets_counts quad limit", GENFUN,
+        "((4 * c * span + s * s) // (4 * c * s), _cs_quad",
+        "((4 * c * span + s * s) // (4 * c * s) - 1, _cs_quad", (SETS_ONCE,)),
+    Row("_r0_counts wall limit", GENFUN,
+        "wall = isqrt(span // (2 * ab))", "wall = isqrt(span // (2 * ab)) - 1",
+        (R0_PINS,)),
+    Row("_r0_counts quad limit", GENFUN,
+        "((8 * ab * span + s * s) // (8 * ab * s), _r0_quad",
+        "((8 * ab * span + s * s) // (8 * ab * s) - 1, _r0_quad", (R0_PINS,)),
+    Row("_r0_counts cone limit", GENFUN,
+        "(span // (2 * div), _r0_cone", "(span // (2 * div) - 1, _r0_cone",
+        (R0_PINS,)),
+    Row("set_limit quad", SETS,
+        "return (4 * c * span + step * step) // (4 * c * step)",
+        "return (4 * c * span + step * step) // (4 * c * step) - 1",
+        (SETS_PAST,)),
+    Row("set_limit twisted ratio", SETS,
+        "return (math.isqrt(c * span) - 1) // r if r",
+        "return (math.isqrt(c * span) - 1) // r - 1 if r", (SETS_PAST,)),
+    Row("set_limit untwisted ratio", SETS,
+        "else span // (2 * extra[0])", "else span // (2 * extra[0]) - 1",
+        (SETS_PAST,)),
+    Row("set_limit pinned and tail", SETS,
+        "return math.isqrt(span // c)  # pinned and tail",
+        "return math.isqrt(span // c) - 1  # pinned and tail", (SETS_PAST,)),
+)
+
+
+def run_row(row: Row) -> str:
+    """'killed', 'LIVED', 'ERROR' (pytest could not run the tests) or
+    'STALE' (the row's text is not found exactly once)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tmp / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        target = tmp / row.path
+        text = target.read_text()
+        if text.count(row.old) != 1:
+            return "STALE"
+        target.write_text(text.replace(row.old, row.new))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p",
+             "no:cacheprovider", *row.tests],
+            cwd=tmp, env=dict(os.environ, PYTHONPATH=str(tmp / "src")),
+            capture_output=True, text=True)
+        # pytest exits 1 when a test failed, 0 when all passed, and with
+        # another code when it could not run them
+        return {0: "LIVED", 1: "killed"}.get(proc.returncode, "ERROR")
+
+
+def main() -> int:
+    # the tests must pass on the code as it is, or a kill would mean nothing
+    tests = sorted({test for row in ROWS for test in row.tests})
+    if subprocess.run([sys.executable, "-m", "pytest", "-q", "-p",
+                       "no:cacheprovider", *tests], cwd=ROOT,
+                      env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                      capture_output=True).returncode:
+        print("the named tests fail without a mutant")
+        return 1
+    failed = 0
+    for row in ROWS:
+        start = time.perf_counter()
+        verdict = run_row(row)
+        failed += verdict != "killed"
+        print("%-7s %5.1f s  %s" % (verdict, time.perf_counter() - start,
+                                    row.name), flush=True)
+    print("%d of %d mutants killed" % (len(ROWS) - failed, len(ROWS)))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

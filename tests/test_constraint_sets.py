@@ -3,7 +3,8 @@
 ``genfun`` adds whole runs of lattice hits at once; ``reference_sets`` keeps
 the loops that tested every candidate index.  Both run set by set, j by j,
 into their own accumulators, which must agree after every j: comparing each
-set, not whole windows, catches errors that cancel, as set 1 subtracts.
+set, not whole windows, catches errors that cancel, as set 1 subtracts.  A
+``genfun`` set takes its j values as a range, so one j is ``range(j, j + 1)``.
 """
 
 import math
@@ -70,10 +71,10 @@ def set_mismatches(abr, cls, depth, bounds):
             got = [0] * (f4 // 2 - lo2 + 1)
             want = list(got)
             for j in range(2 - n % 2, bound + 1, 2):
-                args = (j, f4, m, a, b) + surface + (lo2, bound) + extra
-                new(got, *args, *tail)
+                args = (f4, m, a, b) + surface + (lo2, bound) + extra
+                new(got, range(j, j + 1), *args, *tail)
                 for _ in range(weight):
-                    ref(want, *args)
+                    ref(want, j, *args)
                 if got != want:
                     bad.append((name, extra, bound, j))
                     break
@@ -134,15 +135,15 @@ def test_sets_add_nothing_past_their_limits():
         (f4, box), sets = window_sets(abr, (m, n), lo2)
         for key, name, surface, extra, weight, limit in sets:
             limits.add(key)
-            runs = ((getattr(genfun, name),
-                     (weight,) if name in WEIGHTED else ()),
-                    (getattr(reference_sets, name), ()))
+            new, ref = getattr(genfun, name), getattr(reference_sets, name)
+            tail = (weight,) if name in WEIGHTED else ()
             top = limit - (limit - n) % 2  # the last j = n (mod 2) in it
             for j in range(max(top, 2 - n % 2), 2 * box + 1, 2):
-                args = (j, f4, m) + abr[:2] + surface + (lo2, 2 * box) + extra
-                for run, tail in runs:
+                args = (f4, m) + abr[:2] + surface + (lo2, 2 * box) + extra
+                for run, js, more in ((new, range(j, j + 1), tail),
+                                      (ref, j, ())):
                     acc = [0] * (f4 // 2 - lo2 + 1)
-                    run(acc, *args, *tail)
+                    run(acc, js, *args, *more)
                     if any(acc) and j > limit:
                         past.append((abr, (m, n), name, extra, j, limit))
                     elif any(acc):
@@ -154,19 +155,20 @@ def test_sets_add_nothing_past_their_limits():
 @pytest.mark.parametrize("abr, quads, tails",
                          (((1, 2, 0), 2, 1), ((2, 3, 1), 4, 2)))
 def test_csets_runs_each_distinct_set_once(monkeypatch, abr, quads, tails):
-    """At r = 0 the repeated sets run once, so at a j within every limit
-    there are half the ``_cs_quad`` and ``_cs_tail`` calls of a twisted
-    surface; and each set runs exactly at the j within its own limit."""
+    """Each csets set runs once per window, over exactly the j within its
+    own limit and the box; at r = 0 the repeated sets run once, so there
+    are half the ``_cs_quad`` and ``_cs_tail`` calls of a twisted surface."""
     (_, box), sets = window_sets(abr, (0, 0), -40)
     sets = [(name, limit) for _, name, _, _, _, limit in sets
             if name.startswith("_cs")]
-    calls = Counter()
+    calls = []
     for name in {name for name, _ in sets}:
-        def counted(acc, j, *rest, _run=getattr(genfun, name), _name=name):
-            calls[_name, j] += 1
-            return _run(acc, j, *rest)
+        def counted(acc, js, *rest, _run=getattr(genfun, name), _name=name):
+            calls.append((_name, js))
+            return _run(acc, js, *rest)
         monkeypatch.setattr(genfun, name, counted)
     genfun.rank2_vb_csets(derive_params(*abr), (0, 0), -40)
-    assert calls == Counter((name, j) for name, limit in sets
-                            for j in range(2, min(box, limit) + 1, 2))
-    assert (calls["_cs_quad", 2], calls["_cs_tail", 2]) == (quads, tails)
+    assert Counter(calls) == Counter(
+        (name, range(2, min(box, limit) + 1, 2)) for name, limit in sets)
+    names = Counter(name for name, _ in calls)
+    assert (names["_cs_quad"], names["_cs_tail"]) == (quads, tails)

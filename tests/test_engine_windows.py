@@ -10,8 +10,10 @@ that drops a term in the window shows up only against these recorded
 values; the caps check that ``counts`` still caps every index.  The closed
 engine, which covers only the (1,2;0) surface, has one digest over its four
 classes, a run of cutoffs and a few caps.
-Two more checks need no recorded values: lambda builds only stable data on
-its grid, and it agrees with csets (and r0 where r = 0) on the csets grid.
+Three more checks need no recorded values: lambda builds only stable data
+on its grid, its loop that steps through every l4 (``reference_lambda``)
+finds no datum below the derived l4 start, and lambda agrees with csets (and
+r0 where r = 0) on the csets grid.
 """
 
 import hashlib
@@ -20,9 +22,10 @@ import math
 
 import pytest
 
+import reference_lambda
 from orbifold import genfun
 from orbifold.geometry import derive_params
-from orbifold.sheafdata import f_exponent
+from orbifold.sheafdata import f4_exponent, f_exponent
 
 CLASSES6 = ((0, 0), (1, 0), (0, 1), (1, 1), (2, -1), (-3, 2))
 DEPTHS = {"csets": (0, 1, 3, 7, 12, 20), "r0": (0, 1, 3, 7, 12, 20),
@@ -198,6 +201,38 @@ def test_lambda_builds_only_stable_data(monkeypatch):
         surface_digest("lambda", abr)
     assert len(verdicts) == 6586
     assert all(verdicts)
+
+
+def test_lambda_finds_no_datum_before_the_l4_start():
+    """On the pin grid, and to q^-32 on (1,2;0) and (2,3;1), the l4-by-l4
+    loop finds the data lambda counts, each at or past its l4 start."""
+    grid = [(abr, cls, 2 * (math.floor(f_exponent(derive_params(*abr), *cls))
+                            - depth))
+            for abr in SURFACES["lambda"] for cls in CLASSES6
+            for depth in DEPTHS["lambda"]]
+    grid += [(abr, cls, -64) for abr in ((1, 2, 0), (2, 3, 1))
+             for cls in CLASSES6]
+    early, miscounted, found = [], [], 0
+    for abr, cls, lo2 in grid:
+        pr = derive_params(*abr)
+        pq, span = pr.p * pr.q, f4_exponent(pr.C, pr.r, *cls) - 2 * lo2
+        box = genfun._lambda_box(pr, *cls, lo2)
+        for cap in (box,) + tuple(c for c in CAPS["lambda"] if c < box):
+            data = reference_lambda.stable_data(pr, *cls, lo2, cap)
+            found += len(data)
+            want = genfun._lambda_counts(pr, *cls, lo2, cap)
+            acc = [0] * len(want)
+            for incidence, weight, (l1, l2, l3, l4), e2 in data:
+                acc[e2 - lo2] += weight
+                corner = genfun.STRATA[incidence].corner
+                if l4 and l4 < genfun._lambda_l4_start(corner, l2, pq,
+                                                       pr.r, span):
+                    early.append((abr, cls, lo2, incidence, l2, l4))
+            if acc != want:
+                miscounted.append((abr, cls, lo2, cap))
+    assert found > 6586  # the pin grid's data, and the deeper windows'
+    assert not early, early[:5]
+    assert not miscounted, miscounted[:5]
 
 
 # lambda against csets, and r0 where r = 0, on the csets surfaces: one window

@@ -206,6 +206,23 @@ def test_series_refuses_non_integral_cutoff_and_keys():
     assert [type(e2) for e2 in s.terms] == [int, int]
 
 
+def test_integral_coefficients_are_ints_with_fraction_behaviour():
+    ints = HalfExpLaurent(-9, {5: 1, 2: -1, 0: 7, -3: 14, -9: 2})
+    fracs = HalfExpLaurent(-9, {e2: Fraction(c)
+                                for e2, c in ints.terms.items()})
+    assert ints == fracs and ints.first_difference(fracs) is None
+    assert ints.to_json() == fracs.to_json() and str(ints) == str(fracs)
+    assert {type(c) for s in (ints, fracs) for c in s.terms.values()} == {int}
+    assert all(type(s.coeff2(e2)) is Fraction and s.coeff2(e2) == c
+               for s in (ints, fracs) for e2, c in ints.terms.items())
+    assert type(ints.coeff2(-1)) is Fraction and ints.coeff2(-1) == 0
+    # a non-integral coefficient stays a Fraction; an integral one does not
+    half = HalfExpLaurent(-2, {0: Fraction(1, 2), -2: Fraction(6, 3)})
+    assert [type(c) for c in half.terms.values()] == [Fraction, int]
+    assert half.coeff2(0) == Fraction(1, 2)
+    assert str(half) == "1/2 + 2*q^-1 + O(q^-1)"
+
+
 def test_coeff2_refuses_non_integral_exponent():
     s = HalfExpLaurent(-4, {0: 1, -2: 3})
     with pytest.raises(ValueError, match="doubled exponent must be an integer"):
