@@ -38,11 +38,12 @@ list as Q > 0.  The congruences of a set leave one residue class of i mod
 adds each run with one strided range up to its last Q <= D, or one count
 where the exponent does not depend on k.  At r = 0 the csets shift is 0
 and its sets 4, 5 and 9 repeat 3, 2 and 8, so it runs each pair once at
-weight 2, as r0 runs its sets 2 and 3.  ``ENGINES`` maps each engine name to its entry point, its
-enumeration at a fixed cap and the inputs it covers; the command line and
-``crosscheck``, which runs every applicable engine and reports the first
-disagreeing exponent, dispatch through it.  Every coefficient is exact, on
-a tracked sound window (``exact.HalfExpLaurent``).
+weight 2, as r0 runs its sets 2 and 3.  ``ENGINES`` maps each engine name
+to its entry point, its enumeration at a fixed cap and the inputs it
+covers; the command line and ``crosscheck``, which runs every applicable
+engine and reports the first disagreeing exponent, dispatch through it.
+Every coefficient is exact, on a tracked sound window
+(``exact.HalfExpLaurent``).
 """
 
 from __future__ import annotations
@@ -172,23 +173,33 @@ def _box(params: HirzebruchParams, m: int, n: int, min2exp: int) -> int:
       |i|, |k| < j and r j (r j + 2) < (2pq + r) D;
     1: i = pq*j and Q = (2pq + r) j^2; 8-9: i >= pq*j + 1, so
       Q >= (2pq + r) j^2 + 2j; in both i <= D/2 and |k| < (pq + 2r) j.
+    So the box is max(D/2, (pq + 2r) isqrt(D // c)), c = 2pq + r: the bound
+    on j of 6-7 with i <= 0, T = (isqrt(c D) - 1) // r, never exceeds it.
+    For if T > D/2, then T >= (D + 1)/2 and r T + 1 <= sqrt(c D)
+    <= sqrt(3r D) (as c <= 3r), so r^2 (D + 1)^2 / 4 + r (D + 1) + 1
+    <= 3r D, and with (D + 1)^2 >= 4D, r (r - 2) D + r + 1 <= 0: false for
+    r >= 2.  At r = 1 (pq = 1, c = 3) it reads (D - 3)^2 <= 0, and at
+    D = 3, T = 2 is below the wall term 3 isqrt(1).
     The box caps every index; each set also has its own largest j, from
     the floor of its cost, and runs its own loop over the j up to it, with
     c = 2pq + r (r0: c = 2ab, and its pinned and tail sets, quad sets and
     cone sets take the limits of 1 and 8-9, 2-5 and 6-7):
     1, 8-9: Q >= c j^2, so j <= isqrt(D // c);
-    2-5, i = k (mod s), s = 2a or 2b: i > pq*l > k, so x + y = i - k >= s
-      and Q >= c l^2 + s (j - |l|) >= s j - s^2/(4c), so
-      j <= (4cD + s^2) // (4cs);
+    2-5, i = k (mod s), s = 2a or 2b: i > pq*l > k, so x + y = i - k >= s;
+      with x, y >= 1, Q = c l^2 + j (x + y) + l (x - y) is least at
+      x + y = s and x or y = 1, as j - |l| >= 2: Q >= c l^2 - (s - 2)|l|
+      + s j.  So |l| <= L(j) = ((s - 2) + isqrt(disc)) // (2c) with
+      disc = (s - 2)^2 + 4c (D - s j), and disc >= 0, i.e.
+      j <= (4cD + (s - 2)^2) // (4cs);
     6-7 with div_mod d, r = 0: d | i >= 1, so Q = 2ij >= 2dj and
       j <= D // (2d);
     6-7, r > 0: r j (r j + 2) < c D, as above when i <= 0 and as
-      r j (r j + 2) <= r Q <= r D when i >= 1, so j <= (isqrt(c D) - 1) // r.
+      r j (r j + 2) <= r Q <= r D when i >= 1, so j <= T.
     The minus form (sets 4-5) also ends its loop at the first j whose l
-    floor l_lo(j) = ceil((3j + r j^2 - D) / (2pq j - 1)) exceeds L(j) =
-    min(M, isqrt((D - 2j) // c)), the cap on |l|, as its l interval is
-    then empty at every larger j: L falls as j rises, and l_lo rises, since
-    the j-derivative of (3j + r j^2 - D) / (2pq j - 1) has the sign of
+    floor l_lo(j) = ceil((3j + r j^2 - D) / (2pq j - 1)) exceeds L(j), the
+    cap on |l|, as its l interval is then empty at every larger j: L falls
+    as j rises (disc does), and l_lo rises, since the j-derivative of
+    (3j + r j^2 - D) / (2pq j - 1) has the sign of
     2r j (pq j - 1) + 2pq D - 3 > 0 for j >= 1 once D >= 2 (and these
     sets have no term when D < 2, as Q >= 2j >= 4).
     Parity: sets 2-5 have l = j (mod 2), so (j + l) and (j - l) are even and
@@ -201,10 +212,7 @@ def _box(params: HirzebruchParams, m: int, n: int, min2exp: int) -> int:
     """
     r, pq = params.r, params.p * params.q
     span = max(0, f4_exponent(params.C, r, m, n) - 2 * min2exp)
-    box = max(span // 2, (pq + 2 * r) * isqrt(span // (2 * pq + r)))
-    if r:  # r j (r j + 2) < N  <=>  r j + 1 <= isqrt(N)
-        box = max(box, (isqrt((2 * pq + r) * span) - 1) // r)
-    return box
+    return max(span // 2, (pq + 2 * r) * isqrt(span // (2 * pq + r)))
 
 
 def _laurent(lo2: int, acc: List[int]) -> HalfExpLaurent:
@@ -271,18 +279,24 @@ def _cs_quad(acc, js, f4, m, a, b, r, pq, lo2, M, step, cross_mod, plus_form,
     its i = k (mod ``step``), i = -k - shift (mod ``cross_mod``) from
     lo = max(pq*l, -k - shift) + 1 to hi, the last i <= M with Q <= D, at
     indices ab (j + l) apart; lo rises and hi falls, so it ends at the first
-    empty run.  i > pq*l > k gives Q >= (2pq + r) l^2 + 2j > 0, bounding |l|
-    by L; i > -k - shift gives Q >= 3j + (1 - 2pq j) l - shift (j + l)
-    + r l^2, bounding l below.  The minus form's loop ends at the first j
-    whose l floor exceeds L (see ``_box``).  Each hit adds ``weight``: at
-    r = 0 both forms have shift 0, one k-floor, l floor and target, so one
-    runs with weight 2.
+    empty run.  i > pq*l > k and i = k (mod ``step``) give
+    Q >= c l^2 - (step - 2)|l| + step j with c = 2pq + r, bounding |l| by
+    the upper root L of that quadratic; past the last j at which it has a
+    real root, no l is left (see ``_box``).  i > -k - shift
+    gives Q >= 3j + (1 - 2pq j) l - shift (j + l) + r l^2, bounding l
+    below.  The minus form's loop ends at the first j whose l floor
+    exceeds L (see ``_box``).  Each hit adds ``weight``: at r = 0 both
+    forms have shift 0, one k-floor, l floor and target, so one runs with
+    weight 2.
     """
     span, c = f4 - 2 * lo2, 2 * pq + r
     mod, period = cross_mod // 2, step * cross_mod // 2
     inv = pow(step // 2, -1, mod)
     for j in js:
-        L = min(M, isqrt(max(0, span - 2 * j) // c))
+        disc = (step - 2) ** 2 + 4 * c * (span - step * j)
+        if disc < 0:
+            return  # disc falls as j rises
+        L = min(M, (step - 2 + isqrt(disc)) // (2 * c))
         if plus_form:
             l_lo = -((span - 3 * j + r * j * j) // (2 * (pq + r) * j - 1))
         else:
@@ -385,8 +399,8 @@ def _csets_counts(params: HirzebruchParams, m: int, n: int,
                      _cs_ratio, (d,)))
     for form in forms:
         for s, t in ((2 * b, 2 * a), (2 * a, 2 * b)):
-            sets.append(((4 * c * span + s * s) // (4 * c * s), _cs_quad,
-                         (s, t, form, weight)))
+            sets.append(((4 * c * span + (s - 2) ** 2) // (4 * c * s),
+                         _cs_quad, (s, t, form, weight)))
         sets.append((wall, _cs_tail, (form, weight)))
     for limit, run, extra in sets:
         run(acc, range(first, min(limit, M) + 1, 2), f4, m, a, b, r, pq, lo2,
@@ -428,14 +442,20 @@ def _r0_quad(acc, js, f4, m, a, b, lo2, M, step, cross_mod):
     """Sets 2-3 of the r = 0 family, each counted twice.
 
     As ``_cs_quad`` at r = 0, with i > max(ab*l, -k), -ab*j < k < ab*l:
-    Q >= 2ab l^2 + 2j > 0 bounds |l|, Q >= 3j + (1 - 2ab j) l bounds l
-    below, and each k adds its i = k (mod ``step``), i = -k (mod
-    ``cross_mod``) up to the last i <= M with Q <= D, ab (j + l) apart.
+    i - k is a positive multiple of ``step``, so
+    Q >= 2ab l^2 - (step - 2)|l| + step j bounds |l| by the upper root L
+    (no l is left once 8ab (D - step j) + (step - 2)^2 < 0, at this j and
+    every larger one), Q >= 3j + (1 - 2ab j) l bounds l below, and each k
+    adds its i = k (mod ``step``), i = -k (mod ``cross_mod``) up to the
+    last i <= M with Q <= D, ab (j + l) apart.
     """
     ab, span = a * b, f4 - 2 * lo2
     mod, inv = cross_mod // 2, pow(step // 2, -1, cross_mod // 2)
     for j in js:
-        L = min(M, isqrt(max(0, span - 2 * j) // (2 * ab)))
+        disc = 8 * ab * (span - step * j) + (step - 2) ** 2
+        if disc < 0:
+            return  # and at every larger j
+        L = min(M, (isqrt(disc) + step - 2) // (4 * ab))
         l_lo = max(-j + 2, -L, -((span - 3 * j) // (2 * ab * j - 1)))
         for l in range(l_lo + (j + l_lo) % 2, min(j - 2, L) + 1, 2):
             jp, jm, abl = j + l, j - l, ab * l
@@ -497,12 +517,14 @@ def _r0_counts(params, m, n, lo2, M) -> List[int]:
     first = 2 - n % 2  # every set needs j = n (mod 2)
     _check_half_integer(f4, first)  # see ``_box``, with r = 0
     # the largest j of each set: Q >= 2ab j^2 on the pinned and tail sets;
-    # a quad set of step s has i - k >= s, so Q >= 2ab l^2 + s (j - |l|)
-    # >= s j - s^2 / (8ab); a cone set of divisor div has Q = 2ij >= 2 div j
+    # a quad set of step s has i - k >= s, so Q >= 2ab l^2 - (s - 2)|l|
+    # + s j >= s j - (s - 2)^2 / (8ab); a cone set of divisor div has
+    # Q = 2ij >= 2 div j
     ab, span = a * b, max(0, f4 - 2 * lo2)
     wall = isqrt(span // (2 * ab))
     sets = [(wall, _r0_pinned, ())]
-    sets += [((8 * ab * span + s * s) // (8 * ab * s), _r0_quad, (s, t))
+    sets += [((8 * ab * span + (s - 2) ** 2) // (8 * ab * s), _r0_quad,
+              (s, t))
              for s, t in ((2 * b, 2 * a), (2 * a, 2 * b))]
     sets += [(span // (2 * div), _r0_cone, (div,)) for div in (b, a)]
     sets.append((wall, _r0_tail, ()))
@@ -792,6 +814,23 @@ def _lambda_counts(params: HirzebruchParams, m: int, n: int,
     rising with l4: the corner one itself, and otherwise, as W4 >= W2 there,
     2 (l2 + l4)(W4 - W2 + 1) + r (l2^2 - l4^2)
     = (l2 + l4)(r (l2 + l4) + 2pq (l4 - l2) + 2).
+    Where l4 does not vanish, the l2 loop ends at the first l2 whose l4
+    range is empty, start > top4 = min(M, D/2 - l2): top4 falls as l2
+    rises and the start never does, so every later range is empty too.
+    With a corner, the start is l2 less (1 + isqrt(disc)) // (r + 2pq),
+    disc = 1 + (r + 2pq)(D - 4 l2), or less 0 once disc < 0; disc falls
+    as l2 rises, so that term does not rise and the start rises.  Without
+    one, with t = 1 - r l2, B l4 - t >= 1 for l4 >= 1, and
+    B l4 - t >= isqrt(disc) iff (B l4 - t + 1)^2 > disc: the start is the
+    least l4 >= 1 with h = (B l4 - t + 1)^2 - disc > 0.  A step of l2
+    changes h by 2r (B l4 + 1) - B ((2pq + r)(2 l2 + 1) + 2), which is
+    negative when r = 0, and when l4 <= l2, as 2r (B l4 + 1)
+    <= 2r B l2 + r B.  For r > 0 every l4 below the start is below l2, as
+    at l4 = l2 the bound is 4 l2 (1 - r l2) <= 0 <= D, so
+    (B l2 - t)^2 >= disc and h > 0.  So no l4 below the start gets h > 0
+    at the next l2.
+    Each datum is still checked: one that ``stability_check`` rejects, or
+    whose ``rank2_c1_chi`` lies below the window, raises ArithmeticError.
     """
     a, b, r = params.a, params.b, params.r
     pq = params.p * params.q
@@ -812,6 +851,8 @@ def _lambda_counts(params: HirzebruchParams, m: int, n: int,
             else:
                 lo4 = _lambda_l4_start(corner, l2, pq, r, span)
                 top4 = min(M, span // 2 - l2)
+                if lo4 > top4:
+                    break  # and at every larger l2
             for l4 in range(lo4 + (lo4 + n + l2) % 2, top4 + 1, 2):
                 w2, w4 = pq * l2, (r + pq) * l4
                 rl = r * (l2 * l2 - l4 * l4)
@@ -862,13 +903,18 @@ def _lambda_counts(params: HirzebruchParams, m: int, n: int,
                         datum = Rank2Datum(-(m + l1 + l3 + r * l4) // 2,
                                            -(n + l2 + l4) // 2,
                                            (l1, l2, l3, l4), incidence)
-                        if stability_check(datum, params):
-                            _, chi = rank2_c1_chi(datum, params)
-                            if 2 * chi < lo2:  # the loops bound Q by D
-                                raise ArithmeticError(
-                                    "stable datum at q^%d lies below the "
-                                    "window" % chi)
-                            acc[2 * chi - lo2] += weight
+                        # the loops walk the stability polygon and bound
+                        # Q by D
+                        if not stability_check(datum, params):
+                            raise ArithmeticError(
+                                "unstable datum %r inside the stability "
+                                "polygon" % (datum,))
+                        _, chi = rank2_c1_chi(datum, params)
+                        if 2 * chi < lo2:
+                            raise ArithmeticError(
+                                "stable datum at q^%d lies below the "
+                                "window" % chi)
+                        acc[2 * chi - lo2] += weight
     return acc
 
 
@@ -904,12 +950,13 @@ def rank2_vb_lambda(params: HirzebruchParams, cls: ClassLike,
     Walks the strata of ``sheafdata.STRATA`` and, inside the box, only the
     jumps that satisfy the stratum's stability parts and reach the window
     (see ``_lambda_counts``); it builds a ``Rank2Datum`` of the class for
-    each, keeps it if ``stability_check`` holds (it always does), and adds
-    the stratum's Euler weight at the exponent ``rank2_c1_chi`` gives it.
-    One object per datum makes it the slowest engine: on (1,2;0), class
-    (0,0), it took 0.21-0.31 / 0.71-1.16 / 4.07-4.71 / 14.8-17.0 s to
-    q^-128 / -256 / -512 / -1024 (two runs each, Python 3.11.7, 2 vCPUs),
-    so ``crosscheck`` runs it only on request.  ``MAX_WINDOW_SLOTS`` caps its memory, not its time.
+    each, raises ArithmeticError if ``stability_check`` rejects it (the
+    walk proves it stable), and adds the stratum's Euler weight at the
+    exponent ``rank2_c1_chi`` gives it.  One object per datum makes it the
+    slowest engine: on (1,2;0), class (0,0), it took 0.21-0.31 /
+    0.71-1.16 / 4.07-4.71 / 14.8-17.0 s to q^-128 / -256 / -512 / -1024
+    (two runs each, Python 3.11.7, 2 vCPUs), so ``crosscheck`` runs it only
+    on request.  ``MAX_WINDOW_SLOTS`` caps its memory, not its time.
     """
     return _enumerate(_lambda_counts, _lambda_box, params, cls, min2exp)
 

@@ -46,11 +46,9 @@ class Row(NamedTuple):
 
 
 ROWS = (
-    # each branch of genfun._box one unit lower; the twist branch has no
-    # row, as with pq <= r it never exceeds the other two (checked for
-    # D < 400, r < 60), so lowering it changes no box
+    # each branch of genfun._box one unit lower
     Row("_box D/2 branch", GENFUN,
-        "box = max(span // 2, ", "box = max(span // 2 - 1, ", (BOX,)),
+        "return max(span // 2, (pq", "return max(span // 2 - 1, (pq", (BOX,)),
     Row("_box wall branch", GENFUN,
         "(pq + 2 * r) * isqrt(span // (2 * pq + r)))",
         "(pq + 2 * r) * isqrt(span // (2 * pq + r)) - 1)", (CSETS_PINS,)),
@@ -64,6 +62,13 @@ ROWS = (
     Row("_r0_quad l floor", GENFUN,
         "-L, -((span - 3 * j) // (2 * ab * j - 1)))",
         "-L, 1 - ((span - 3 * j) // (2 * ab * j - 1)))", (SETS_DEEP,)),
+    # the quad sets' |l| caps one unit lower
+    Row("_cs_quad |l| cap", GENFUN,
+        "L = min(M, (step - 2 + isqrt(disc)) // (2 * c))",
+        "L = min(M, (step - 2 + isqrt(disc)) // (2 * c) - 1)", (SETS_DEEP,)),
+    Row("_r0_quad |l| cap", GENFUN,
+        "L = min(M, (isqrt(disc) + step - 2) // (4 * ab))",
+        "L = min(M, (isqrt(disc) + step - 2) // (4 * ab) - 1)", (SETS_DEEP,)),
     # the minus form's loop ends one j early
     Row("_cs_quad minus-form end", GENFUN,
         "if l_lo > L:", "if l_lo >= L:", (SETS_DEEP,)),
@@ -87,6 +92,9 @@ ROWS = (
     Row("_lambda_l4_start no corner", GENFUN,
         "start = -((-t - isqrt(disc)) // big)",
         "start = 1 - ((-t - isqrt(disc)) // big)", (L4_START,)),
+    # lambda's l2 loop ends one l2 early
+    Row("_lambda_counts l2 end", GENFUN,
+        "if lo4 > top4:", "if lo4 >= top4:", (LAMBDA_PINS,)),
     # the r = 0 weight and the csets counts wiring
     Row("csets weight at r = 0", GENFUN,
         "if r else ((True,), 2)", "if r else ((True,), 1)", (CSETS_PINS,)),
@@ -106,20 +114,21 @@ ROWS = (
         "(isqrt(c * span) - 1) // r if r else span // (2 * d) - 1",
         (SETS_ONCE,)),
     Row("_csets_counts quad limit", GENFUN,
-        "((4 * c * span + s * s) // (4 * c * s), _cs_quad",
-        "((4 * c * span + s * s) // (4 * c * s) - 1, _cs_quad", (SETS_ONCE,)),
+        "((4 * c * span + (s - 2) ** 2) // (4 * c * s),",
+        "((4 * c * span + (s - 2) ** 2) // (4 * c * s) - 1,", (SETS_ONCE,)),
     Row("_r0_counts wall limit", GENFUN,
         "wall = isqrt(span // (2 * ab))", "wall = isqrt(span // (2 * ab)) - 1",
         (R0_PINS,)),
     Row("_r0_counts quad limit", GENFUN,
-        "((8 * ab * span + s * s) // (8 * ab * s), _r0_quad",
-        "((8 * ab * span + s * s) // (8 * ab * s) - 1, _r0_quad", (R0_PINS,)),
+        "((8 * ab * span + (s - 2) ** 2) // (8 * ab * s), _r0_quad",
+        "((8 * ab * span + (s - 2) ** 2) // (8 * ab * s) - 1, _r0_quad",
+        (R0_PINS,)),
     Row("_r0_counts cone limit", GENFUN,
         "(span // (2 * div), _r0_cone", "(span // (2 * div) - 1, _r0_cone",
         (R0_PINS,)),
     Row("set_limit quad", SETS,
-        "return (4 * c * span + step * step) // (4 * c * step)",
-        "return (4 * c * span + step * step) // (4 * c * step) - 1",
+        "return (4 * c * span + (step - 2) ** 2) // (4 * c * step)",
+        "return (4 * c * span + (step - 2) ** 2) // (4 * c * step) - 1",
         (SETS_PAST,)),
     Row("set_limit twisted ratio", SETS,
         "return (math.isqrt(c * span) - 1) // r if r",

@@ -1,7 +1,8 @@
 """The lambda engine's l4 loop stepping through every l4: a test oracle.
 
 This is ``orbifold.genfun._lambda_counts`` as it was before its l4 loop
-started at ``genfun._lambda_l4_start``: it visits every l4 from 1 (0 on a
+started at ``genfun._lambda_l4_start`` and its l2 loop ended at the first
+empty l4 range: it runs l2 to the cap, visits every l4 from 1 (0 on a
 stratum whose l4 vanishes), tests each slice's least stable cost against
 the window, and rebuilds its l3 limits and their cuts per slice.  It
 returns the stable data it finds rather than their counts, so a test can

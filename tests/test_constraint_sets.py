@@ -97,7 +97,7 @@ def set_limit(name, extra, r, pq, span):
     c = 2 * pq + r
     if name in ("_cs_quad", "_r0_quad"):
         step = extra[0]
-        return (4 * c * span + step * step) // (4 * c * step)
+        return (4 * c * span + (step - 2) ** 2) // (4 * c * step)
     if name in ("_cs_ratio", "_r0_cone"):
         return (math.isqrt(c * span) - 1) // r if r else span // (2 * extra[0])
     return math.isqrt(span // c)  # pinned and tail

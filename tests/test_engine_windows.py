@@ -12,8 +12,8 @@ engine, which covers only the (1,2;0) surface, has one digest over its four
 classes, a run of cutoffs and a few caps.
 Three more checks need no recorded values: lambda builds only stable data
 on its grid, its loop that steps through every l4 (``reference_lambda``)
-finds no datum below the derived l4 start, and lambda agrees with csets (and
-r0 where r = 0) on the csets grid.
+finds no datum below the derived l4 start or past the derived l2 end, and
+lambda agrees with csets (and r0 where r = 0) on the csets grid.
 """
 
 import hashlib
@@ -203,16 +203,44 @@ def test_lambda_builds_only_stable_data(monkeypatch):
     assert all(verdicts)
 
 
+def test_lambda_raises_on_an_unstable_datum(monkeypatch):
+    # a datum that ``stability_check`` rejects is an error in the walk, not
+    # a datum to drop
+    verdicts = []
+    check = genfun.stability_check
+
+    def second_rejected(datum, params):
+        verdicts.append(len(verdicts) != 1 and check(datum, params))
+        return verdicts[-1]
+
+    monkeypatch.setattr(genfun, "stability_check", second_rejected)
+    with pytest.raises(ArithmeticError, match="unstable datum"):
+        genfun.rank2_vb_lambda(derive_params(1, 2, 0), (0, 0), -8)
+    assert verdicts == [True, False]
+
+
+def l2_end(corner, pq, r, span, cap):
+    """The l2 at which lambda's l2 loop ends on a stratum whose l4 does not
+    vanish: the first whose l4 range, from the l4 start to the cap, is
+    empty."""
+    l2 = 1
+    while genfun._lambda_l4_start(corner, l2, pq, r, span) <= min(
+            cap, span // 2 - l2):
+        l2 += 1
+    return l2
+
+
 def test_lambda_finds_no_datum_before_the_l4_start():
-    """On the pin grid, and to q^-32 on (1,2;0) and (2,3;1), the l4-by-l4
-    loop finds the data lambda counts, each at or past its l4 start."""
+    """On the pin grid, and to q^-32 on (1,2;0) and (2,3;1), the loop that
+    runs l2 to the cap and l4 step by step finds the data lambda counts,
+    each at or past its l4 start and before its stratum's l2 end."""
     grid = [(abr, cls, 2 * (math.floor(f_exponent(derive_params(*abr), *cls))
                             - depth))
             for abr in SURFACES["lambda"] for cls in CLASSES6
             for depth in DEPTHS["lambda"]]
     grid += [(abr, cls, -64) for abr in ((1, 2, 0), (2, 3, 1))
              for cls in CLASSES6]
-    early, miscounted, found = [], [], 0
+    early, late, miscounted, found = [], [], [], 0
     for abr, cls, lo2 in grid:
         pr = derive_params(*abr)
         pq, span = pr.p * pr.q, f4_exponent(pr.C, pr.r, *cls) - 2 * lo2
@@ -228,10 +256,13 @@ def test_lambda_finds_no_datum_before_the_l4_start():
                 if l4 and l4 < genfun._lambda_l4_start(corner, l2, pq,
                                                        pr.r, span):
                     early.append((abr, cls, lo2, incidence, l2, l4))
+                if l4 and l2 >= l2_end(corner, pq, pr.r, span, cap):
+                    late.append((abr, cls, lo2, incidence, l2, l4))
             if acc != want:
                 miscounted.append((abr, cls, lo2, cap))
     assert found > 6586  # the pin grid's data, and the deeper windows'
     assert not early, early[:5]
+    assert not late, late[:5]
     assert not miscounted, miscounted[:5]
 
 
