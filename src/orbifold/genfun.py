@@ -25,11 +25,11 @@ r0 and lambda, 12 for the closed sums); the series is built once from its
 nonzero entries.  Each engine enumerates once, over the box that ``_box``,
 ``_p12_tmax`` or ``_lambda_box`` derives from the depth of the window; the
 box caps every index.  csets and r0 call each constraint set once per
-window, with the range of j from 1 or 2 (j = n mod 2) up to the largest j
-its own cost floor lets reach the window, capped by the box; the set works
-out its moduli, inverses and periods once and runs its own j loop (see
-``_box``), and the engine checks once per window that the exponents are
-half-integers.  Each csets, r0 and lambda loop visits only indices whose
+window, with the range of j from 1 or 2 (j = n mod 2) up to the box; the
+set works out its moduli, inverses and periods once and runs its own j
+loop, which ends at the first j its cost floor keeps out of the window
+(see ``_box``), and the engine checks once per window that the exponents
+are half-integers.  Each csets, r0 and lambda loop visits only indices whose
 cost Q can reach the window, and the closed loop stops at the last term
 family that can.  A csets or r0 term of cost Q sits at index
 (f4 - Q)/2 - lo2, which is >= 0 iff Q <= D (see ``_box``) and inside the
@@ -180,21 +180,23 @@ def _box(params: HirzebruchParams, m: int, n: int, min2exp: int) -> int:
     <= 3r D, and with (D + 1)^2 >= 4D, r (r - 2) D + r + 1 <= 0: false for
     r >= 2.  At r = 1 (pq = 1, c = 3) it reads (D - 3)^2 <= 0, and at
     D = 3, T = 2 is below the wall term 3 isqrt(1).
-    The box caps every index; each set also has its own largest j, from
-    the floor of its cost, and runs its own loop over the j up to it, with
-    c = 2pq + r (r0: c = 2ab, and its pinned and tail sets, quad sets and
-    cone sets take the limits of 1 and 8-9, 2-5 and 6-7):
-    1, 8-9: Q >= c j^2, so j <= isqrt(D // c);
+    The box caps every index.  Each set also ends its own j loop, at the
+    first j past the largest one that the floor of its cost lets reach the
+    window, with c = 2pq + r (r0: c = 2ab, and its pinned and tail sets,
+    quad sets and cone sets end as 1 and 8-9, 2-5 and 6-7):
+    1: Q = c j^2, so the set ends once c j^2 > D, i.e. j > isqrt(D // c);
+      8-9: Q >= c j^2 + 2j, and the set ends once that exceeds D;
     2-5, i = k (mod s), s = 2a or 2b: i > pq*l > k, so x + y = i - k >= s;
       with x, y >= 1, Q = c l^2 + j (x + y) + l (x - y) is least at
       x + y = s and x or y = 1, as j - |l| >= 2: Q >= c l^2 - (s - 2)|l|
       + s j.  So |l| <= L(j) = ((s - 2) + isqrt(disc)) // (2c) with
-      disc = (s - 2)^2 + 4c (D - s j), and disc >= 0, i.e.
-      j <= (4cD + (s - 2)^2) // (4cs);
-    6-7 with div_mod d, r = 0: d | i >= 1, so Q = 2ij >= 2dj and
-      j <= D // (2d);
+      disc = (s - 2)^2 + 4c (D - s j), and the set ends once disc < 0,
+      i.e. j > (4cD + (s - 2)^2) // (4cs);
+    6-7 with div_mod d, r = 0: d | i >= 1, so Q = 2ij >= 2dj, and the
+      set ends once 2dj > D;
     6-7, r > 0: r j (r j + 2) < c D, as above when i <= 0 and as
-      r j (r j + 2) <= r Q <= r D when i >= 1, so j <= T.
+      r j (r j + 2) <= r Q <= r D when i >= 1, so the set ends once
+      r j (r j + 2) >= c D, i.e. j > T.
     The minus form (sets 4-5) also ends its loop at the first j whose l
     floor l_lo(j) = ceil((3j + r j^2 - D) / (2pq j - 1)) exceeds L(j), the
     cap on |l|, as its l interval is then empty at every larger j: L falls
@@ -338,11 +340,13 @@ def _cs_ratio(acc, js, f4, m, a, b, r, pq, lo2, M, div_mod):
     if m % 2 and g % 2 == 0:
         return  # i = m (mod 2) and g | i
     mod, period = div_mod // g, lcm(2, g)
-    inv, span = pow(r // g, -1, mod), f4 - 2 * lo2
+    inv, span, c = pow(r // g, -1, mod), f4 - 2 * lo2, 2 * pq + r
     for j in js:
+        if r * j * (r * j + 2) >= c * span if r else 2 * div_mod * j > span:
+            return  # no row reaches the window (see ``_box``)
         # i may dip below 1 when the twist dominates; the k-window is only
         # nonempty while (2*pq + r) * |i| < r * pq * j
-        i_lo = -((r * pq * j) // (2 * pq + r)) - 1 if r else 1
+        i_lo = -((r * pq * j) // c) - 1 if r else 1
         cap = span - r * j * j  # twice the index of row i is cap - 2ij
         for i in range(i_lo + (g * (m % 2) - i_lo) % period,
                        min(pq * j - 1, M, cap // (2 * j)) + 1, period):
@@ -390,21 +394,13 @@ def _csets_counts(params: HirzebruchParams, m: int, n: int,
     first = 2 - n % 2  # every set needs j = n (mod 2)
     _check_half_integer(f4 - r * n, first)  # see ``_box``
     forms, weight = ((True, False), 1) if r else ((True,), 2)  # see _cs_quad
-    # each set with the largest j its cost floor lets reach the window
-    c, span = 2 * pq + r, max(0, f4 - 2 * lo2)  # see ``_box``
-    wall = isqrt(span // c)
-    sets = [(wall, _cs_pinned, ())]
-    for d in (b, a):
-        sets.append(((isqrt(c * span) - 1) // r if r else span // (2 * d),
-                     _cs_ratio, (d,)))
+    sets = [(_cs_pinned, ()), (_cs_ratio, (b,)), (_cs_ratio, (a,))]
     for form in forms:
-        for s, t in ((2 * b, 2 * a), (2 * a, 2 * b)):
-            sets.append(((4 * c * span + (s - 2) ** 2) // (4 * c * s),
-                         _cs_quad, (s, t, form, weight)))
-        sets.append((wall, _cs_tail, (form, weight)))
-    for limit, run, extra in sets:
-        run(acc, range(first, min(limit, M) + 1, 2), f4, m, a, b, r, pq, lo2,
-            M, *extra)
+        sets += [(_cs_quad, (s, t, form, weight))
+                 for s, t in ((2 * b, 2 * a), (2 * a, 2 * b))]
+        sets.append((_cs_tail, (form, weight)))
+    for run, extra in sets:  # each set ends its own j loop (see ``_box``)
+        run(acc, range(first, M + 1, 2), f4, m, a, b, r, pq, lo2, M, *extra)
     return acc
 
 
@@ -483,6 +479,8 @@ def _r0_cone(acc, js, f4, m, a, b, lo2, M, div):
     """
     ab, cap = a * b, f4 - 2 * lo2  # twice the index of row i is cap - 2ij
     for j in js:
+        if 2 * div * j > cap:
+            return  # Q = 2ij >= 2 div j rises with j
         for i in range(div, min(ab * j - 1, M, cap // (2 * j)) + 1, div):
             if (m + i) % 2 == 0:
                 k_max = (i - 1) // ab
@@ -516,21 +514,11 @@ def _r0_counts(params, m, n, lo2, M) -> List[int]:
     acc = [0] * (f4 // 2 - lo2 + 1)
     first = 2 - n % 2  # every set needs j = n (mod 2)
     _check_half_integer(f4, first)  # see ``_box``, with r = 0
-    # the largest j of each set: Q >= 2ab j^2 on the pinned and tail sets;
-    # a quad set of step s has i - k >= s, so Q >= 2ab l^2 - (s - 2)|l|
-    # + s j >= s j - (s - 2)^2 / (8ab); a cone set of divisor div has
-    # Q = 2ij >= 2 div j
-    ab, span = a * b, max(0, f4 - 2 * lo2)
-    wall = isqrt(span // (2 * ab))
-    sets = [(wall, _r0_pinned, ())]
-    sets += [((8 * ab * span + (s - 2) ** 2) // (8 * ab * s), _r0_quad,
-              (s, t))
-             for s, t in ((2 * b, 2 * a), (2 * a, 2 * b))]
-    sets += [(span // (2 * div), _r0_cone, (div,)) for div in (b, a)]
-    sets.append((wall, _r0_tail, ()))
-    for limit, run, extra in sets:
-        run(acc, range(first, min(limit, M) + 1, 2), f4, m, a, b, lo2, M,
-            *extra)
+    sets = [(_r0_pinned, ()), (_r0_quad, (2 * b, 2 * a)),
+            (_r0_quad, (2 * a, 2 * b)), (_r0_cone, (b,)), (_r0_cone, (a,)),
+            (_r0_tail, ())]
+    for run, extra in sets:  # each set ends its own j loop (see ``_box``)
+        run(acc, range(first, M + 1, 2), f4, m, a, b, lo2, M, *extra)
     return acc
 
 
@@ -735,31 +723,17 @@ def rank2_vb_closed_p12(cls: ClassLike, min2exp: int) -> HalfExpLaurent:
 # engine: lambda (direct enumeration of rank-2 data)
 # ---------------------------------------------------------------------------
 
-def _lambda_stratum(incidence, stratum):
-    """One ``_LAMBDA_STRATA`` entry (see ``_lambda_counts``): each l3 limit
-    and cut as (s, u2, u4, u0, ulo, utop), meaning s l1 + u2 W2 + u4 W4 + u0
-    + ulo lo3 + utop top3; a cut, upper minus lower limit, is kept if s != 0.
-    """
-    rows = [tuple(sign if k in part else -sign
-                  for k, sign in ((1, 1), (3, 1), (2, -1), (4, -1)))
-            for part in stratum.parts]
-    lows = [(0, 0, 0, 0, 1, 0)] + [(c1, -k2, -k4, 1, 0, 0)
-                                   for c1, c3, k2, k4 in rows if c3 < 0]
-    highs = [(0, 0, 0, 0, 0, 1)] + [(-c1, k2, k4, -1, 0, 0)
-                                    for c1, c3, k2, k4 in rows if c3 > 0]
-    cuts = [tuple(x - y for x, y in zip(high, low))
-            for low in lows for high in highs]
-    corner = set(stratum.corner)
-    return (incidence, stratum.weight, stratum.zero, stratum.corner,
-            tuple(4 * (corner == {x, c}) - 2 for x in (1, 3) for c in (2, 4)),
-            tuple(lows), tuple(highs),
-            tuple(cut for cut in cuts if cut[0] > 0),
-            tuple(cut for cut in cuts if cut[0] < 0))
-
-
-# ``sheafdata.STRATA`` as ``_lambda_counts`` reads it, built once
-_LAMBDA_STRATA = tuple(_lambda_stratum(incidence, stratum)
-                       for incidence, stratum in STRATA.items())
+# ``sheafdata.STRATA`` as ``_lambda_counts`` reads it, built once: per
+# stratum its cost-line slopes (d12, d14, d32, d34) and its rows
+# (c1, c3, k2, k4), one per stability part
+_LAMBDA_STRATA = tuple(
+    (incidence, stratum.weight, stratum.zero, stratum.corner,
+     tuple(4 * (set(stratum.corner) == {x, c}) - 2
+           for x in (1, 3) for c in (2, 4)),
+     tuple(tuple(sign if k in part else -sign
+                 for k, sign in ((1, 1), (3, 1), (2, -1), (4, -1)))
+           for part in stratum.parts))
+    for incidence, stratum in STRATA.items())
 
 
 def _lambda_l4_start(corner, l2: int, pq: int, r: int, span: int) -> int:
@@ -791,9 +765,9 @@ def _lambda_counts(params: HirzebruchParams, m: int, n: int,
     limit is s l1 + k (a row with c3 = -1 is the lower limit
     l3 >= c1 l1 - h, one with c3 = +1 the upper limit l3 <= h - c1 l1, h its
     right side, and the box gives lo3 <= l3 <= top3), k linear in (l2, l4).
-    Every lower limit paired with every upper one of another slope is a cut
-    g l1 + h >= 0, h linear in (l2, l4) too; ``_LAMBDA_STRATA`` pairs them
-    once, and each call fixes their coefficients.  With the cost line
+    ``_LAMBDA_STRATA`` holds each stratum's rows, and each slice works out
+    every row's right side once and pairs every lower limit with every
+    upper one of another slope into a cut g l1 + h >= 0.  With the cost line
     paired with the limits on the side d3 pushes against, the cuts give the
     l1 interval, and each l1 its l3 interval, so every datum built is
     stable and in the window.  A slice is skipped when its least stable
@@ -837,14 +811,10 @@ def _lambda_counts(params: HirzebruchParams, m: int, n: int,
     f4 = f4_exponent(params.C, r, m, n)
     span = f4 - 2 * lo2
     acc = [0] * (f4 // 2 - lo2 + 1)
-    for (incidence, weight, zero, corner, slopes, *forms) in _LAMBDA_STRATA:
+    for incidence, weight, zero, corner, slopes, rows in _LAMBDA_STRATA:
         d12, d14, d32, d34 = slopes
         lo1, top1 = (0, 0) if zero == 1 else (a, M)
         lo3, top3 = (0, 0) if zero == 3 else (b, M)
-        # each form as (s, c2, c4, c0): s l1 + c2 l2 + c4 l4 + c0
-        lows, highs, rise, fall = (
-            [(s, u2 * pq, u4 * (r + pq), u0 + ulo * lo3 + utop * top3)
-             for s, u2, u4, u0, ulo, utop in part] for part in forms)
         for l2 in (0,) if zero == 2 else range(1, M + 1):
             if zero == 4:
                 lo4 = top4 = 0
@@ -870,19 +840,23 @@ def _lambda_counts(params: HirzebruchParams, m: int, n: int,
                     continue
                 e0 = span - rl
                 d1, d3 = d12 * l2 + d14 * l4, d32 * l2 + d34 * l4
+                # each l3 limit as (s, k): l3 >= s l1 + k or l3 <= s l1 + k
+                low_k, high_k = [(0, lo3)], [(0, top3)]
+                for c1, c3, k2, k4 in rows:
+                    h = k2 * w2 + k4 * w4 - 1
+                    if c3 < 0:
+                        low_k.append((c1, -h))
+                    else:
+                        high_k.append((-c1, h))
                 # each cut is g l1 + h >= 0
                 l1_lo, l1_hi = lo1, top1
-                for g, c2, c4, c0 in rise:
-                    x = -((c2 * l2 + c4 * l4 + c0) // g)
-                    if x > l1_lo:
-                        l1_lo = x
-                for g, c2, c4, c0 in fall:
-                    x = (c2 * l2 + c4 * l4 + c0) // -g
-                    if x < l1_hi:
-                        l1_hi = x
-                low_k = [(s, c2 * l2 + c4 * l4 + c0) for s, c2, c4, c0 in lows]
-                high_k = [(s, c2 * l2 + c4 * l4 + c0)
-                          for s, c2, c4, c0 in highs]
+                for s, k in low_k:
+                    for t, u in high_k:
+                        g, h = t - s, u - k
+                        if g > 0 and -(h // g) > l1_lo:
+                            l1_lo = -(h // g)
+                        elif g < 0 and h // -g < l1_hi:
+                            l1_hi = h // -g
                 for s, k in low_k if d3 < 0 else high_k:
                     g, h = d1 + d3 * s, e0 + d3 * k
                     if g > 0 and -(h // g) > l1_lo:

@@ -3,11 +3,12 @@
 Run from anywhere:  python tests/mutants.py
 
 Each row names a file, an exact piece of its text, a replacement that
-tightens (or loosens) one derived limit or wiring by one unit, and the tests
-that must then fail.  For each row the script copies ``src/`` and ``tests/``
-to a temporary directory, applies the replacement there, and runs
-``pytest -x -q`` on the named tests against the copy, after checking once
-that those tests pass on the code as it is.  A row whose text is not found
+tightens (or loosens) one derived limit or wiring by one unit, or ends one
+loop one step of its index early, and the tests that must then fail.  For
+each row the script copies ``src/`` and ``tests/`` to a temporary
+directory, applies the replacement there, and runs ``pytest -x -q`` on the
+named tests against the copy, after checking once that those tests pass on
+the code as it is.  A row whose text is not found
 exactly once is stale, and the script fails rather than pass it by; so
 does a mutant the tests let live.  pytest does not collect this
 file.  Mutation testing: DeMillo, Lipton and Sayward, "Hints on test data
@@ -28,7 +29,6 @@ GENFUN = "src/orbifold/genfun.py"
 SETS = "tests/test_constraint_sets.py"
 SETS_DEEP = SETS + "::test_sets_match_per_candidate_loops"
 SETS_PAST = SETS + "::test_sets_add_nothing_past_their_limits"
-SETS_ONCE = SETS + "::test_csets_runs_each_distinct_set_once"
 BOX = "tests/test_genfun.py::test_derived_box_is_complete"
 PINS = "tests/test_engine_windows.py::test_engine_windows_match_pins"
 CSETS_PINS, R0_PINS = PINS + "[csets]", PINS + "[r0]"
@@ -101,31 +101,48 @@ ROWS = (
     Row("csets counts wired to r0", GENFUN,
         "rank2_vb_csets(params, cls, min2exp), _csets_counts),",
         "rank2_vb_csets(params, cls, min2exp), _r0_counts),", (CSETS_PINS,)),
-    # each per-set j limit one lower, in genfun and in the test's own copy
-    Row("_csets_counts wall limit", GENFUN,
-        "wall = isqrt(span // c)\n", "wall = isqrt(span // c) - 1\n",
-        (SETS_ONCE,)),
-    Row("_csets_counts twisted ratio limit", GENFUN,
-        "(isqrt(c * span) - 1) // r if r else span // (2 * d)",
-        "(isqrt(c * span) - 1) // r - 1 if r else span // (2 * d)",
+    # each set's j loop ends one step of j early: its end tested at j + 2
+    Row("_cs_pinned end", GENFUN,
+        "f4 - c * j * j\n        if i > M or e4 < 2 * lo2:",
+        "f4 - c * j * j\n        if i > M or e4 - 4 * c * (j + 1) < 2 * lo2:",
         (CSETS_PINS,)),
-    Row("_csets_counts untwisted ratio limit", GENFUN,
-        "(isqrt(c * span) - 1) // r if r else span // (2 * d)",
-        "(isqrt(c * span) - 1) // r if r else span // (2 * d) - 1",
-        (SETS_ONCE,)),
-    Row("_csets_counts quad limit", GENFUN,
-        "((4 * c * span + (s - 2) ** 2) // (4 * c * s),",
-        "((4 * c * span + (s - 2) ** 2) // (4 * c * s) - 1,", (SETS_ONCE,)),
-    Row("_r0_counts wall limit", GENFUN,
-        "wall = isqrt(span // (2 * ab))", "wall = isqrt(span // (2 * ab)) - 1",
+    Row("_cs_quad end", GENFUN,
+        "if disc < 0:\n            return  # disc falls",
+        "if disc < 8 * c * step:\n            return  # disc falls",
+        (CSETS_PINS,)),
+    Row("_cs_ratio twisted end", GENFUN,
+        "r * j * (r * j + 2) >= c * span if r",
+        "r * (j + 2) * (r * (j + 2) + 2) >= c * span if r", (CSETS_PINS,)),
+    Row("_cs_ratio untwisted end", GENFUN,
+        "else 2 * div_mod * j > span:", "else 2 * div_mod * (j + 2) > span:",
+        (CSETS_PINS,)),
+    Row("_cs_tail end", GENFUN,
+        "if 2 * pq * j * j + 2 * j > cap:",
+        "if 2 * pq * (j + 2) ** 2 + 2 * (j + 2) > cap - 4 * r * (j + 1):",
+        (CSETS_PINS,)),
+    Row("_r0_pinned end", GENFUN,
+        "f4 - 2 * ab * j * j\n        if i > M or e4 < 2 * lo2:",
+        "f4 - 2 * ab * j * j\n"
+        "        if i > M or e4 - 8 * ab * (j + 1) < 2 * lo2:",
         (R0_PINS,)),
-    Row("_r0_counts quad limit", GENFUN,
-        "((8 * ab * span + (s - 2) ** 2) // (8 * ab * s), _r0_quad",
-        "((8 * ab * span + (s - 2) ** 2) // (8 * ab * s) - 1, _r0_quad",
+    Row("_r0_quad end", GENFUN,
+        "if disc < 0:\n            return  # and at every larger j",
+        "if disc < 16 * ab * step:\n"
+        "            return  # and at every larger j",
         (R0_PINS,)),
-    Row("_r0_counts cone limit", GENFUN,
-        "(span // (2 * div), _r0_cone", "(span // (2 * div) - 1, _r0_cone",
-        (R0_PINS,)),
+    Row("_r0_cone end", GENFUN,
+        "if 2 * div * j > cap:", "if 2 * div * (j + 2) > cap:", (R0_PINS,)),
+    Row("_r0_tail end", GENFUN,
+        "if 2 * ab * j * j + 2 * j > cap:",
+        "if 2 * ab * (j + 2) ** 2 + 2 * (j + 2) > cap:", (R0_PINS,)),
+    # lambda's stability rows one unit tighter (drops stable data) and
+    # looser (admits unstable data, which ``stability_check`` rejects)
+    Row("_lambda_counts row tighter", GENFUN,
+        "h = k2 * w2 + k4 * w4 - 1", "h = k2 * w2 + k4 * w4 - 2",
+        (LAMBDA_PINS,)),
+    Row("_lambda_counts row looser", GENFUN,
+        "h = k2 * w2 + k4 * w4 - 1", "h = k2 * w2 + k4 * w4", (LAMBDA_PINS,)),
+    # each closed-form set limit of the test one lower
     Row("set_limit quad", SETS,
         "return (4 * c * span + (step - 2) ** 2) // (4 * c * step)",
         "return (4 * c * span + (step - 2) ** 2) // (4 * c * step) - 1",

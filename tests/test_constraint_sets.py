@@ -93,7 +93,8 @@ def set_limit(name, extra, r, pq, span):
     """The largest j at which a set can add a term to a window of depth
     span = D = f4 - 2*lo2, from the set's cost floor (see ``genfun._box``);
     ``extra`` is the set's entry in ``csets_calls`` or ``r0_calls``, and an
-    r0 set has r = 0 and pq = ab."""
+    r0 set has r = 0 and pq = ab.  Each set ends its own j loop, and this
+    is the only closed-form copy of each set's last j."""
     c = 2 * pq + r
     if name in ("_cs_quad", "_r0_quad"):
         step = extra[0]
@@ -155,20 +156,26 @@ def test_sets_add_nothing_past_their_limits():
 @pytest.mark.parametrize("abr, quads, tails",
                          (((1, 2, 0), 2, 1), ((2, 3, 1), 4, 2)))
 def test_csets_runs_each_distinct_set_once(monkeypatch, abr, quads, tails):
-    """Each csets set runs once per window, over exactly the j within its
-    own limit and the box; at r = 0 the repeated sets run once, so there
-    are half the ``_cs_quad`` and ``_cs_tail`` calls of a twisted surface."""
-    (_, box), sets = window_sets(abr, (0, 0), -40)
-    sets = [(name, limit) for _, name, _, _, _, limit in sets
-            if name.startswith("_cs")]
+    """Each csets set, and at r = 0 each r0 set, is called once per window
+    with every j = n (mod 2) up to the box, as it ends its own j loop; at
+    r = 0 the repeated csets sets run once, so there are half the
+    ``_cs_quad`` and ``_cs_tail`` calls of a twisted surface."""
+    pr = derive_params(*abr)
+    a, b, r = abr
+    names = [name for name, _, _ in csets_calls(a, b, r)]
+    if r == 0:
+        names += [name for name, _, _ in r0_calls(a, b)]
     calls = []
-    for name in {name for name, _ in sets}:
+    for name in set(names):
         def counted(acc, js, *rest, _run=getattr(genfun, name), _name=name):
             calls.append((_name, js))
             return _run(acc, js, *rest)
         monkeypatch.setattr(genfun, name, counted)
-    genfun.rank2_vb_csets(derive_params(*abr), (0, 0), -40)
-    assert Counter(calls) == Counter(
-        (name, range(2, min(box, limit) + 1, 2)) for name, limit in sets)
-    names = Counter(name for name, _ in calls)
-    assert (names["_cs_quad"], names["_cs_tail"]) == (quads, tails)
+    genfun.rank2_vb_csets(pr, (0, 0), -40)
+    if r == 0:
+        genfun.rank2_vb_r0(a, b, (0, 0), -40)
+    box = genfun._box(pr, 0, 0, -40)
+    assert Counter(calls) == Counter((name, range(2, box + 1, 2))
+                                     for name in names)
+    counts = Counter(name for name, _ in calls)
+    assert (counts["_cs_quad"], counts["_cs_tail"]) == (quads, tails)
