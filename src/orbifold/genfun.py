@@ -18,31 +18,35 @@ The rank-2 locally-free series is evaluated by four independent routes:
   jumps inside the stratum's stability parts; each datum is checked by
   ``stability_check`` and placed at its ``rank2_c1_chi``.
 
-Each engine adds every constraint set (term family, stratum) into one
-preallocated integer list, ``acc[e2 - lo2]`` for the doubled exponent
-e2 >= lo2, up to the highest exponent any term can reach (f4/2 for csets,
-r0 and lambda, 12 for the closed sums); the series is built once from its
-nonzero entries.  Each engine enumerates once, over the box that ``_box``,
-``_p12_tmax`` or ``_lambda_box`` derives from the depth of the window; the
-box caps every index.  csets and r0 call each constraint set once per
-window, with the range of j from 1 or 2 (j = n mod 2) up to the box; the
-set works out its moduli, inverses and periods once and runs its own j
-loop, which ends at the first j its cost floor keeps out of the window
-(see ``_box``), and the engine checks once per window that the exponents
-are half-integers.  Each csets, r0 and lambda loop visits only indices whose
-cost Q can reach the window, and the closed loop stops at the last term
-family that can.  A csets or r0 term of cost Q sits at index
-(f4 - Q)/2 - lo2, which is >= 0 iff Q <= D (see ``_box``) and inside the
-list as Q > 0.  The congruences of a set leave one residue class of i mod
-2ab, whose terms at one k lie a fixed stride apart in the list, so the set
-adds each run with one strided range up to its last Q <= D, or one count
-where the exponent does not depend on k.  At r = 0 the csets shift is 0
-and its sets 4, 5 and 9 repeat 3, 2 and 8, so it runs each pair once at
-weight 2, as r0 runs its sets 2 and 3.  ``ENGINES`` maps each engine name
-to its entry point, its enumeration at a fixed cap and the inputs it
-covers; the command line and ``crosscheck``, which runs every applicable
-engine and reports the first disagreeing exponent, dispatch through it.
-Every coefficient is exact, on a tracked sound window
+Each engine's ``ENGINES`` row says how it lays out a window:
+``Engine.window`` allocates one integer list, ``acc[e2 - lo2]`` for the
+doubled exponent e2 >= lo2, up to the row's ``top2``, the highest
+exponent any term can reach (f4/2 for csets, r0 and lambda, 12 for the
+closed sums); the row's ``counts`` adds every constraint set (term
+family, stratum) into it, and the series is built once from its nonzero
+entries.  Each engine enumerates once, over the row's ``box``
+(``_box``, ``_p12_tmax`` or ``_lambda_box``), derived from the depth of
+the window; the box caps every index.  csets and r0 call each constraint
+set once per window, with the range of j from 1 or 2 (j = n mod 2) up to
+the box; the set works out its moduli, inverses and periods once and
+runs its own j loop, which ends at the first j its cost floor keeps out
+of the window (see ``_box``, which also shows that every exponent is a
+half-integer).
+Each csets, r0 and lambda loop visits only indices whose cost Q can
+reach the window, and the closed loop stops at the last term family that
+can.  A csets or r0 term of cost Q sits at index (f4 - Q)/2 - lo2, which
+is >= 0 iff Q <= D (see ``_box``) and inside the list as Q > 0.  The
+congruences of a set leave one residue class of i mod 2ab, whose terms
+at one k lie a fixed stride apart in the list, so the set adds each run
+with one strided range up to its last Q <= D, or one count where the
+exponent does not depend on k.  At r = 0 the csets shift is 0 and its
+sets 4, 5 and 9 repeat 3, 2 and 8, so it runs each pair once at weight
+2, as r0 runs its sets 2 and 3.  ``ENGINES`` maps each engine name to its
+entry point, its enumeration, its box, the inputs it covers and its
+window top; every ``rank2_vb_*`` entry is one ``_enumerate`` call on its
+row, and the command line and ``crosscheck``, which runs every
+applicable engine and reports the first disagreeing exponent, dispatch
+through it.  Every coefficient is exact, on a tracked sound window
 (``exact.HalfExpLaurent``).
 """
 
@@ -206,20 +210,14 @@ def _box(params: HirzebruchParams, m: int, n: int, min2exp: int) -> int:
     sets have no term when D < 2, as Q >= 2j >= 4).
     Parity: sets 2-5 have l = j (mod 2), so (j + l) and (j - l) are even and
     r l^2 = r j^2 (mod 2); every other set has Q = 2ij + r j^2.  So every
-    term at a given j has f4 - Q = f4 - r j^2 (mod 2), and the exponents are
-    half-integers iff f4 - r j^2 is even.  Every j of a window has j = n
-    (mod 2), so j^2 = j = n (mod 2) and f4 - r j^2 = f4 - r n (mod 2): the
-    engines check that f4 - r n is even once per window.  As f4 = r n^2
-    (mod 2), the check always holds.
+    term at a given j has f4 - Q = f4 - r j^2 (mod 2).  Every j of a window
+    has j = n (mod 2), so j^2 = j = n (mod 2) and f4 - r j^2 = f4 - r n
+    (mod 2), and f4 - r n = 2 (C - r) n + 4C + 4m + 2mn - r n (n + 1) is
+    even: every exponent (f4 - Q)/4 is a half-integer.
     """
     r, pq = params.r, params.p * params.q
     span = max(0, f4_exponent(params.C, r, m, n) - 2 * min2exp)
     return max(span // 2, (pq + 2 * r) * isqrt(span // (2 * pq + r)))
-
-
-def _laurent(lo2: int, acc: List[int]) -> HalfExpLaurent:
-    """The series with coefficient acc[e2 - lo2] at each doubled exponent e2."""
-    return HalfExpLaurent(lo2, {lo2 + i: c for i, c in enumerate(acc) if c})
 
 
 def _f4_top2(params: HirzebruchParams, m: int, n: int) -> int:
@@ -229,19 +227,17 @@ def _f4_top2(params: HirzebruchParams, m: int, n: int) -> int:
     return f4_exponent(params.C, params.r, m, n) // 2
 
 
-def _enumerate(counts, derive_box, params, cls, min2exp):
-    """The window of ``counts`` over the box ``derive_box`` derives."""
-    cls = _as_class(cls)
+def _enumerate(name: str, params: HirzebruchParams, cls: ClassLike,
+               min2exp: int) -> HalfExpLaurent:
+    """The window of engine ``name`` over the box its row derives."""
+    engine, cls = ENGINES[name], _as_class(cls)
+    refusal = engine.refusal(params, cls.m, cls.n)
+    if refusal:
+        raise ValueError(refusal)
     min2exp = _integer(min2exp, "min2exp must be an integer")
-    _check_window(_f4_top2(params, cls.m, cls.n), min2exp)
-    box = derive_box(params, cls.m, cls.n, min2exp)
-    return _laurent(min2exp, counts(params, cls.m, cls.n, min2exp, box))
-
-
-def _check_half_integer(e4: int, j: int):
-    if e4 & 1:
-        raise ArithmeticError("series exponents at j = %d are not "
-                              "half-integers" % j)
+    _check_window(engine.top2(params, cls.m, cls.n), min2exp)
+    return engine.window(params, cls.m, cls.n, min2exp,
+                         engine.box(params, cls.m, cls.n, min2exp))
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +381,12 @@ def _cs_tail(acc, js, f4, m, a, b, r, pq, lo2, M, twisted, weight):
                 acc[x] += weight
 
 
-def _csets_counts(params: HirzebruchParams, m: int, n: int,
-                  lo2: int, M: int) -> List[int]:
+def _csets_counts(acc: List[int], params: HirzebruchParams, m: int, n: int,
+                  lo2: int, M: int):
     a, b, r = params.a, params.b, params.r
     pq = params.p * params.q
     f4 = f4_exponent(params.C, r, m, n)
-    acc = [0] * (f4 // 2 - lo2 + 1)
     first = 2 - n % 2  # every set needs j = n (mod 2)
-    _check_half_integer(f4 - r * n, first)  # see ``_box``
     forms, weight = ((True, False), 1) if r else ((True,), 2)  # see _cs_quad
     sets = [(_cs_pinned, ()), (_cs_ratio, (b,)), (_cs_ratio, (a,))]
     for form in forms:
@@ -401,7 +395,6 @@ def _csets_counts(params: HirzebruchParams, m: int, n: int,
         sets.append((_cs_tail, (form, weight)))
     for run, extra in sets:  # each set ends its own j loop (see ``_box``)
         run(acc, range(first, M + 1, 2), f4, m, a, b, r, pq, lo2, M, *extra)
-    return acc
 
 
 def rank2_vb_csets(params: HirzebruchParams, cls: ClassLike,
@@ -412,7 +405,7 @@ def rank2_vb_csets(params: HirzebruchParams, cls: ClassLike,
     mirrors and are out of scope here.  Enumerates once, over the box
     ``_box`` derives from the window.
     """
-    return _enumerate(_csets_counts, _box, params, cls, min2exp)
+    return _enumerate("csets", params, cls, min2exp)
 
 
 # ---------------------------------------------------------------------------
@@ -508,18 +501,15 @@ def _r0_tail(acc, js, f4, m, a, b, lo2, M):
                 acc[x] += 2
 
 
-def _r0_counts(params, m, n, lo2, M) -> List[int]:
+def _r0_counts(acc, params, m, n, lo2, M):
     a, b = params.a, params.b
     f4 = f4_exponent(params.C, 0, m, n)
-    acc = [0] * (f4 // 2 - lo2 + 1)
     first = 2 - n % 2  # every set needs j = n (mod 2)
-    _check_half_integer(f4, first)  # see ``_box``, with r = 0
     sets = [(_r0_pinned, ()), (_r0_quad, (2 * b, 2 * a)),
             (_r0_quad, (2 * a, 2 * b)), (_r0_cone, (b,)), (_r0_cone, (a,)),
             (_r0_tail, ())]
     for run, extra in sets:  # each set ends its own j loop (see ``_box``)
         run(acc, range(first, M + 1, 2), f4, m, a, b, lo2, M, *extra)
-    return acc
 
 
 def rank2_vb_r0(a: int, b: int, cls: ClassLike,
@@ -529,7 +519,7 @@ def rank2_vb_r0(a: int, b: int, cls: ClassLike,
     Transcribed from the specialized constraint sets rather than by setting
     r = 0 in the general engine, so the two evaluations are independent.
     """
-    return _enumerate(_r0_counts, _box, derive_params(a, b, 0), cls, min2exp)
+    return _enumerate("r0", derive_params(a, b, 0), cls, min2exp)
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +657,9 @@ _P12_TERMS = {(0, 0): _p12_00, (1, 0): _p12_10,
 # every term of family t lies at or below 2 (8 - 2t^2) <= 12 (``_p12_tmax``)
 _P12_TOP2 = 12
 
+# the one surface the closed sums cover
+_P120 = derive_params(1, 2, 0)
+
 
 def _p12_tmax(min2exp: int) -> int:
     """Largest t whose term family can reach the window.
@@ -680,19 +673,10 @@ def _p12_tmax(min2exp: int) -> int:
     return isqrt(max(0, 16 - min2exp) // 4)
 
 
-def _p12_class_refusal(m: int, n: int) -> Optional[str]:
-    if (m, n) in _P12_TERMS:
-        return None
-    return ("closed-form terms cover only the classes "
-            "(0,0), (1,0), (0,1), (1,1); got (%d,%d)" % (m, n))
-
-
-def _closed_counts(params, m, n, lo2, M) -> List[int]:
+def _closed_counts(acc, params, m, n, lo2, M):
     """The term families t = 1 .. min(M, ``_p12_tmax``) of class (m, n)."""
-    acc = [0] * (_P12_TOP2 - lo2 + 1)
     for t in range(1, min(M, _p12_tmax(lo2)) + 1):
         _P12_TERMS[(m, n)](acc, t, lo2)
-    return acc
 
 
 def rank2_vb_closed_p12(cls: ClassLike, min2exp: int) -> HalfExpLaurent:
@@ -709,14 +693,7 @@ def rank2_vb_closed_p12(cls: ClassLike, min2exp: int) -> HalfExpLaurent:
     engines exactly at every order.  The deliberate deviations are marked
     by comments in the per-class term functions above.
     """
-    cls = _as_class(cls)
-    refusal = _p12_class_refusal(cls.m, cls.n)
-    if refusal:
-        raise ValueError(refusal)
-    min2exp = _integer(min2exp, "min2exp must be an integer")
-    _check_window(_P12_TOP2, min2exp)
-    return _laurent(min2exp, _closed_counts(None, cls.m, cls.n, min2exp,
-                                            _p12_tmax(min2exp)))
+    return _enumerate("closed", _P120, cls, min2exp)
 
 
 # ---------------------------------------------------------------------------
@@ -750,9 +727,10 @@ def _lambda_l4_start(corner, l2: int, pq: int, r: int, span: int) -> int:
     return max(1, start)
 
 
-def _lambda_counts(params: HirzebruchParams, m: int, n: int,
-                   lo2: int, M: int) -> List[int]:
-    """Signed count of the stable data of class (m, n) with jumps up to M.
+def _lambda_counts(acc: List[int], params: HirzebruchParams, m: int, n: int,
+                   lo2: int, M: int):
+    """Adds the signed count of the stable data of class (m, n) with jumps
+    up to M to acc.
 
     A stability part sums some of the weights (l1, W2, l3, W4), W2 = pq l2,
     W4 = (r + pq) l4, so its rule 2 w < sum is the row c1 l1 + c3 l3 <=
@@ -808,9 +786,7 @@ def _lambda_counts(params: HirzebruchParams, m: int, n: int,
     """
     a, b, r = params.a, params.b, params.r
     pq = params.p * params.q
-    f4 = f4_exponent(params.C, r, m, n)
-    span = f4 - 2 * lo2
-    acc = [0] * (f4 // 2 - lo2 + 1)
+    span = f4_exponent(params.C, r, m, n) - 2 * lo2
     for incidence, weight, zero, corner, slopes, rows in _LAMBDA_STRATA:
         d12, d14, d32, d34 = slopes
         lo1, top1 = (0, 0) if zero == 1 else (a, M)
@@ -889,7 +865,6 @@ def _lambda_counts(params: HirzebruchParams, m: int, n: int,
                                 "stable datum at q^%d lies below the "
                                 "window" % chi)
                         acc[2 * chi - lo2] += weight
-    return acc
 
 
 def _lambda_box(params: HirzebruchParams, m: int, n: int,
@@ -932,7 +907,7 @@ def rank2_vb_lambda(params: HirzebruchParams, cls: ClassLike,
     (two runs each, Python 3.11.7, 2 vCPUs), so ``crosscheck`` runs it only
     on request.  ``MAX_WINDOW_SLOTS`` caps its memory, not its time.
     """
-    return _enumerate(_lambda_counts, _lambda_box, params, cls, min2exp)
+    return _enumerate("lambda", params, cls, min2exp)
 
 
 # ---------------------------------------------------------------------------
@@ -975,22 +950,35 @@ def _covers_all(params, m, n):
 class Engine(NamedTuple):
     """One rank-2 engine as the command line and ``crosscheck`` see it.
 
-    ``run`` takes ``(params, cls, min2exp)``; ``counts`` takes ``(params, m,
-    n, lo2, M)`` and returns its enumeration with every index capped at M,
-    the list ``_laurent`` makes the window of.  ``refusal`` takes ``(params,
-    m, n)`` and returns why the engine does not cover that input, or None;
-    engines that check their own input return None throughout.
-    ``experimental`` engines join ``crosscheck`` only on request.  ``top2``
-    takes ``(params, m, n)`` and returns the top of the engine's window, so
-    ``crosscheck`` can refuse an over-long window before running any engine.
+    ``run`` takes ``(params, cls, min2exp)``; ``counts`` takes ``(acc,
+    params, m, n, lo2, M)`` and adds its enumeration, with every index
+    capped at M, into acc.  ``box`` takes ``(params, m, n, lo2)`` and
+    returns the cap that holds every term of the window.  ``refusal`` takes
+    ``(params, m, n)`` and returns why the engine does not cover that
+    input, or None; engines that check their own input return None
+    throughout.  ``experimental`` engines join ``crosscheck`` only on
+    request.  ``top2`` takes ``(params, m, n)`` and returns the top of the
+    engine's window, so ``crosscheck`` can refuse an over-long window
+    before running any engine.
     """
 
     run: Callable[[HirzebruchParams, ClassLike, int], HalfExpLaurent]
-    counts: Callable[[HirzebruchParams, int, int, int, int], List[int]]
+    counts: Callable[[List[int], HirzebruchParams, int, int, int, int], None]
+    box: Callable[[HirzebruchParams, int, int, int], int]
     refusal: Callable[[HirzebruchParams, int, int],
                       Optional[str]] = _covers_all
     experimental: bool = False
     top2: Callable[[HirzebruchParams, int, int], int] = _f4_top2
+
+    def window(self, params: HirzebruchParams, m: int, n: int, lo2: int,
+               cap: int) -> HalfExpLaurent:
+        """The window down to lo2 of ``counts`` with every index capped at
+        cap: the series with coefficient acc[e2 - lo2] at each doubled
+        exponent e2."""
+        acc = [0] * (self.top2(params, m, n) - lo2 + 1)
+        self.counts(acc, params, m, n, lo2, cap)
+        return HalfExpLaurent(lo2, {lo2 + i: c for i, c in enumerate(acc)
+                                    if c})
 
 
 def _r0_refusal(params, m, n):
@@ -1000,23 +988,27 @@ def _r0_refusal(params, m, n):
 def _closed_refusal(params, m, n):
     if (params.a, params.b, params.r) != (1, 2, 0):
         return "engine closed covers only the (1,2,0) surface"
-    return _p12_class_refusal(m, n)
+    if (m, n) not in _P12_TERMS:
+        return ("closed-form terms cover only the classes "
+                "(0,0), (1,0), (0,1), (1,1); got (%d,%d)" % (m, n))
+    return None
 
 
 # The entries call the engines through their module-level names at call
 # time, so a wrapper later bound to one of those names sees every call.
 ENGINES: Dict[str, Engine] = {
     "csets": Engine(lambda params, cls, min2exp:
-                    rank2_vb_csets(params, cls, min2exp), _csets_counts),
+                    rank2_vb_csets(params, cls, min2exp), _csets_counts, _box),
     "r0": Engine(lambda params, cls, min2exp:
                  rank2_vb_r0(params.a, params.b, cls, min2exp),
-                 _r0_counts, _r0_refusal),
+                 _r0_counts, _box, _r0_refusal),
     "closed": Engine(lambda params, cls, min2exp:
                      rank2_vb_closed_p12(cls, min2exp), _closed_counts,
+                     lambda params, m, n, lo2: _p12_tmax(lo2),
                      _closed_refusal, top2=lambda params, m, n: _P12_TOP2),
     "lambda": Engine(lambda params, cls, min2exp:
                      rank2_vb_lambda(params, cls, min2exp), _lambda_counts,
-                     experimental=True),
+                     _lambda_box, experimental=True),
 }
 
 

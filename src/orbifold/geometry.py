@@ -23,7 +23,7 @@ from typing import Iterable, Sequence, Tuple, Union
 
 from .exact import Cyclotomic, RatPoly
 from .stackyfan import RayImage, StackyFanData, hirzebruch_shear
-from .intlattice import AbelianGroupStructure, _integers
+from .intlattice import AbelianGroupStructure, _integer, _integers
 
 __all__ = [
     "HirzebruchParams",
@@ -269,7 +269,7 @@ def point_sheaf_mhp(params: HirzebruchParams, chart: int, grading: int = 0) -> i
     parts must cancel, which is asserted.
     """
     a, b, r = params.a, params.b, params.r
-    i = grading
+    i = _integer(grading, "grading must be an integer")
     terms = {
         1: (((-i, 0), 1), ((-a - i, -1), 1), ((-a - i, 0), -1), ((-i, -1), -1)),
         2: (((-i, 0), 1), ((-b - i, -1), 1), ((-b - i, 0), -1), ((-i, -1), -1)),

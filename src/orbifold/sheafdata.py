@@ -147,12 +147,14 @@ def _check_incidence(incidence: Incidence) -> Incidence:
     kind = incidence[0] if incidence else None
     if kind == "type1":
         raise ValueError("type1 takes no index")
-    if kind == "type2":
+    if kind == "type2" and len(incidence) != 2:
         raise ValueError("type2 needs one corner index")
-    if kind != "type3":
-        raise ValueError("unknown incidence %r" % (incidence,))
-    if len(incidence) != 3:
+    if kind == "type3" and len(incidence) != 3:
         raise ValueError("type3 needs a pair of corner indices")
+    if kind not in ("type2", "type3"):
+        raise ValueError("unknown incidence %r" % (incidence,))
+    if not all(i in range(1, 5) for i in incidence[1:]):
+        raise ValueError("corner indices are integers from 1 to 4")
     raise ValueError("type3 pair must be two distinct corners")
 
 
@@ -222,7 +224,8 @@ def incidence_chi_correction(incidence: Incidence,
     Only adjacent pairs carry a correction; the two diagonal coincidences
     leave the Euler characteristic untouched.
     """
-    return STRATA[_check_incidence(incidence)].restored(lam)
+    stratum = STRATA[_check_incidence(incidence)]
+    return stratum.restored(_integers(lam, "lam must be four integers", 4))
 
 
 def f4_exponent(C: int, r: int, m: int, n: int) -> int:

@@ -27,8 +27,8 @@ from .geometry import (
     modified_hilbert_polynomial,
     point_sheaf_mhp,
 )
-from .genfun import ENGINES, CrosscheckReport, _laurent, crosscheck, \
-    rank1_series, rank2_vb_csets, rank2_vb_lambda
+from .genfun import ENGINES, CrosscheckReport, crosscheck, rank1_series, \
+    rank2_vb_csets, rank2_vb_lambda
 from .intlattice import IntMatrix, integer_kernel, lattices_equal, smith_normal_form
 from .sheafdata import tensor_shift
 from .stackyfan import (
@@ -373,7 +373,7 @@ def criterion_9(reports) -> CriterionResult:
 
 
 def criterion_10(reports) -> CriterionResult:
-    """Replaying every series through ``counts`` at caps 128 and 256 agrees.
+    """Each series is the ``window`` its engine gives at caps 128 and 256.
 
     Every engine's loops stop at the last index that can reach the window,
     so above the derived box the outer loop limit (l2 or t) adds no term:
@@ -385,9 +385,8 @@ def criterion_10(reports) -> CriterionResult:
     for rep in reports:
         params = derive_params(rep.a, rep.b, rep.r)
         for name, window in rep.windows:
-            counts, lo2 = ENGINES[name].counts, rep.min2exp
-            if any(_laurent(lo2, counts(params, rep.m, rep.n, lo2, cap))
-                   != window for cap in (128, 256)):
+            if any(ENGINES[name].window(params, rep.m, rep.n, rep.min2exp,
+                                        cap) != window for cap in (128, 256)):
                 problems.append("%s (%d,%d,%d) %s" % (
                     name, rep.a, rep.b, rep.r, (rep.m, rep.n)))
     runs = sum(len(rep.windows) for rep in reports)

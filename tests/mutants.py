@@ -35,6 +35,7 @@ CSETS_PINS, R0_PINS = PINS + "[csets]", PINS + "[r0]"
 LAMBDA_PINS = PINS + "[lambda]"
 L4_START = ("tests/test_engine_windows.py::"
             "test_lambda_finds_no_datum_before_the_l4_start")
+CLOSED_PIN = "tests/test_engine_windows.py::test_closed_windows_match_pin"
 
 
 class Row(NamedTuple):
@@ -95,12 +96,20 @@ ROWS = (
     # lambda's l2 loop ends one l2 early
     Row("_lambda_counts l2 end", GENFUN,
         "if lo4 > top4:", "if lo4 >= top4:", (LAMBDA_PINS,)),
-    # the r = 0 weight and the csets counts wiring
+    # the r = 0 weight and the ENGINES rows' counts and box columns (a
+    # larger box never changes a window, so only smaller ones are rows)
     Row("csets weight at r = 0", GENFUN,
         "if r else ((True,), 2)", "if r else ((True,), 1)", (CSETS_PINS,)),
     Row("csets counts wired to r0", GENFUN,
-        "rank2_vb_csets(params, cls, min2exp), _csets_counts),",
-        "rank2_vb_csets(params, cls, min2exp), _r0_counts),", (CSETS_PINS,)),
+        "rank2_vb_csets(params, cls, min2exp), _csets_counts, _box),",
+        "rank2_vb_csets(params, cls, min2exp), _r0_counts, _box),",
+        (CSETS_PINS,)),
+    Row("closed box one family short", GENFUN,
+        "lambda params, m, n, lo2: _p12_tmax(lo2),",
+        "lambda params, m, n, lo2: _p12_tmax(lo2) - 1,", (CLOSED_PIN,)),
+    Row("lambda box wired to _box", GENFUN,
+        "_lambda_box, experimental=True),", "_box, experimental=True),",
+        (LAMBDA_PINS,)),
     # each set's j loop ends one step of j early: its end tested at j + 2
     Row("_cs_pinned end", GENFUN,
         "f4 - c * j * j\n        if i > M or e4 < 2 * lo2:",

@@ -5,20 +5,14 @@ started at ``genfun._lambda_l4_start`` and its l2 loop ended at the first
 empty l4 range: it runs l2 to the cap, visits every l4 from 1 (0 on a
 stratum whose l4 vanishes), tests each slice's least stable cost against
 the window, and rebuilds its l3 limits and their cuts per slice.  It
-returns the stable data it finds rather than their counts, so a test can
-check where each one lies.
+reads each stratum's rows and cost-line slopes from
+``genfun._LAMBDA_STRATA``, and returns the stable data it finds rather
+than their counts, so a test can check where each one lies.
 """
 
-from orbifold.sheafdata import STRATA, Rank2Datum, f4_exponent, \
-    rank2_c1_chi, stability_check
-
-_STRATA = tuple(
-    (incidence, s.weight, s.zero,
-     tuple(tuple(sign if k in part else -sign
-                 for k, sign in ((1, 1), (3, 1), (2, -1), (4, -1)))
-           for part in s.parts), s.corner,
-     tuple(4 * (set(s.corner) == {x, c}) - 2 for x in (1, 3) for c in (2, 4)))
-    for incidence, s in STRATA.items())
+from orbifold.genfun import _LAMBDA_STRATA
+from orbifold.sheafdata import Rank2Datum, f4_exponent, rank2_c1_chi, \
+    stability_check
 
 
 def stable_data(params, m, n, lo2, M):
@@ -28,7 +22,7 @@ def stable_data(params, m, n, lo2, M):
     pq = params.p * params.q
     span = f4_exponent(params.C, r, m, n) - 2 * lo2
     found = []
-    for incidence, weight, zero, rows, corner, slopes in _STRATA:
+    for incidence, weight, zero, corner, slopes, rows in _LAMBDA_STRATA:
         d12, d14, d32, d34 = slopes
         lo1, top1 = (0, 0) if zero == 1 else (a, M)
         lo3, top3 = (0, 0) if zero == 3 else (b, M)

@@ -3,13 +3,13 @@
 Each digest is the sha256 (first 16 hex digits) of the ``to_json()`` forms of
 every window one engine gives on one surface: six classes, several depths
 below the base exponent f, each from the engine's entry point, which
-enumerates over the box it derives from the window, and from its
-``counts`` at every cap of ``CAPS`` below that box.  The derived-box checks
-in ``test_genfun`` rerun the same loops at a larger box, so a loop limit
-that drops a term in the window shows up only against these recorded
-values; the caps check that ``counts`` still caps every index.  The closed
-engine, which covers only the (1,2;0) surface, has one digest over its four
-classes, a run of cutoffs and a few caps.
+enumerates over the box its ``ENGINES`` row derives from the window, and
+from the row's ``window`` at every cap of ``CAPS`` below that box.  The
+derived-box checks in ``test_genfun`` rerun the same loops at a larger
+box, so a loop limit that drops a term in the window shows up only
+against these recorded values; the caps check that ``counts`` still caps
+every index.  The closed engine, which covers only the (1,2;0) surface,
+has one digest over its four classes, a run of cutoffs and a few caps.
 Three more checks need no recorded values: lambda builds only stable data
 on its grid, its loop that steps through every l4 (``reference_lambda``)
 finds no datum below the derived l4 start or past the derived l2 end, and
@@ -19,11 +19,13 @@ lambda agrees with csets (and r0 where r = 0) on the csets grid.
 import hashlib
 import json
 import math
+from collections import Counter
 
 import pytest
 
 import reference_lambda
 from orbifold import genfun
+from orbifold.exact import HalfExpLaurent
 from orbifold.geometry import derive_params
 from orbifold.sheafdata import f4_exponent, f_exponent
 
@@ -31,7 +33,6 @@ CLASSES6 = ((0, 0), (1, 0), (0, 1), (1, 1), (2, -1), (-3, 2))
 DEPTHS = {"csets": (0, 1, 3, 7, 12, 20), "r0": (0, 1, 3, 7, 12, 20),
           "lambda": (0, 1, 2, 3, 4)}
 CAPS = {"csets": (5, 17), "r0": (5, 17), "lambda": (7,)}
-BOXES = {"csets": genfun._box, "r0": genfun._box, "lambda": genfun._lambda_box}
 
 # csets: coprime a <= 5, b <= 7, 0 <= r <= 4; r0 where r = 0;
 # lambda: coprime a <= 3, b <= 5, 0 <= r <= 3
@@ -45,21 +46,15 @@ SURFACES = {
 }
 
 
-def capped(engine, params, cls, lo2, cap):
-    """The window of ``engine``'s ``counts`` with every index capped."""
-    return genfun._laurent(lo2, genfun.ENGINES[engine].counts(
-        params, *cls, lo2, cap))
-
-
 def surface_digest(engine, abr):
-    pr = derive_params(*abr)
+    pr, row = derive_params(*abr), genfun.ENGINES[engine]
     h = hashlib.sha256()
     for cls in CLASSES6:
         for depth in DEPTHS[engine]:
             lo2 = 2 * (math.floor(f_exponent(pr, *cls)) - depth)
-            box = BOXES[engine](pr, *cls, lo2)
-            windows = [genfun.ENGINES[engine].run(pr, cls, lo2)]
-            windows += [capped(engine, pr, cls, lo2, cap)
+            box = row.box(pr, *cls, lo2)
+            windows = [row.run(pr, cls, lo2)]
+            windows += [row.window(pr, *cls, lo2, cap)
                         for cap in CAPS[engine] if cap < box]
             for window in windows:
                 h.update(json.dumps(window.to_json(), sort_keys=True).encode())
@@ -241,24 +236,24 @@ def test_lambda_finds_no_datum_before_the_l4_start():
     grid += [(abr, cls, -64) for abr in ((1, 2, 0), (2, 3, 1))
              for cls in CLASSES6]
     early, late, miscounted, found = [], [], [], 0
+    row = genfun.ENGINES["lambda"]
     for abr, cls, lo2 in grid:
         pr = derive_params(*abr)
         pq, span = pr.p * pr.q, f4_exponent(pr.C, pr.r, *cls) - 2 * lo2
-        box = genfun._lambda_box(pr, *cls, lo2)
+        box = row.box(pr, *cls, lo2)
         for cap in (box,) + tuple(c for c in CAPS["lambda"] if c < box):
             data = reference_lambda.stable_data(pr, *cls, lo2, cap)
             found += len(data)
-            want = genfun._lambda_counts(pr, *cls, lo2, cap)
-            acc = [0] * len(want)
+            acc = Counter()
             for incidence, weight, (l1, l2, l3, l4), e2 in data:
-                acc[e2 - lo2] += weight
+                acc[e2] += weight
                 corner = genfun.STRATA[incidence].corner
                 if l4 and l4 < genfun._lambda_l4_start(corner, l2, pq,
                                                        pr.r, span):
                     early.append((abr, cls, lo2, incidence, l2, l4))
                 if l4 and l2 >= l2_end(corner, pq, pr.r, span, cap):
                     late.append((abr, cls, lo2, incidence, l2, l4))
-            if acc != want:
+            if HalfExpLaurent(lo2, acc) != row.window(pr, *cls, lo2, cap):
                 miscounted.append((abr, cls, lo2, cap))
     assert found > 6586  # the pin grid's data, and the deeper windows'
     assert not early, early[:5]
@@ -293,7 +288,7 @@ def test_closed_windows_match_pin():
     for cls in ((0, 0), (1, 0), (0, 1), (1, 1)):
         for lo2 in list(range(-120, 17)) + [-400, -401]:
             windows = [genfun.rank2_vb_closed_p12(cls, lo2)]
-            windows += [capped("closed", None, cls, lo2, cap)
+            windows += [genfun.ENGINES["closed"].window(None, *cls, lo2, cap)
                         for cap in (1, 2, 5)]
             for window in windows:
                 h.update(json.dumps(window.to_json(), sort_keys=True).encode())

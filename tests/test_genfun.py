@@ -25,7 +25,6 @@ from orbifold.genfun import (
 )
 from orbifold.sheafdata import f4_exponent, f_exponent, tensor_shift
 from orbifold.verify import CLASSES
-from test_engine_windows import capped
 
 P120 = derive_params(1, 2, 0)
 
@@ -364,11 +363,12 @@ def test_rank2_shift_covariance(engines120):
 
 
 def test_explicit_bounds_match_stabilized(engines120):
+    csets, lam = genfun.ENGINES["csets"], genfun.ENGINES["lambda"]
     auto = HalfExpLaurent(-12, engines120[(0, 0)]["csets"].terms)
     for cap in (64, 128):
-        assert capped("csets", P120, (0, 0), -12, cap) == auto
+        assert csets.window(P120, 0, 0, -12, cap) == auto
     auto_l = HalfExpLaurent(-12, engines120[(0, 0)]["lambda"].terms)
-    assert capped("lambda", P120, (0, 0), -12, 64) == auto_l
+    assert lam.window(P120, 0, 0, -12, 64) == auto_l
 
 
 # every coprime (a, b) with a <= 5, b <= 6
@@ -384,25 +384,26 @@ def test_derived_box_is_complete():
     # the derived box and twice that box give the same window: csets and r0
     # at every depth from 1 to 10 units below f (the twist terms of the box
     # bind at shallow depths), lambda (slow at twice its box) at 2 units
+    csets, r0, lam = map(genfun.ENGINES.get, ("csets", "r0", "lambda"))
     for a, b in BOX_SURFACES:
         for r in range(5):
             pr = derive_params(a, b, r)
             for cls in CLASSES:
                 for depth in range(1, 11):
                     lo2 = _below_f(pr, cls, depth)
-                    twice = 2 * genfun._box(pr, *cls, lo2)
+                    twice = 2 * csets.box(pr, *cls, lo2)
                     assert rank2_vb_csets(pr, cls, lo2) == \
-                        capped("csets", pr, cls, lo2, twice), \
+                        csets.window(pr, *cls, lo2, twice), \
                         (a, b, r, cls, depth)
                     if r == 0:
                         assert rank2_vb_r0(a, b, cls, lo2) == \
-                            capped("r0", pr, cls, lo2, twice), \
+                            r0.window(pr, *cls, lo2, twice), \
                             (a, b, cls, depth)
                 if r <= 3:
                     lo2 = _below_f(pr, cls, 2)
-                    twice = 2 * genfun._lambda_box(pr, *cls, lo2)
+                    twice = 2 * lam.box(pr, *cls, lo2)
                     assert rank2_vb_lambda(pr, cls, lo2) == \
-                        capped("lambda", pr, cls, lo2, twice), \
+                        lam.window(pr, *cls, lo2, twice), \
                         (a, b, r, cls)
 
 
@@ -433,7 +434,7 @@ def test_closed_bound_stops_at_t_limit(monkeypatch):
         term(acc, t, lo2)
 
     monkeypatch.setitem(genfun._P12_TERMS, (0, 0), counted)
-    capped("closed", P120, (0, 0), -16, 256)
+    genfun.ENGINES["closed"].window(P120, 0, 0, -16, 256)
     assert calls == [1, 2] and genfun._p12_tmax(-16) == 2
 
 
@@ -509,18 +510,14 @@ def test_engines_refuse_bound():
 
 
 def test_counts_at_derived_box_match_run():
-    boxes = {"csets": genfun._box, "r0": genfun._box,
-             "closed": lambda pr, m, n, lo2: genfun._p12_tmax(lo2),
-             "lambda": genfun._lambda_box}
-    assert set(boxes) == set(genfun.ENGINES)
     for abr in ((1, 2, 0), (2, 3, 0), (1, 1, 1), (1, 3, 2), (2, 5, 4)):
         pr = derive_params(*abr)
         for cls in CLASSES + ((2, -1),):
             lo2 = _below_f(pr, cls, 3)
             for name, engine in genfun.ENGINES.items():
                 if engine.refusal(pr, *cls) is None:
-                    box = boxes[name](pr, *cls, lo2)
-                    assert capped(name, pr, cls, lo2, box) == \
+                    box = engine.box(pr, *cls, lo2)
+                    assert engine.window(pr, *cls, lo2, box) == \
                         engine.run(pr, cls, lo2), (name, abr, cls)
 
 

@@ -316,6 +316,8 @@ def test_point_sheaf_rejects_bad_chart():
     pr = derive_params(1, 2, 0)
     with pytest.raises(ValueError):
         point_sheaf_mhp(pr, 5)
+    with pytest.raises(ValueError, match="grading must be an integer"):
+        point_sheaf_mhp(pr, 1, 2.5)
 
 
 # ------------------------------------------------------------ inertia

@@ -121,21 +121,24 @@ def test_rank2_datum_validation():
         Rank2Datum(0, 0, (0, 0, 1, 1), ("type2", 1))
     with pytest.raises(ValueError):
         Rank2Datum(0, 0, (1, -1, 1, 1))
-    with pytest.raises(ValueError):
-        Rank2Datum(0, 0, (1, 1, 1, 1), ("type3", 2, 2))
     d = Rank2Datum(0, 0, (1, 1, 1, 1), ("type3", 3, 1))
     assert d.incidence == ("type3", 1, 3)
-    # a non-integral grading, jump or corner index is refused, not truncated
+    # a non-integral grading or jump is refused, not truncated
     for bad in [(0.5, 0, (2, 1, 2, 1)), (0, -1.5, (2, 1, 2, 1)),
-                (0, 0, (2.7, 1, 2, 1)), (0, 0, ("2", 1, 2, 1)),
-                (0, 0, (2, 1, 2, 1), ("type3", 1.5, 2)),
-                (0, 0, (2, 1, 2, 1), ("type3", 2, 1.5)),
-                (0, 0, (2, 0, 2, 1), ("type2", 2.5)),
-                (0, 0, (2, 1, 2, 1), ("type3", "1", "2"))]:
+                (0, 0, (2.7, 1, 2, 1)), (0, 0, ("2", 1, 2, 1))]:
         with pytest.raises(ValueError):
             Rank2Datum(*bad)
     with pytest.raises(ValueError):
         incidence_chi_correction(("type3", 1.9, 2), (2, 1, 3, 1))
+    # a malformed incidence is refused with the fault it has; a corner
+    # index that is not an integer is refused, not truncated
+    with pytest.raises(ValueError, match="two distinct corners"):
+        Rank2Datum(0, 0, (1, 1, 1, 1), ("type3", 2, 2))
+    for incidence in [("type2", 7), ("type2", 2.5), ("type3", 1, 5),
+                      ("type3", 1.5, 2), ("type3", 2, 1.5),
+                      ("type3", "1", "2")]:
+        with pytest.raises(ValueError, match="integers from 1 to 4"):
+            Rank2Datum(0, 0, (1, 1, 1, 1), incidence)
     with pytest.raises(ValueError):
         euler_weight(("type2", 0.5))
     # integral values of another type are kept, as ints
@@ -374,6 +377,10 @@ def test_incidence_chi_correction_adjacent_only():
     assert incidence_chi_correction(("type3", 1, 4), lam) == 14
     assert incidence_chi_correction(("type3", 1, 3), lam) == 0
     assert incidence_chi_correction(("type3", 2, 4), lam) == 0
+    # lam is four integers, as for ``rank2_chi_exponent``
+    for bad in ((1, 2), (2, 3, 5, 7.5)):
+        with pytest.raises(ValueError, match="lam must be four integers"):
+            incidence_chi_correction(("type3", 1, 2), bad)
 
 
 # ------------------------------------------------------------ partitions
