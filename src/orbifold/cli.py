@@ -9,7 +9,9 @@ The parser is declared by one table, ``COMMANDS``: one row per subcommand
 with its path, help text, argument groups and handler.  ``ARGUMENTS``
 defines each argument group once.  ``build_parser`` turns the table into
 the parser in one loop and gives every subcommand ``--json`` and ``--out``;
-``main`` has it add arguments only to the subcommand it runs.
+``main`` passes it argv, and for a command line that names a subcommand it
+builds only the parsers on that subcommand's path (the root, its group and
+the subcommand), with usage lines and errors that read as the whole tree's.
 
 Exit codes: 0 on success, 1 on a domain error (one line on stderr), 2 on a
 usage error.
@@ -391,28 +393,40 @@ COMMANDS = [
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The parser of ``COMMANDS``, or only as much of it as argv needs.
+    """The parser of ``COMMANDS``, or only the part of it that argv runs.
 
-    Every row gets its subparser and help text, so the listings and choice
-    errors of every level read the same; when a leaf's path opens argv, only
-    that leaf gets its arguments, as argparse runs no other.
+    When a leaf's path opens argv, only the parsers on that path are built:
+    the root, the leaf's group if it has one, and the leaf with its
+    arguments, as argparse runs no other.  Each subparsers action on the
+    path names every one of its rows by ``metavar``, so the usage line that
+    the root prints for a stray argument lists them as the whole tree does.
+    Any other argv (``--help``, a group alone, a bad command) gets the
+    whole tree, with every listing and choice error.
     """
     argv = list(argv or ())
     leaf = next((path for path, _, _, handler in COMMANDS if handler
                  and path.split() == argv[:path.count(" ") + 1]), None)
+
+    def subparsers(parser, dest, head):
+        names = [path.rpartition(" ")[2] for path, _, _, _ in COMMANDS
+                 if path.rpartition(" ")[0] == head]
+        return parser.add_subparsers(
+            dest=dest, required=True,
+            metavar="{%s}" % ",".join(names) if leaf else None)
+
     parser = argparse.ArgumentParser(
         prog="orbifold",
         description="Exact invariants and counting series for a family of "
                     "orbifold surfaces fibered over weighted projective "
                     "lines.")
-    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    groups = {"": subparsers(parser, "command", "")}
     for path, help_text, names, handler in COMMANDS:
+        if leaf and not (leaf + " ").startswith(path + " "):
+            continue  # off the path of the leaf that runs
         head, _, name = path.rpartition(" ")
         p = groups[head].add_parser(name, help=help_text)
         if handler is None:
-            groups[path] = p.add_subparsers(dest="kind", required=True)
-            continue
-        if leaf not in (None, path):
+            groups[path] = subparsers(p, "kind", path)
             continue
         for group in names + ("output",):
             for flag, spec in ARGUMENTS[group]:

@@ -3,7 +3,11 @@
 ``vb_to_tf`` multiplies a series by the quadruple-partition product, in
 place on one integer list, by dividing it by sparse theta series: Euler's
 pentagonal series and Jacobi's cube of Prod (1 - x^k) have only O(sqrt(W))
-terms in a window of W slots.  The rank-1 torsion-free series is
+terms in a window of W slots.  Each tap is a whole power of q, an even
+number of half-exponent slots, so the passes run only on those of the two
+chains of slots (even and odd offsets from the top) that hold an input
+term; a counting series, whose exponents are all Euler characteristics,
+fills one.  The rank-1 torsion-free series is
 ``vb_to_tf`` at rank 1 of q^chi, chi the Euler characteristic of the hull.
 The rank-2 locally-free series is evaluated by four independent routes:
 
@@ -123,11 +127,17 @@ def vb_to_tf(series: HalfExpLaurent, rank: int,
     per step, i.e. one free Young-diagram pair per chart line of each of the
     rank many hull summands: it divides by E^(2*rank) for each base a, b,
     where E = Prod_k (1 - q^(-base*k)).  With coeffs[i] at doubled exponent
-    max2exp - i, scaled to integers by the lcm of the denominators, E is
-    ``_theta_taps(2*base, ...)`` in slot units, and 2*rank = 3c + e passes:
-    c against E^3 and e against E.  Dividing by 1 + Sum_o k_o x^o is one
-    ascending pass of coeffs[i] -= Sum_{o <= i} k_o coeffs[i - o] over
-    O(sqrt(W/base)) taps, for W slots.  The window is the input's sound one.
+    max2exp - i, scaled to integers by the lcm of the denominators, every
+    tap offset is 2*base*o, even, so the slots at even and odd offsets from
+    the top form two chains that never mix.  Each chain that holds an input
+    term is divided on its own, with E as ``_theta_taps(base, ...)`` in
+    chain units, and 2*rank = 3c + e passes: c against E^3 and e against E;
+    a chain with no input term stays zero and is not visited.  Dividing by
+    1 + Sum_o k_o x^o is one ascending pass of chain[i] -= Sum_{o <= i} k_o
+    chain[i - o] over O(sqrt(W/base)) taps, for W slots.  The series of
+    ``rank1_series`` and of the rank-2 engines fill one chain: each exponent
+    is an Euler characteristic, an integer, so each doubled exponent is
+    even.  The window is the input's sound one.
     """
     rank = _integer(rank, "rank must be a positive integer")
     if rank < 1:
@@ -141,17 +151,20 @@ def vb_to_tf(series: HalfExpLaurent, rank: int,
     for e2, c in terms.items():
         coeffs[top - e2] = c.numerator * (scale // c.denominator)
     cubes, ones = divmod(2 * rank, 3)
-    for base in (params.a, params.b):
-        for cube, passes in ((True, cubes), (False, ones)):
-            taps = _theta_taps(2 * base, len(coeffs), cube)
-            for _ in range(passes):
-                for i in range(len(coeffs)):
-                    acc = 0
-                    for o, k in taps:
-                        if o > i:
-                            break
-                        acc += k * coeffs[i - o]
-                    coeffs[i] -= acc
+    for p in {(top - e2) & 1 for e2 in terms}:  # the occupied chains
+        chain = coeffs[p::2]
+        for base in (params.a, params.b):
+            for cube, passes in ((True, cubes), (False, ones)):
+                taps = _theta_taps(base, len(chain), cube)
+                for _ in range(passes):
+                    for i in range(len(chain)):
+                        acc = 0
+                        for o, k in taps:
+                            if o > i:
+                                break
+                            acc += k * chain[i - o]
+                        chain[i] -= acc
+        coeffs[p::2] = chain
     out = {top - i: c for i, c in enumerate(coeffs) if c}
     if scale != 1:
         out = {e2: Fraction(c, scale) for e2, c in out.items()}
@@ -950,13 +963,14 @@ def _covers_all(params, m, n):
 class Engine(NamedTuple):
     """One rank-2 engine as the command line and ``crosscheck`` see it.
 
-    ``run`` takes ``(params, cls, min2exp)``; ``counts`` takes ``(acc,
-    params, m, n, lo2, M)`` and adds its enumeration, with every index
-    capped at M, into acc.  ``box`` takes ``(params, m, n, lo2)`` and
-    returns the cap that holds every term of the window.  ``refusal`` takes
-    ``(params, m, n)`` and returns why the engine does not cover that
-    input, or None; engines that check their own input return None
-    throughout.  ``experimental`` engines join ``crosscheck`` only on
+    ``run`` takes ``(params, cls, min2exp)`` and raises ValueError, with
+    the refusal's text, on an input the engine does not cover; ``counts``
+    takes ``(acc, params, m, n, lo2, M)`` and adds its enumeration, with
+    every index capped at M, into acc.  ``box`` takes ``(params, m, n,
+    lo2)`` and returns the cap that holds every term of the window.
+    ``refusal`` takes ``(params, m, n)`` and returns why the engine does not
+    cover that input, or None; engines that check their own input return
+    None throughout.  ``experimental`` engines join ``crosscheck`` only on
     request.  ``top2`` takes ``(params, m, n)`` and returns the top of the
     engine's window, so ``crosscheck`` can refuse an over-long window
     before running any engine.
@@ -994,16 +1008,30 @@ def _closed_refusal(params, m, n):
     return None
 
 
+def _refusing(refusal, entry):
+    """``entry`` behind the class check and ``refusal``: r0 and closed
+    derive their own surface, so unchecked they would compute another."""
+    def run(params, cls, min2exp):
+        c = _as_class(cls)
+        why = refusal(params, c.m, c.n)
+        if why:
+            raise ValueError(why)
+        return entry(params, cls, min2exp)
+    return run
+
+
 # The entries call the engines through their module-level names at call
 # time, so a wrapper later bound to one of those names sees every call.
+# csets and lambda pass the surface on, and ``_enumerate`` checks it.
 ENGINES: Dict[str, Engine] = {
     "csets": Engine(lambda params, cls, min2exp:
                     rank2_vb_csets(params, cls, min2exp), _csets_counts, _box),
-    "r0": Engine(lambda params, cls, min2exp:
-                 rank2_vb_r0(params.a, params.b, cls, min2exp),
+    "r0": Engine(_refusing(_r0_refusal, lambda params, cls, min2exp:
+                           rank2_vb_r0(params.a, params.b, cls, min2exp)),
                  _r0_counts, _box, _r0_refusal),
-    "closed": Engine(lambda params, cls, min2exp:
-                     rank2_vb_closed_p12(cls, min2exp), _closed_counts,
+    "closed": Engine(_refusing(_closed_refusal, lambda params, cls, min2exp:
+                               rank2_vb_closed_p12(cls, min2exp)),
+                     _closed_counts,
                      lambda params, m, n, lo2: _p12_tmax(lo2),
                      _closed_refusal, top2=lambda params, m, n: _P12_TOP2),
     "lambda": Engine(lambda params, cls, min2exp:
@@ -1015,12 +1043,7 @@ ENGINES: Dict[str, Engine] = {
 def run_engine(name: str, params: HirzebruchParams, cls: ClassLike,
                min2exp: int) -> HalfExpLaurent:
     """Rank-2 series from the named engine; ValueError if it does not apply."""
-    engine = ENGINES[name]
-    c = _as_class(cls)
-    refusal = engine.refusal(params, c.m, c.n)
-    if refusal:
-        raise ValueError(refusal)
-    return engine.run(params, cls, min2exp)
+    return ENGINES[name].run(params, cls, min2exp)
 
 
 def crosscheck(params: HirzebruchParams, cls: ClassLike, min2exp: int,

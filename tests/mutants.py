@@ -1,10 +1,12 @@
-"""Committed mutants of the derived loop limits: the tests must kill each.
+"""Committed mutants of the derived loop limits and of the work skipped on
+the torsion-free path: the tests must kill each.
 
 Run from anywhere:  python tests/mutants.py
 
 Each row names a file, an exact piece of its text, a replacement that
-tightens (or loosens) one derived limit or wiring by one unit, or ends one
-loop one step of its index early, and the tests that must then fail.  For
+tightens (or loosens) one derived limit or wiring by one unit, ends one
+loop one step of its index early, or skips one piece of work that the
+output needs, and the tests that must then fail.  For
 each row the script copies ``src/`` and ``tests/`` to a temporary
 directory, applies the replacement there, and runs ``pytest -x -q`` on the
 named tests against the copy, after checking once that those tests pass on
@@ -26,6 +28,7 @@ from typing import NamedTuple, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 GENFUN = "src/orbifold/genfun.py"
+CLI = "src/orbifold/cli.py"
 SETS = "tests/test_constraint_sets.py"
 SETS_DEEP = SETS + "::test_sets_match_per_candidate_loops"
 SETS_PAST = SETS + "::test_sets_add_nothing_past_their_limits"
@@ -151,6 +154,16 @@ ROWS = (
         (LAMBDA_PINS,)),
     Row("_lambda_counts row looser", GENFUN,
         "h = k2 * w2 + k4 * w4 - 1", "h = k2 * w2 + k4 * w4", (LAMBDA_PINS,)),
+    # vb_to_tf runs only the chain at even offsets from the top, and a
+    # leaf's path parsers lose the names of their siblings
+    Row("vb_to_tf second parity chain", GENFUN,
+        "for p in {(top - e2) & 1 for e2 in terms}:", "for p in (0,):",
+        ("tests/test_genfun.py::"
+         "test_vb_to_tf_runs_each_occupied_parity_chain",)),
+    Row("path parsers without metavar", CLI,
+        'metavar="{%s}" % ",".join(names) if leaf else None)',
+        "metavar=None)",
+        ("tests/test_cli.py::test_path_parser_output_matches_full_tree",)),
     # each closed-form set limit of the test one lower
     Row("set_limit quad", SETS,
         "return (4 * c * span + (step - 2) ** 2) // (4 * c * step)",

@@ -267,24 +267,71 @@ def test_parser_structure_matches_pin():
 
 
 def test_parser_for_argv_builds_only_its_leaf():
-    # the leaf that argv runs is built in full; every other leaf keeps its
-    # subparser and help text but gets no arguments
+    # a leaf's argv builds only the parsers on its path: the leaf in full,
+    # and above it each subparsers action with its one child and the names
+    # of all its children as metavar
     full = _parser_structure(cli.build_parser())
-    leaves = ["orbifold " + path for path, _, _, handler in cli.COMMANDS
-              if handler]
-    for leaf in leaves:
-        argv = leaf.split()[1:] + ["--json"]
-        built = _parser_structure(cli.build_parser(argv))
-        assert list(built) == list(full)
-        for path, node in built.items():
-            if path in leaves and path != leaf:
-                assert node == dict(full[path], handler=None,
-                                    actions=full[path]["actions"][:1]), path
-            else:
-                assert node == full[path], path
+    for path, _, _, handler in cli.COMMANDS:
+        if not handler:
+            continue
+        words = path.split()
+        built = _parser_structure(cli.build_parser(words + ["--json"]))
+        nodes = [" ".join(["orbifold"] + words[:i])
+                 for i in range(len(words) + 1)]
+        assert list(built) == nodes, path
+        assert built[nodes[-1]] == full[nodes[-1]], path
+        for node, child in zip(nodes, words):
+            *rest, subs = built[node]["actions"]
+            *full_rest, full_subs = full[node]["actions"]
+            assert rest == full_rest and built[node]["help"] == \
+                full[node]["help"], node
+            assert subs["choices"] == [child], node
+            assert subs["metavar"] == \
+                "{%s}" % ",".join(full_subs["choices"]), node
+            assert dict(subs, choices=full_subs["choices"], metavar=None) \
+                == full_subs, node
     # argv that no leaf's path opens gets the whole tree
     for argv in ([], ["genfun"], ["--help"], ["--", "euler"], ["-a", "1"]):
         assert _parser_structure(cli.build_parser(argv)) == full
+
+
+# each leaf's argv with: help, nothing more, an unknown option, a stray
+# positional, a bad --engine, an option without its value
+SHAPES = (["-h"], [], ["--bogus"], ["stray"], ["--engine", "bogus"],
+          ["--out"])
+STRAY = (["euler", "-a", "2", "-b", "3", "-r", "1", "-m", "0", "-n", "1",
+          "stray"],
+         ["genfun", "rank1", "-a", "1", "-b", "2", "-m", "0", "-n", "0",
+          "--min-exp=-2", "stray"])
+
+
+def test_path_parser_output_matches_full_tree(monkeypatch, capsys):
+    # help and usage errors read byte for byte as from the whole tree; a
+    # stray argument after a valid command prints the root's usage
+    monkeypatch.setattr(cli.verify_mod, "run_all", lambda: [])
+    argvs = [path.split() + shape for path, _, _, handler in cli.COMMANDS
+             if handler for shape in SHAPES] + list(STRAY)
+    build = cli.build_parser
+
+    def run(argv):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return (code,) + capsys.readouterr()
+
+    for argv in argvs:
+        monkeypatch.setattr(cli, "build_parser", build)
+        got = run(argv)
+        monkeypatch.setattr(cli, "build_parser", lambda argv=None: build())
+        assert got == run(argv), argv
+    monkeypatch.setattr(cli, "build_parser", build)
+    for argv in STRAY:
+        code, out, err = run(argv)
+        assert (code, out) == (2, "") and err.startswith("usage: orbifold ")
+        assert "{fan,charts,euler,hilbert,mhp,inertia,coarse,sheaf,genfun," \
+            "crosscheck,verify}" in err
+        assert err.endswith("error: unrecognized arguments: stray\n")
 
 
 def test_main_builds_the_parser_for_its_argv(monkeypatch, capsys):

@@ -71,6 +71,22 @@ def test_genfun_engine_snapshot(capsys, case):
     assert run_main(capsys, argv) == SNAPSHOT[case]
 
 
+# (engine, (a, b, r), (m, n)) -> stderr, for every input an engine refuses
+REFUSED = {(engine, abr, cls): err
+           for (_, engine, abr, cls), (code, _, err) in SNAPSHOT.items()
+           if code and err != ERR_ALL}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED), ids=str)
+def test_engine_run_refuses_what_the_cli_refuses(case):
+    # r0 and closed derive their own surface; a run on one they do not
+    # cover raises, as the command line does, and computes nothing
+    engine, abr, cls = case
+    with pytest.raises(ValueError) as exc:
+        genfun.ENGINES[engine].run(derive_params(*abr), cls, -2)
+    assert "error: %s\n" % exc.value == REFUSED[case]
+
+
 # (a, b, r), --min-exp, include_lambda -> crosscheck stdout
 CROSSCHECK = {
     ((1, 2, 0), "-1", False):

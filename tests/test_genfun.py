@@ -316,6 +316,26 @@ def test_vb_to_tf_matches_running_sums_deep(abr):
                 reference_vb_to_tf.vb_to_tf(series, rank, pr), (series, rank)
 
 
+@pytest.mark.parametrize("abr", [(1, 1, 0), (1, 2, 0), (2, 3, 1)])
+def test_vb_to_tf_runs_each_occupied_parity_chain(abr):
+    # every tap is even in doubled exponents, so terms at integer and at
+    # half-integer exponents never mix: inputs on one parity, on the
+    # other, and on both, where the top is half-integral and the integer
+    # terms lie on the chain at odd offsets from it
+    pr = derive_params(*abr)
+    whole = {6: Fraction(2, 3), 0: -1, -8: Fraction(5, 7)}
+    half = {7: Fraction(-1, 2), -5: 4, -11: Fraction(3, 5)}
+    for terms in (whole, half, {**whole, **half}):
+        for lo2 in (-61, -60):
+            series = HalfExpLaurent(lo2, terms)
+            for rank in (1, 2, 3):
+                tf = vb_to_tf(series, rank, pr)
+                assert tf == reference_vb_to_tf.vb_to_tf(series, rank, pr), \
+                    (terms, lo2, rank)
+                assert {e2 & 1 for e2 in tf.terms} == \
+                    {e2 & 1 for e2 in terms}
+
+
 def test_vb_to_tf_zero_and_rank_guard():
     zero = HalfExpLaurent(-4, {})
     assert vb_to_tf(zero, 3, P120).is_zero
