@@ -440,7 +440,9 @@ def main(argv=None) -> int:
     args = build_parser(argv).parse_args(argv)
     try:
         payload, text = args.handler(args)
-        doc = json.dumps(payload, sort_keys=True, indent=2)
+        # the indented encoder is pure Python: run it only for a reader
+        doc = (json.dumps(payload, sort_keys=True, indent=2)
+               if args.json or args.out else None)
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(doc + "\n")

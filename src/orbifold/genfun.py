@@ -242,15 +242,27 @@ def _f4_top2(params: HirzebruchParams, m: int, n: int) -> int:
 
 def _enumerate(name: str, params: HirzebruchParams, cls: ClassLike,
                min2exp: int) -> HalfExpLaurent:
-    """The window of engine ``name`` over the box its row derives."""
+    """The window of engine ``name`` over the box its row derives.
+
+    The row's ``refusal`` is the caller's to check (``Engine.run``,
+    ``crosscheck``); here only ``top2`` refuses r < 0, for the engines
+    that take the caller's surface.
+    """
     engine, cls = ENGINES[name], _as_class(cls)
-    refusal = engine.refusal(params, cls.m, cls.n)
-    if refusal:
-        raise ValueError(refusal)
+    m, n = cls.m, cls.n
     min2exp = _integer(min2exp, "min2exp must be an integer")
-    _check_window(engine.top2(params, cls.m, cls.n), min2exp)
-    return engine.window(params, cls.m, cls.n, min2exp,
-                         engine.box(params, cls.m, cls.n, min2exp))
+    top2 = engine.top2(params, m, n)
+    _check_window(top2, min2exp)
+    return _fill(engine.counts, top2, params, m, n, min2exp,
+                 engine.box(params, m, n, min2exp))
+
+
+def _fill(counts, top2, params, m, n, lo2, cap) -> HalfExpLaurent:
+    """The window top2 .. lo2 of ``counts`` with every index capped at cap:
+    the series with coefficient acc[e2 - lo2] at each doubled exponent e2."""
+    acc = [0] * (top2 - lo2 + 1)
+    counts(acc, params, m, n, lo2, cap)
+    return HalfExpLaurent(lo2, {lo2 + i: c for i, c in enumerate(acc) if c})
 
 
 # ---------------------------------------------------------------------------
@@ -706,6 +718,9 @@ def rank2_vb_closed_p12(cls: ClassLike, min2exp: int) -> HalfExpLaurent:
     engines exactly at every order.  The deliberate deviations are marked
     by comments in the per-class term functions above.
     """
+    cls = _as_class(cls)
+    if (cls.m, cls.n) not in _P12_TERMS:
+        raise ValueError(_closed_refusal(_P120, cls.m, cls.n))
     return _enumerate("closed", _P120, cls, min2exp)
 
 
@@ -963,10 +978,12 @@ def _covers_all(params, m, n):
 class Engine(NamedTuple):
     """One rank-2 engine as the command line and ``crosscheck`` see it.
 
-    ``run`` takes ``(params, cls, min2exp)`` and raises ValueError, with
-    the refusal's text, on an input the engine does not cover; ``counts``
-    takes ``(acc, params, m, n, lo2, M)`` and adds its enumeration, with
-    every index capped at M, into acc.  ``box`` takes ``(params, m, n,
+    ``entry`` takes ``(params, cls, min2exp)`` and calls the engine's
+    ``rank2_vb_*`` function on an input it covers; ``run`` checks
+    ``refusal`` first, and ``crosscheck`` calls ``entry`` on the engines
+    whose refusal it has checked.  ``counts`` takes ``(acc, params, m, n,
+    lo2, M)`` and adds its enumeration, with every index capped at M, into
+    acc.  ``box`` takes ``(params, m, n,
     lo2)`` and returns the cap that holds every term of the window.
     ``refusal`` takes ``(params, m, n)`` and returns why the engine does not
     cover that input, or None; engines that check their own input return
@@ -976,7 +993,7 @@ class Engine(NamedTuple):
     before running any engine.
     """
 
-    run: Callable[[HirzebruchParams, ClassLike, int], HalfExpLaurent]
+    entry: Callable[[HirzebruchParams, ClassLike, int], HalfExpLaurent]
     counts: Callable[[List[int], HirzebruchParams, int, int, int, int], None]
     box: Callable[[HirzebruchParams, int, int, int], int]
     refusal: Callable[[HirzebruchParams, int, int],
@@ -984,15 +1001,22 @@ class Engine(NamedTuple):
     experimental: bool = False
     top2: Callable[[HirzebruchParams, int, int], int] = _f4_top2
 
+    def run(self, params: HirzebruchParams, cls: ClassLike,
+            min2exp: int) -> HalfExpLaurent:
+        """``entry``'s window; ValueError, with the refusal's text, on an
+        input the engine does not cover."""
+        cls = _as_class(cls)
+        why = self.refusal(params, cls.m, cls.n)
+        if why:
+            raise ValueError(why)
+        return self.entry(params, cls, min2exp)
+
     def window(self, params: HirzebruchParams, m: int, n: int, lo2: int,
                cap: int) -> HalfExpLaurent:
         """The window down to lo2 of ``counts`` with every index capped at
-        cap: the series with coefficient acc[e2 - lo2] at each doubled
-        exponent e2."""
-        acc = [0] * (self.top2(params, m, n) - lo2 + 1)
-        self.counts(acc, params, m, n, lo2, cap)
-        return HalfExpLaurent(lo2, {lo2 + i: c for i, c in enumerate(acc)
-                                    if c})
+        cap (see ``_fill``)."""
+        return _fill(self.counts, self.top2(params, m, n), params, m, n, lo2,
+                     cap)
 
 
 def _r0_refusal(params, m, n):
@@ -1008,29 +1032,18 @@ def _closed_refusal(params, m, n):
     return None
 
 
-def _refusing(refusal, entry):
-    """``entry`` behind the class check and ``refusal``: r0 and closed
-    derive their own surface, so unchecked they would compute another."""
-    def run(params, cls, min2exp):
-        c = _as_class(cls)
-        why = refusal(params, c.m, c.n)
-        if why:
-            raise ValueError(why)
-        return entry(params, cls, min2exp)
-    return run
-
-
 # The entries call the engines through their module-level names at call
 # time, so a wrapper later bound to one of those names sees every call.
-# csets and lambda pass the surface on, and ``_enumerate`` checks it.
+# csets and lambda pass the surface on, and their ``top2`` checks it; r0
+# and closed derive their own, so only ``refusal`` keeps them off another.
 ENGINES: Dict[str, Engine] = {
     "csets": Engine(lambda params, cls, min2exp:
                     rank2_vb_csets(params, cls, min2exp), _csets_counts, _box),
-    "r0": Engine(_refusing(_r0_refusal, lambda params, cls, min2exp:
-                           rank2_vb_r0(params.a, params.b, cls, min2exp)),
+    "r0": Engine(lambda params, cls, min2exp:
+                 rank2_vb_r0(params.a, params.b, cls, min2exp),
                  _r0_counts, _box, _r0_refusal),
-    "closed": Engine(_refusing(_closed_refusal, lambda params, cls, min2exp:
-                               rank2_vb_closed_p12(cls, min2exp)),
+    "closed": Engine(lambda params, cls, min2exp:
+                     rank2_vb_closed_p12(cls, min2exp),
                      _closed_counts,
                      lambda params, m, n, lo2: _p12_tmax(lo2),
                      _closed_refusal, top2=lambda params, m, n: _P12_TOP2),
@@ -1052,16 +1065,17 @@ def crosscheck(params: HirzebruchParams, cls: ClassLike, min2exp: int,
 
     Disagreement is reported, not raised; the first disagreeing exponent is
     the highest one at which any two engines differ.  Every engine's window
-    is checked against ``MAX_WINDOW_SLOTS`` before any engine runs.
+    is checked against ``MAX_WINDOW_SLOTS`` before any engine runs, each
+    distinct ``top2`` once, and each engine's refusal is checked once.
     """
     cls = _as_class(cls)
     min2exp = _integer(min2exp, "min2exp must be an integer")
     engines = [(name, engine) for name, engine in ENGINES.items()
-               if engine.refusal(params, cls.m, cls.n) is None
-               and (include_lambda or not engine.experimental)]
-    for _, engine in engines:
-        _check_window(engine.top2(params, cls.m, cls.n), min2exp)
-    windows = [(name, engine.run(params, cls, min2exp))
+               if (include_lambda or not engine.experimental)
+               and engine.refusal(params, cls.m, cls.n) is None]
+    for top2 in dict.fromkeys(engine.top2 for _, engine in engines):
+        _check_window(top2(params, cls.m, cls.n), min2exp)
+    windows = [(name, engine.entry(params, cls, min2exp))
                for name, engine in engines]
 
     # two windows that differ at e2 cannot both equal the first one there

@@ -10,7 +10,9 @@ and the Cartier/ample tests on the coarse space.
 
 Euler characteristics mix a rational polynomial part with root-of-unity sums.
 The sums are evaluated exactly in cyclotomic fields and certified rational,
-so every value returned here is exact.
+so every value returned here is exact.  Each sum is cached as twice its
+value, which is an integer, so an Euler characteristic is one integer over
+2ab and each Hilbert coefficient one integer over a known denominator.
 """
 
 from __future__ import annotations
@@ -149,33 +151,59 @@ def chart_weight_tables(params: HirzebruchParams) -> Tuple[ChartData, ...]:
 #
 # Both sums below are invariant under the Galois action l -> cl for units c,
 # so they are rational; total.rational_part() raises if that ever failed.
+# Each is cached as twice its value, an int, so that every Riemann-Roch
+# quantity built from them is one integer numerator over a known denominator.
+
+
+def _twice(value: Fraction, what: str) -> int:
+    twice = 2 * value
+    if twice.denominator != 1:
+        raise ArithmeticError("twice the %s sum is not an integer: %s"
+                              % (what, twice))
+    return int(twice)
 
 
 @lru_cache(maxsize=None)
-def _rho_sum(order: int, a_coef: int, m_res: int) -> Fraction:
-    """sum over l in [1, order) of z^(m*l) / (1 - z^(-a*l)), z = exp(2pi i/order)."""
+def _rho_sum(order: int, a_coef: int, m_res: int) -> int:
+    """Twice the sum over l in [1, order) of z^(m*l) / (1 - z^(-a*l)),
+    z = exp(2pi i/order), as an int.
+
+    With w = z^(-a), a primitive root as a is a unit mod order, the term is
+    w^(k l) / (1 - w^l) for k = m * (-a)^(-1) mod order, and
+    sum_l w^(k l) / (1 - w^l) = (order - 1)/2 - sum_{0 <= j < k} sum_l w^(j l)
+    = (order - 1)/2 - (order - k) for k > 0.  So twice the sum is
+    order - 1 if k = 0 and 2k - order - 1 otherwise: an integer (Rademacher
+    and Grosswald, *Dedekind Sums*, 1972).  The value is still evaluated in
+    the cyclotomic field and checked once, when its cache entry is filled.
+    """
     if order <= 1:
-        return Fraction(0)
+        return 0
     total = Cyclotomic.zero(order)
     for l in range(1, order):
         num = Cyclotomic.root_power(order, m_res * l)
         den = Cyclotomic.one(order) - Cyclotomic.root_power(order, -a_coef * l)
         total = total + num * den.inverse()
-    return total.rational_part()
+    return _twice(total.rational_part(), "rho")
 
 
 @lru_cache(maxsize=None)
 def _sigma_sum(order: int, skip: int, a_coef: int, s_coef: int,
-               m_res: int, n1_res: int) -> Fraction:
-    """Filtered double-quotient sum for the zero-dimensional inertia pieces.
+               m_res: int, n1_res: int) -> int:
+    """Twice the filtered double-quotient sum for the zero-dimensional
+    inertia pieces, as an int.
 
-    sum over l in [1, order) with skip not dividing l of
+    The sum is over l in [1, order) with skip not dividing l of
     z^(m l)/(1 - z^(-a l)) * (1 - z^(-n1 s l))/(1 - z^(-s l)).
     The excluded l are exactly those with s*l = 0 mod order, so the inner
-    quotient never degenerates.
+    quotient never degenerates.  That quotient is the geometric sum of
+    z^(-j s l) over 0 <= j < n1, so the sum is, over those j, the rho sum
+    of ``_rho_sum`` with m - j s on [1, order) less the one over the
+    multiples of skip (a rho sum of order order/skip in z^skip): twice it
+    is a sum of differences of the integers ``_rho_sum`` returns.  It is
+    checked once, when its cache entry is filled.
     """
     if order <= 1:
-        return Fraction(0)
+        return 0
     total = Cyclotomic.zero(order)
     one = Cyclotomic.one(order)
     for l in range(1, order):
@@ -186,11 +214,20 @@ def _sigma_sum(order: int, skip: int, a_coef: int, s_coef: int,
         term = term * (one - Cyclotomic.root_power(order, -n1_res * s_coef * l))
         term = term * (one - Cyclotomic.root_power(order, -s_coef * l)).inverse()
         total = total + term
-    return total.rational_part()
+    return _twice(total.rational_part(), "sigma")
 
 
 def euler_characteristic(params: HirzebruchParams, cls: ClassLike) -> int:
     """Exact Euler characteristic of the line bundle (m, n).
+
+    Orbifold Riemann-Roch in integers: with R2(p), R2(q) the doubled rho
+    sums and 2sigma_b, 2sigma_a the doubled sigma sums, 2ab chi equals
+
+        (n+1)(a + b + 2m) - n(n+1)r + (n+1) a R2(p) + (n+1) b R2(q)
+        + a 2sigma_b + b 2sigma_a,
+
+    so chi is that integer divided by 2ab; a remainder raises
+    ArithmeticError.
 
     >>> euler_characteristic(derive_params(2, 3, 1), (0, 0))
     1
@@ -198,17 +235,19 @@ def euler_characteristic(params: HirzebruchParams, cls: ClassLike) -> int:
     c = _as_class(cls)
     m, n = c.m, c.n
     a, b, r, p, q = params.a, params.b, params.r, params.p, params.q
-    total = (Fraction(1 + n, 2 * a) + Fraction(1 + n, 2 * b)
-             + Fraction((1 + n) * m, a * b) - Fraction(n * (n + 1) * r, 2 * a * b))
-    total += Fraction(n + 1, b) * _rho_sum(p, a % p, m % p)
-    total += Fraction(n + 1, a) * _rho_sum(q, b % q, m % q)
-    total += Fraction(1, b) * _sigma_sum(
-        b, b // p, a % b, (params.s * a) % b, m % b, (n + 1) % b)
-    total += Fraction(1, a) * _sigma_sum(
-        a, a // q, b % a, (params.t * b) % a, m % a, (n + 1) % a)
-    if total.denominator != 1:
-        raise ArithmeticError("Euler characteristic came out non-integral: %s" % total)
-    return int(total)
+    n1 = n + 1
+    total = (n1 * (a + b + 2 * m - n * r
+                   + a * _rho_sum(p, a % p, m % p)
+                   + b * _rho_sum(q, b % q, m % q))
+             + a * _sigma_sum(b, b // p, a % b, (params.s * a) % b, m % b,
+                              n1 % b)
+             + b * _sigma_sum(a, a // q, b % a, (params.t * b) % a, m % a,
+                              n1 % a))
+    chi, rest = divmod(total, 2 * a * b)
+    if rest:
+        raise ArithmeticError("Euler characteristic came out non-integral: %s"
+                              % Fraction(total, 2 * a * b))
+    return chi
 
 
 def polarization_pullback(params: HirzebruchParams) -> PicClass:
@@ -222,15 +261,21 @@ def polarization_pullback(params: HirzebruchParams) -> PicClass:
 
 
 def hilbert_polynomial(params: HirzebruchParams, cls: ClassLike) -> RatPoly:
-    """Hilbert polynomial T -> chi((m, n) + T * pullback) as an exact quadratic."""
+    """Hilbert polynomial T -> chi((m, n) + T * pullback) as an exact quadratic.
+
+    With R2(p), R2(q) the doubled rho sums of ``euler_characteristic``, the
+    T^2 and T coefficients are ab (r + 2pq) / (2 (pq)^2) and
+    (a + b + 2m + r + 2pq (n+1) + a R2(p) + b R2(q)) / (2pq): one integer
+    over a known denominator each.
+    """
     c = _as_class(cls)
     m, n = c.m, c.n
     a, b, r, p, q = params.a, params.b, params.r, params.p, params.q
     pq = p * q
-    lead = Fraction(b * a * r, 2 * pq * pq) + Fraction(b * a, pq)
-    lin = Fraction(a + b + 2 * m + r, 2 * pq) + (n + 1)
-    lin += Fraction(a, pq) * _rho_sum(p, a % p, m % p)
-    lin += Fraction(b, pq) * _rho_sum(q, b % q, m % q)
+    lead = Fraction(a * b * (r + 2 * pq), 2 * pq * pq)
+    lin = Fraction(a + b + 2 * m + r + 2 * pq * (n + 1)
+                   + a * _rho_sum(p, a % p, m % p)
+                   + b * _rho_sum(q, b % q, m % q), 2 * pq)
     return RatPoly.from_coeffs([euler_characteristic(params, c), lin, lead])
 
 
@@ -248,15 +293,19 @@ def modified_hilbert_polynomial(params: HirzebruchParams, cls: ClassLike) -> Rat
     """Modified Hilbert polynomial of the line bundle (m, n).
 
     Equals the sum of the plain Hilbert polynomials of (m + k, n) for
-    k = 0 .. ab-1; the closed form below avoids the sum.
+    k = 0 .. ab-1; the closed form below avoids the sum.  Its T^2 and T
+    coefficients are (ab)^2 (r + 2pq) / (2 (pq)^2) and
+    ab (a + b + r + 2m - 1 + ab + 2pq (n+1)) / (2pq): one integer over a
+    known denominator each.
     """
     c = _as_class(cls)
     m, n = c.m, c.n
     a, b, r, p, q = params.a, params.b, params.r, params.p, params.q
     pq = p * q
     ab = a * b
-    lead = Fraction(ab * ab * r, 2 * pq * pq) + Fraction(ab * ab, pq)
-    lin = Fraction(ab * (a + b + r + 2 * m - 1 + ab), 2 * pq) + ab * (n + 1)
+    lead = Fraction(ab * ab * (r + 2 * pq), 2 * pq * pq)
+    lin = Fraction(ab * (a + b + r + 2 * m - 1 + ab + 2 * pq * (n + 1)),
+                   2 * pq)
     return RatPoly.from_coeffs([modified_euler_characteristic(params, c), lin, lead])
 
 

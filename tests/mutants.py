@@ -1,5 +1,6 @@
-"""Committed mutants of the derived loop limits and of the work skipped on
-the torsion-free path: the tests must kill each.
+"""Committed mutants of the derived loop limits, of the work skipped on
+the torsion-free path and of the integer Riemann-Roch forms: the tests
+must kill each.
 
 Run from anywhere:  python tests/mutants.py
 
@@ -29,6 +30,7 @@ from typing import NamedTuple, Tuple
 ROOT = Path(__file__).resolve().parent.parent
 GENFUN = "src/orbifold/genfun.py"
 CLI = "src/orbifold/cli.py"
+GEOMETRY = "src/orbifold/geometry.py"
 SETS = "tests/test_constraint_sets.py"
 SETS_DEEP = SETS + "::test_sets_match_per_candidate_loops"
 SETS_PAST = SETS + "::test_sets_add_nothing_past_their_limits"
@@ -39,6 +41,9 @@ LAMBDA_PINS = PINS + "[lambda]"
 L4_START = ("tests/test_engine_windows.py::"
             "test_lambda_finds_no_datum_before_the_l4_start")
 CLOSED_PIN = "tests/test_engine_windows.py::test_closed_windows_match_pin"
+RR = "tests/test_geometry.py::test_riemann_roch_matches_fraction_reference"
+TWICE = ("tests/test_geometry.py::test_doubled_rho_sum_closed_form",
+         "tests/test_geometry.py::test_doubled_sum_refuses_a_non_integer")
 
 
 class Row(NamedTuple):
@@ -164,6 +169,28 @@ ROWS = (
         'metavar="{%s}" % ",".join(names) if leaf else None)',
         "metavar=None)",
         ("tests/test_cli.py::test_path_parser_output_matches_full_tree",)),
+    # the integer Riemann-Roch forms: a divisor, a residue, a term or a
+    # factor off, and the doubled sums' integrality check
+    Row("chi over ab", GEOMETRY,
+        "divmod(total, 2 * a * b)", "divmod(total, a * b)", (RR,)),
+    Row("chi sigma residue from n", GEOMETRY,
+        "n1 % b)", "n % b)", (RR,)),
+    Row("chi rho weight", GEOMETRY,
+        "+ b * _rho_sum(q, b % q, m % q))", "+ a * _rho_sum(q, b % q, m % q))",
+        (RR,)),
+    Row("hilbert lead over (pq)^2", GEOMETRY,
+        "Fraction(a * b * (r + 2 * pq), 2 * pq * pq)",
+        "Fraction(a * b * (r + 2 * pq), pq * pq)", (RR,)),
+    Row("hilbert lin without 2pq(n+1)", GEOMETRY,
+        "2 * m + r + 2 * pq * (n + 1)", "2 * m + r", (RR,)),
+    Row("mhp lead twist weight", GEOMETRY,
+        "ab * ab * (r + 2 * pq)", "ab * ab * (r + pq)", (RR,)),
+    Row("mhp lin without -1", GEOMETRY,
+        "2 * m - 1 + ab + 2 * pq", "2 * m + ab + 2 * pq", (RR,)),
+    Row("doubled sum halved", GEOMETRY,
+        "    return int(twice)", "    return int(value)", TWICE),
+    Row("doubled sum unchecked", GEOMETRY,
+        "if twice.denominator != 1:", "if False:", TWICE),
     # each closed-form set limit of the test one lower
     Row("set_limit quad", SETS,
         "return (4 * c * span + (step - 2) ** 2) // (4 * c * step)",

@@ -176,6 +176,27 @@ def test_out_file_matches_json_stdout(tmp_path):
     assert json.loads(target.read_text()) == json.loads(shown.stdout)
 
 
+def test_text_mode_builds_no_json_document(monkeypatch, capsys):
+    # text mode without --out prints only the text: the JSON encoder, which
+    # would raise here, is never run
+    commands = (["euler", "-a", "2", "-b", "3", "-r", "1", "-m", "0",
+                 "-n", "1"],
+                ["genfun", "rank1", "-a", "1", "-b", "2", "-m", "0", "-n",
+                 "0", "--min-exp", "-3"])
+    shown = []
+    for argv in commands:
+        assert cli.main(argv) == 0
+        shown.append(capsys.readouterr())
+
+    def no_json(*args, **kwargs):
+        raise AssertionError("json.dumps ran in text mode")
+
+    monkeypatch.setattr(cli.json, "dumps", no_json)
+    for argv, before in zip(commands, shown):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == before
+
+
 def test_repeated_invocations_are_byte_identical():
     args = ("mhp", "-a", "2", "-b", "3", "-r", "1", "-m", "0", "-n", "0",
             "--json")

@@ -588,7 +588,7 @@ def test_crosscheck_refuses_a_long_window_before_any_engine(monkeypatch):
 
     for name, engine in genfun.ENGINES.items():
         monkeypatch.setitem(genfun.ENGINES, name,
-                            engine._replace(run=stub(name)))
+                            engine._replace(entry=stub(name)))
     with pytest.raises(ValueError, match="window spans 32772 coefficient "
                        "slots, more than the limit of 32768"):
         crosscheck(P120, (0, 0), -32759)
@@ -624,7 +624,7 @@ def test_crosscheck_reports_first_disagreement(monkeypatch, capsys):
             terms[e2] = terms.get(e2, 0) + c
         return HalfExpLaurent(win.min2exp, terms)
 
-    monkeypatch.setitem(genfun.ENGINES, "r0", r0._replace(run=perturbed))
+    monkeypatch.setitem(genfun.ENGINES, "r0", r0._replace(entry=perturbed))
     rep = crosscheck(P120, (0, 0), -8)
     assert rep.engines == ("csets", "r0", "closed")
     assert dict(rep.windows)["csets"].coeff2(2) == 0

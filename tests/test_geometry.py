@@ -1,9 +1,12 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
+import reference_rr
+from orbifold import geometry
 from orbifold.exact import RatPoly
 from orbifold.geometry import (
     ADJACENT_PAIRS,
@@ -231,6 +234,61 @@ def test_chi_always_integer_on_small_grid():
         for m in range(-4, 5):
             for n in range(-4, 5):
                 euler_characteristic(pr, (m, n))
+
+
+# ------------------------------------------------ Riemann-Roch in integers
+
+
+def test_riemann_roch_matches_fraction_reference():
+    """chi (m, n in [-10, 10]) and both Hilbert polynomials (in [-3, 3]),
+    each one integer numerator over a known denominator, equal their
+    term-by-term Fraction assembly."""
+    for pr in grid_params():
+        for m in range(-10, 11):
+            for n in range(-10, 11):
+                assert euler_characteristic(pr, (m, n)) == \
+                    reference_rr.euler_characteristic(pr, m, n), (pr, m, n)
+        for m in range(-3, 4):
+            for n in range(-3, 4):
+                assert hilbert_polynomial(pr, (m, n)) == \
+                    reference_rr.hilbert_polynomial(pr, m, n), (pr, m, n)
+                assert modified_hilbert_polynomial(pr, (m, n)) == \
+                    reference_rr.modified_hilbert_polynomial(pr, m, n), \
+                    (pr, m, n)
+
+
+def test_doubled_sums_on_the_grid_are_ints():
+    """Every doubled sum that ``euler_characteristic`` reads on the grid."""
+    for pr in grid_params():
+        a, b, p, q = pr.a, pr.b, pr.p, pr.q
+        for m in range(-10, 11):
+            assert type(geometry._rho_sum(p, a % p, m % p)) is int
+            assert type(geometry._rho_sum(q, b % q, m % q)) is int
+            for n1 in range(-9, 12):
+                assert type(geometry._sigma_sum(
+                    b, b // p, a % b, (pr.s * a) % b, m % b, n1 % b)) is int
+                assert type(geometry._sigma_sum(
+                    a, a // q, b % a, (pr.t * b) % a, m % a, n1 % a)) is int
+
+
+def test_doubled_rho_sum_closed_form():
+    """With k = m (-a)^(-1) mod order, twice the rho sum is order - 1 at
+    k = 0 and 2k - order - 1 otherwise."""
+    for order in range(1, 10):
+        for a_coef in range(1, max(order, 2)):
+            if math.gcd(a_coef, order) != 1:
+                continue
+            for m_res in range(order):
+                k = m_res * pow(-a_coef, -1, order) % order
+                want = order - 1 if k == 0 else 2 * k - order - 1
+                assert geometry._rho_sum(order, a_coef, m_res) == want, \
+                    (order, a_coef, m_res)
+
+
+def test_doubled_sum_refuses_a_non_integer():
+    assert geometry._twice(Fraction(3, 2), "rho") == 3
+    with pytest.raises(ArithmeticError, match="twice the rho sum"):
+        geometry._twice(Fraction(1, 4), "rho")
 
 
 # ------------------------------------------------------------ Hilbert polynomials
