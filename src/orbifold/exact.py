@@ -28,12 +28,11 @@ Coefficients are exact: ``RatPoly`` and ``Cyclotomic`` keep
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
-from .intlattice import _integer, _integers
+from .intlattice import _Value, _integer, _integers
 
 Rational = Fraction
 RationalLike = Union[int, Fraction]
@@ -115,11 +114,11 @@ def cyclotomic_poly(n: int) -> Tuple[int, ...]:
             den = _poly_mul(den, [Fraction(c) for c in cyclotomic_poly(d)])
     quot, rem = _poly_divmod(num, den)
     if rem:
-        raise AssertionError("cyclotomic division left a remainder")
+        raise ArithmeticError("cyclotomic division left a remainder")
     out = []
     for c in quot:
         if c.denominator != 1:
-            raise AssertionError("cyclotomic polynomial not integral")
+            raise ArithmeticError("cyclotomic polynomial not integral")
         out.append(int(c))
     return tuple(out)
 
@@ -132,22 +131,24 @@ def _phi_degree(n: int) -> int:
 # cyclotomic field elements
 
 
-@dataclass(frozen=True)
-class Cyclotomic:
+class Cyclotomic(_Value):
     """An element of Q(zeta_n), reduced modulo the n-th cyclotomic polynomial.
 
     ``coeffs`` has length phi(n) and represents sum(coeffs[i] * zeta_n^i).
     Elements of different orders never mix; callers pick one field per sum.
     """
 
-    order: int
-    coeffs: Tuple[Fraction, ...]
+    __slots__ = ("order", "coeffs")
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __init__(self, order: int, coeffs: Tuple[Fraction, ...]):
+        if order < 1:
             raise ValueError("order must be positive")
-        if len(self.coeffs) != _phi_degree(self.order):
+        if len(coeffs) != _phi_degree(order):
             raise ValueError("coefficient vector has wrong length")
+        set_order, set_coeffs, set_key = self._setters
+        set_order(self, order)
+        set_coeffs(self, coeffs)
+        set_key(self, (order, coeffs))
 
     # -- constructors ------------------------------------------------------
 
@@ -224,7 +225,7 @@ class Cyclotomic:
                 ]
             )
         if len(r0) != 1:
-            raise AssertionError("element not invertible mod Phi_n")
+            raise ArithmeticError("element not invertible mod Phi_n")
         inv = [c / r0[0] for c in s0]
         return Cyclotomic(self.order, _reduce_mod_phi(self.order, inv))
 
@@ -261,11 +262,15 @@ def _root_power(order: int, k: int) -> Cyclotomic:
 # rational polynomials in one variable
 
 
-@dataclass(frozen=True)
-class RatPoly:
+class RatPoly(_Value):
     """Polynomial over Q, coefficients lowest degree first, trailing zeros stripped."""
 
-    coeffs: Tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Tuple[Fraction, ...]):
+        set_coeffs, set_key = self._setters
+        set_coeffs(self, coeffs)
+        set_key(self, (coeffs,))
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[RationalLike]) -> "RatPoly":

@@ -56,7 +56,6 @@ through it.  Every coefficient is exact, on a tracked sound window
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt, lcm
@@ -65,7 +64,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 from .exact import HalfExpLaurent, monomial
 from .geometry import ClassLike, HirzebruchParams, _as_class, \
     derive_params, modified_euler_characteristic
-from .intlattice import _integer
+from .intlattice import _Value, _integer
 from .sheafdata import STRATA, Rank2Datum, f4_exponent, rank2_c1_chi, \
     stability_check
 
@@ -942,19 +941,28 @@ def rank2_vb_lambda(params: HirzebruchParams, cls: ClassLike,
 # crosscheck
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CrosscheckReport:
+class CrosscheckReport(_Value):
     """Windows from every applicable engine plus the comparison verdict."""
 
-    a: int
-    b: int
-    r: int
-    m: int
-    n: int
-    min2exp: int
-    windows: Tuple[Tuple[str, HalfExpLaurent], ...]
-    agree: bool
-    first_disagreement2: Optional[int]
+    __slots__ = ("a", "b", "r", "m", "n", "min2exp", "windows", "agree",
+                 "first_disagreement2")
+
+    def __init__(self, a: int, b: int, r: int, m: int, n: int, min2exp: int,
+                 windows: Tuple[Tuple[str, HalfExpLaurent], ...], agree: bool,
+                 first_disagreement2: Optional[int]):
+        (set_a, set_b, set_r, set_m, set_n, set_min2exp, set_windows,
+         set_agree, set_first_disagreement2, set_key) = self._setters
+        set_a(self, a)
+        set_b(self, b)
+        set_r(self, r)
+        set_m(self, m)
+        set_n(self, n)
+        set_min2exp(self, min2exp)
+        set_windows(self, windows)
+        set_agree(self, agree)
+        set_first_disagreement2(self, first_disagreement2)
+        set_key(self, (a, b, r, m, n, min2exp, windows, agree,
+                       first_disagreement2))
 
     @property
     def engines(self) -> Tuple[str, ...]:

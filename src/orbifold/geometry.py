@@ -18,14 +18,13 @@ value, which is an integer, so an Euler characteristic is one integer over
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Tuple, Union
 
 from .exact import Cyclotomic, RatPoly
 from .stackyfan import RayImage, StackyFanData, hirzebruch_shear
-from .intlattice import AbelianGroupStructure, _integer, _integers
+from .intlattice import AbelianGroupStructure, _Value, _integer, _integers
 
 __all__ = [
     "HirzebruchParams",
@@ -50,13 +49,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PicClass:
+class PicClass(_Value):
     """Line bundle class (m, n): first Chern class m/a times the fiber-point
     divisor class plus n times the section class."""
 
-    m: int
-    n: int
+    __slots__ = ("m", "n")
+
+    def __init__(self, m: int, n: int):
+        set_m, set_n, set_key = self._setters
+        set_m(self, m)
+        set_n(self, n)
+        set_key(self, (m, n))
 
     def shifted(self, dm: int, dn: int) -> "PicClass":
         return PicClass(self.m + dm, self.n + dn)
@@ -71,8 +74,7 @@ def _as_class(cls: ClassLike) -> PicClass:
     return PicClass(*_integers(cls, "a class is two integers (m, n)", 2))
 
 
-@dataclass(frozen=True)
-class HirzebruchParams:
+class HirzebruchParams(_Value):
     """Derived invariants of one surface in the family.
 
     s, t is the canonical Bezout pair with r = s*a + t*b and 0 <= s < b.
@@ -82,17 +84,24 @@ class HirzebruchParams:
     combination a + b + ab - 1 that pervades the sheaf-counting formulas.
     """
 
-    a: int
-    b: int
-    r: int
-    s: int
-    t: int
-    p: int
-    q: int
-    u: int
-    v1: int
-    v2: int
-    C: int
+    __slots__ = ("a", "b", "r", "s", "t", "p", "q", "u", "v1", "v2", "C")
+
+    def __init__(self, a: int, b: int, r: int, s: int, t: int, p: int,
+                 q: int, u: int, v1: int, v2: int, C: int):
+        (set_a, set_b, set_r, set_s, set_t, set_p, set_q, set_u, set_v1,
+         set_v2, set_C, set_key) = self._setters
+        set_a(self, a)
+        set_b(self, b)
+        set_r(self, r)
+        set_s(self, s)
+        set_t(self, t)
+        set_p(self, p)
+        set_q(self, q)
+        set_u(self, u)
+        set_v1(self, v1)
+        set_v2(self, v2)
+        set_C(self, C)
+        set_key(self, (a, b, r, s, t, p, q, u, v1, v2, C))
 
 
 def derive_params(a: int, b: int, r: int) -> HirzebruchParams:
@@ -112,24 +121,35 @@ def derive_params(a: int, b: int, r: int) -> HirzebruchParams:
     v1 = (-r * pow(a, -1, b)) % b if b > 1 else 0
     v2 = (-r * pow(b, -1, a)) % a if a > 1 else 0
     u = (r + v1 * a + v2 * b) // (a * b)
-    assert u * a * b - v1 * a - v2 * b == r
+    if u * a * b - v1 * a - v2 * b != r:
+        raise ArithmeticError("r = %d is not u ab - v1 a - v2 b" % r)
     return HirzebruchParams(a, b, r, s, t, p, q, u, v1, v2, a + b + a * b - 1)
 
 
-@dataclass(frozen=True)
-class ChartData:
+class ChartData(_Value):
     """One affine chart: its coordinates, cyclic stabilizer, and torus data.
 
     action_exponents are reduced into [0, group_order).  overlap_t_weights are
     the torus weights on the intersection with the cyclically next chart.
     """
 
-    index: int
-    coordinates: Tuple[str, str]
-    group_order: int
-    action_exponents: Tuple[int, int]
-    t_weights: Tuple[Tuple[int, int], Tuple[int, int]]
-    overlap_t_weights: Tuple[Tuple[int, int], Tuple[int, int]]
+    __slots__ = ("index", "coordinates", "group_order", "action_exponents",
+                 "t_weights", "overlap_t_weights")
+
+    def __init__(self, index: int, coordinates: Tuple[str, str],
+                 group_order: int, action_exponents: Tuple[int, int],
+                 t_weights: Tuple[Tuple[int, int], Tuple[int, int]],
+                 overlap_t_weights: Tuple[Tuple[int, int], Tuple[int, int]]):
+        (set_index, set_coordinates, set_group_order, set_action_exponents,
+         set_t_weights, set_overlap_t_weights, set_key) = self._setters
+        set_index(self, index)
+        set_coordinates(self, coordinates)
+        set_group_order(self, group_order)
+        set_action_exponents(self, action_exponents)
+        set_t_weights(self, t_weights)
+        set_overlap_t_weights(self, overlap_t_weights)
+        set_key(self, (index, coordinates, group_order,
+                       action_exponents, t_weights, overlap_t_weights))
 
 
 def chart_weight_tables(params: HirzebruchParams) -> Tuple[ChartData, ...]:
@@ -233,12 +253,17 @@ def euler_characteristic(params: HirzebruchParams, cls: ClassLike) -> int:
     1
     """
     c = _as_class(cls)
-    m, n = c.m, c.n
+    return _riemann_roch(params, c.m, c.n)[0]
+
+
+def _riemann_roch(params: HirzebruchParams, m: int, n: int) -> Tuple[int, int]:
+    """(chi, a R2(p) + b R2(q)) of the class (m, n), reading each sum once
+    (see ``euler_characteristic``)."""
     a, b, r, p, q = params.a, params.b, params.r, params.p, params.q
     n1 = n + 1
-    total = (n1 * (a + b + 2 * m - n * r
-                   + a * _rho_sum(p, a % p, m % p)
-                   + b * _rho_sum(q, b % q, m % q))
+    rho = (a * _rho_sum(p, a % p, m % p)
+           + b * _rho_sum(q, b % q, m % q))
+    total = (n1 * (a + b + 2 * m - n * r + rho)
              + a * _sigma_sum(b, b // p, a % b, (params.s * a) % b, m % b,
                               n1 % b)
              + b * _sigma_sum(a, a // q, b % a, (params.t * b) % a, m % a,
@@ -247,7 +272,7 @@ def euler_characteristic(params: HirzebruchParams, cls: ClassLike) -> int:
     if rest:
         raise ArithmeticError("Euler characteristic came out non-integral: %s"
                               % Fraction(total, 2 * a * b))
-    return chi
+    return chi, rho
 
 
 def polarization_pullback(params: HirzebruchParams) -> PicClass:
@@ -272,11 +297,10 @@ def hilbert_polynomial(params: HirzebruchParams, cls: ClassLike) -> RatPoly:
     m, n = c.m, c.n
     a, b, r, p, q = params.a, params.b, params.r, params.p, params.q
     pq = p * q
+    chi, rho = _riemann_roch(params, m, n)
     lead = Fraction(a * b * (r + 2 * pq), 2 * pq * pq)
-    lin = Fraction(a + b + 2 * m + r + 2 * pq * (n + 1)
-                   + a * _rho_sum(p, a % p, m % p)
-                   + b * _rho_sum(q, b % q, m % q), 2 * pq)
-    return RatPoly.from_coeffs([euler_characteristic(params, c), lin, lead])
+    lin = Fraction(a + b + 2 * m + r + 2 * pq * (n + 1) + rho, 2 * pq)
+    return RatPoly.from_coeffs([chi, lin, lead])
 
 
 def modified_euler_characteristic(params: HirzebruchParams, cls: ClassLike) -> int:
@@ -285,7 +309,9 @@ def modified_euler_characteristic(params: HirzebruchParams, cls: ClassLike) -> i
     m, n = c.m, c.n
     a, b, r = params.a, params.b, params.r
     num = (1 + n) * (a + b + 2 * m + a * b - 1 - n * r)
-    assert num % 2 == 0
+    if num % 2:
+        raise ArithmeticError("modified Euler characteristic came out "
+                              "non-integral: %d/2" % num)
     return num // 2
 
 
@@ -315,7 +341,7 @@ def point_sheaf_mhp(params: HirzebruchParams, chart: int, grading: int = 0) -> i
     The value is a constant: a for charts 1 and 4, b for charts 2 and 3,
     independent of the fine grading index.  Computed from the K-class as an
     alternating sum of four line-bundle polynomials; the quadratic and linear
-    parts must cancel, which is asserted.
+    parts must cancel, which is checked.
     """
     a, b, r = params.a, params.b, params.r
     i = _integer(grading, "grading must be an integer")
@@ -330,23 +356,32 @@ def point_sheaf_mhp(params: HirzebruchParams, chart: int, grading: int = 0) -> i
     total = RatPoly.zero()
     for (cls, sign) in terms[chart]:
         total = total + modified_hilbert_polynomial(params, cls) * sign
-    assert total.degree <= 0, "point sheaf polynomial failed to collapse"
+    if total.degree > 0:
+        raise ArithmeticError("point sheaf polynomial failed to collapse: %s"
+                              % total)
     value = total.coeff(0)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise ArithmeticError("point sheaf polynomial is not integral: %s"
+                              % value)
     return int(value)
 
 
-@dataclass(frozen=True)
-class InertiaComponent:
+class InertiaComponent(_Value):
     """One family of inertia components sharing a source cone.
 
     stabilizer_params lists the l values; each l is a separate component of
     the stated dimension.
     """
 
-    source: str
-    stabilizer_params: Tuple[int, ...]
-    dimension: int
+    __slots__ = ("source", "stabilizer_params", "dimension")
+
+    def __init__(self, source: str, stabilizer_params: Tuple[int, ...],
+                 dimension: int):
+        (set_source, set_stabilizer_params, set_dimension, set_key) = self._setters
+        set_source(self, source)
+        set_stabilizer_params(self, stabilizer_params)
+        set_dimension(self, dimension)
+        set_key(self, (source, stabilizer_params, dimension))
 
 
 def inertia_components(params: HirzebruchParams) -> Tuple[InertiaComponent, ...]:

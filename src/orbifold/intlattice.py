@@ -8,7 +8,6 @@ can pull kernels and cokernel invariants out of one decomposition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -42,16 +41,59 @@ def _integer(value, message: str) -> int:
     return _integers((value,), message)[0]
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class _Value:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in ``__slots__`` and writes its own
+    ``__init__``: it validates its arguments, then stores each field and
+    last ``_key``, the tuple of the fields in slot order, through
+    ``_setters``.  Those are the slots' own setters, bound once per class;
+    they pass the refusing ``__setattr__`` and store faster than
+    ``object.__setattr__``.  Equality (same class only), the hash, pickling
+    and copying read ``_key``, and the default repr names every field.
+    Assigning or deleting an attribute raises AttributeError.
+    """
+
+    __slots__ = ("_key",)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        cls._setters = fields + (_Value._key.__set__,)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % item for item in zip(self.__slots__, self._key)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return type(self), self._key
+
+
+class IntMatrix(_Value):
     """Immutable integer matrix, stored row-major as a tuple of row tuples."""
 
-    rows: Tuple[Tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        widths = {len(r) for r in self.rows}
-        if len(widths) > 1:
+    def __init__(self, rows: Tuple[Tuple[int, ...], ...]):
+        if len(set(map(len, rows))) > 1:
             raise ValueError("ragged rows")
+        set_rows, set_key = self._setters
+        set_rows(self, rows)
+        set_key(self, (rows,))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
@@ -130,13 +172,17 @@ class IntMatrix:
         return sign * m[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(_Value):
     """U * M * V = D with U, V unimodular and D in Smith normal form."""
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
+    __slots__ = ("U", "D", "V")
+
+    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix):
+        set_U, set_D, set_V, set_key = self._setters
+        set_U(self, U)
+        set_D(self, D)
+        set_V(self, V)
+        set_key(self, (U, D, V))
 
     @property
     def diagonal(self) -> Tuple[int, ...]:
@@ -148,28 +194,28 @@ class SnfResult:
         return sum(1 for d in self.diagonal if d != 0)
 
 
-@dataclass(frozen=True)
-class AbelianGroupStructure:
+class AbelianGroupStructure(_Value):
     """A finitely generated abelian group: free rank plus invariant factors.
 
     ``torsion`` lists the invariant factors > 1 in divisibility order.
     """
 
-    free_rank: int
-    torsion: Tuple[int, ...] = ()
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        object.__setattr__(self, "free_rank", _integer(
-            self.free_rank, "rank must be an integer"))
-        object.__setattr__(self, "torsion", _integers(
-            self.torsion, "torsion factors must be integers"))
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, torsion: Tuple[int, ...] = ()):
+        free_rank = _integer(free_rank, "rank must be an integer")
+        torsion = _integers(torsion, "torsion factors must be integers")
+        if free_rank < 0:
             raise ValueError("negative rank")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
                 raise ValueError("torsion factors must form a divisibility chain")
-        if any(t < 2 for t in self.torsion):
+        if any(t < 2 for t in torsion):
             raise ValueError("torsion factors must exceed 1")
+        set_free_rank, set_torsion, set_key = self._setters
+        set_free_rank(self, free_rank)
+        set_torsion(self, torsion)
+        set_key(self, (free_rank, torsion))
 
     @property
     def order(self):

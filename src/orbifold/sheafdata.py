@@ -12,7 +12,6 @@ each incidence stratum fixes: Euler weight, stability parts, restored corner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, NamedTuple, Sequence, Tuple
@@ -26,7 +25,7 @@ from .geometry import (
     _require_divisibility,
     modified_euler_characteristic,
 )
-from .intlattice import _integers
+from .intlattice import _Value, _integers
 
 __all__ = [
     "EquivLineBundle",
@@ -50,19 +49,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EquivLineBundle:
+class EquivLineBundle(_Value):
     """Equivariant line bundle encoded by its four integer chart gradings."""
 
-    b1: int
-    b2: int
-    b3: int
-    b4: int
+    __slots__ = ("b1", "b2", "b3", "b4")
 
-    def __post_init__(self):
-        grades = _integers(self.as_tuple(), "gradings must be integers")
-        for name, value in zip(("b1", "b2", "b3", "b4"), grades):
-            object.__setattr__(self, name, value)
+    def __init__(self, b1: int, b2: int, b3: int, b4: int):
+        grades = _integers((b1, b2, b3, b4), "gradings must be integers")
+        b1, b2, b3, b4 = grades
+        set_b1, set_b2, set_b3, set_b4, set_key = self._setters
+        set_b1(self, b1)
+        set_b2(self, b2)
+        set_b3(self, b3)
+        set_b4(self, b4)
+        set_key(self, grades)
 
     def as_tuple(self) -> Tuple[int, int, int, int]:
         return (self.b1, self.b2, self.b3, self.b4)
@@ -158,8 +158,7 @@ def _check_incidence(incidence: Incidence) -> Incidence:
     raise ValueError("type3 pair must be two distinct corners")
 
 
-@dataclass(frozen=True)
-class Rank2Datum:
+class Rank2Datum(_Value):
     """Gauge-fixed combinatorial datum of an indecomposable rank-2 sheaf.
 
     All fields are integers; the positivity pattern of the four jumps lam
@@ -168,17 +167,15 @@ class Rank2Datum:
     surface and is checked by the operations that take params.
     """
 
-    b1: int
-    b2: int
-    lam: Tuple[int, int, int, int]
-    incidence: Incidence = ("type1",)
+    __slots__ = ("b1", "b2", "lam", "incidence")
 
-    def __post_init__(self):
-        b1, b2 = _integers((self.b1, self.b2), "b1 and b2 must be integers")
-        lam = _integers(self.lam, "lam must be four nonnegative integers", 4)
+    def __init__(self, b1: int, b2: int, lam: Tuple[int, int, int, int],
+                 incidence: Incidence = ("type1",)):
+        b1, b2 = _integers((b1, b2), "b1 and b2 must be integers")
+        lam = _integers(lam, "lam must be four nonnegative integers", 4)
         if min(lam) < 0:
             raise ValueError("lam must be four nonnegative integers")
-        incidence = _check_incidence(self.incidence)
+        incidence = _check_incidence(incidence)
         zero = STRATA[incidence].zero
         if zero:
             if lam[zero - 1] != 0:
@@ -188,10 +185,12 @@ class Rank2Datum:
         elif 0 in lam:
             raise ValueError("%s datum needs all jumps positive"
                              % incidence[0])
-        object.__setattr__(self, "b1", b1)
-        object.__setattr__(self, "b2", b2)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "incidence", incidence)
+        set_b1, set_b2, set_lam, set_incidence, set_key = self._setters
+        set_b1(self, b1)
+        set_b2(self, b2)
+        set_lam(self, lam)
+        set_incidence(self, incidence)
+        set_key(self, (b1, b2, lam, incidence))
 
 
 def stability_check(datum: Rank2Datum, params: HirzebruchParams) -> bool:
@@ -273,24 +272,28 @@ def rank2_c1_chi(datum: Rank2Datum,
     return PicClass(m, n), chi4 // 4
 
 
-@dataclass(frozen=True)
-class PartitionQuadruple:
+class PartitionQuadruple(_Value):
     """Four integer partitions coding a torsion-free subsheaf of a hull."""
 
-    p1: Tuple[int, ...] = ()
-    p2: Tuple[int, ...] = ()
-    p3: Tuple[int, ...] = ()
-    p4: Tuple[int, ...] = ()
+    __slots__ = ("p1", "p2", "p3", "p4")
 
-    def __post_init__(self):
-        for name in ("p1", "p2", "p3", "p4"):
-            part = _integers(getattr(self, name),
-                             "partition parts must be integers")
+    def __init__(self, p1: Tuple[int, ...] = (), p2: Tuple[int, ...] = (),
+                 p3: Tuple[int, ...] = (), p4: Tuple[int, ...] = ()):
+        parts = []
+        for part in (p1, p2, p3, p4):
+            part = _integers(part, "partition parts must be integers")
             if any(x <= 0 for x in part):
                 raise ValueError("partition parts must be positive")
             if any(part[i] < part[i + 1] for i in range(len(part) - 1)):
                 raise ValueError("partition parts must be weakly decreasing")
-            object.__setattr__(self, name, part)
+            parts.append(part)
+        p1, p2, p3, p4 = key = tuple(parts)
+        set_p1, set_p2, set_p3, set_p4, set_key = self._setters
+        set_p1(self, p1)
+        set_p2(self, p2)
+        set_p3(self, p3)
+        set_p4(self, p4)
+        set_key(self, key)
 
     def sizes(self) -> Tuple[int, int, int, int]:
         return (sum(self.p1), sum(self.p2), sum(self.p3), sum(self.p4))

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .intlattice import (
     AbelianGroupStructure,
     IntMatrix,
+    _Value,
     _integers,
     cokernel_invariants,
     smith_normal_form,
@@ -54,33 +54,32 @@ __all__ = [
 DivisorCoeffs = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RayImage:
+class RayImage(_Value):
     """Image of one ray generator: free coordinates plus torsion residues."""
 
-    free: Tuple[int, ...]
-    torsion: Tuple[int, ...] = ()
+    __slots__ = ("free", "torsion")
 
-    def __post_init__(self):
-        object.__setattr__(self, "free", _integers(
-            self.free, "ray coordinates must be integers"))
-        object.__setattr__(self, "torsion", _integers(
-            self.torsion, "torsion residues must be integers"))
+    def __init__(self, free: Tuple[int, ...], torsion: Tuple[int, ...] = ()):
+        free = _integers(free, "ray coordinates must be integers")
+        torsion = _integers(torsion, "torsion residues must be integers")
+        set_free, set_torsion, set_key = self._setters
+        set_free(self, free)
+        set_torsion(self, torsion)
+        set_key(self, (free, torsion))
 
 
-@dataclass(frozen=True)
-class StackyFanData:
+class StackyFanData(_Value):
     """A simplicial stacky fan: target group, ray images, maximal cones."""
 
-    lattice: AbelianGroupStructure
-    rays: Tuple[RayImage, ...]
-    max_cones: Tuple[Tuple[int, ...], ...]
+    __slots__ = ("lattice", "rays", "max_cones")
 
-    def __post_init__(self):
-        rank = self.lattice.free_rank
-        factors = self.lattice.torsion
-        rays = []
-        for ray in self.rays:
+    def __init__(self, lattice: AbelianGroupStructure,
+                 rays: Tuple[RayImage, ...],
+                 max_cones: Tuple[Tuple[int, ...], ...]):
+        rank = lattice.free_rank
+        factors = lattice.torsion
+        images = []
+        for ray in rays:
             if not isinstance(ray, RayImage):
                 ray = RayImage(tuple(ray[0]), tuple(ray[1]) if len(ray) > 1 else ())
             if len(ray.free) != rank:
@@ -91,18 +90,22 @@ class StackyFanData:
                                  % (len(ray.torsion), len(factors)))
             # store torsion residues reduced into [0, t)
             reduced = tuple(c % t for c, t in zip(ray.torsion, factors))
-            rays.append(RayImage(ray.free, reduced))
+            images.append(RayImage(ray.free, reduced))
         cones = []
-        for cone in self.max_cones:
+        for cone in max_cones:
             idx = tuple(sorted(_integers(
                 cone, "cone indices must be integers")))
             if len(set(idx)) != len(idx):
                 raise ValueError("cone %r repeats a ray" % (cone,))
-            if idx and (idx[0] < 0 or idx[-1] >= len(rays)):
+            if idx and (idx[0] < 0 or idx[-1] >= len(images)):
                 raise ValueError("cone %r has a ray index out of range" % (cone,))
             cones.append(idx)
-        object.__setattr__(self, "rays", tuple(rays))
-        object.__setattr__(self, "max_cones", tuple(cones))
+        rays, max_cones = tuple(images), tuple(cones)
+        set_lattice, set_rays, set_max_cones, set_key = self._setters
+        set_lattice(self, lattice)
+        set_rays(self, rays)
+        set_max_cones(self, max_cones)
+        set_key(self, (lattice, rays, max_cones))
         self._validate_simplicial()
 
     def _validate_simplicial(self):
@@ -168,6 +171,12 @@ class StackyFanData:
         return "\n".join(lines)
 
 
+def _require_finite_cokernel(fan: StackyFanData):
+    """ArithmeticError unless the fan's rays span a finite-index subgroup."""
+    if not fan.has_finite_cokernel():
+        raise ArithmeticError("the rays span a subgroup of infinite index")
+
+
 def point_fan() -> StackyFanData:
     """The fan of a point: rank zero, no rays, only the origin cone."""
     return StackyFanData(AbelianGroupStructure(0, ()), (), ((),))
@@ -203,15 +212,18 @@ def wps_fan(weights: Sequence[int]) -> StackyFanData:
             if q:
                 rows[j] = [x - q * y for x, y in zip(rows[j], rows[c])]
     matrix = IntMatrix.from_rows(rows)
-    col_w = matrix.apply(ws)
-    assert all(x == 0 for x in col_w)
+    if any(matrix.apply(ws)):
+        raise ArithmeticError("ray matrix does not annihilate the weights %s"
+                              % (ws,))
     for i in range(n + 1):
-        minor = matrix.delete_column(i).det()
-        assert minor == (-1) ** (n - i) * ws[i], (i, minor)
+        minor, want = matrix.delete_column(i).det(), (-1) ** (n - i) * ws[i]
+        if minor != want:
+            raise ArithmeticError("minor %d of the ray matrix is %d, not %d"
+                                  % (i, minor, want))
     rays = tuple(RayImage(matrix.column(j)) for j in range(n + 1))
     cones = tuple(itertools.combinations(range(n + 1), n))
     fan = StackyFanData(AbelianGroupStructure(n), rays, cones)
-    assert fan.has_finite_cokernel()
+    _require_finite_cokernel(fan)
     return fan
 
 
@@ -245,8 +257,9 @@ def wps_gerbe_fan(weights: Sequence[int]) -> StackyFanData:
                 target = rem
                 break
         else:
-            raise AssertionError("no admissible residue; unreachable")
-    assert target == 0
+            raise ArithmeticError("no admissible residue for ray %d" % i)
+    if target:
+        raise ArithmeticError("gerbe residues leave %d mod %d" % (target, lam))
     matrix = base.ray_matrix()
     lattice = AbelianGroupStructure(base.lattice.free_rank, (lam,))
     rays = tuple(
@@ -341,7 +354,7 @@ def hirzebruch_fan(a: int, b: int, r: int) -> StackyFanData:
     rays = (RayImage((b, s)), RayImage((0, 1)), RayImage((-a, t)), RayImage((0, -1)))
     cones = ((0, 1), (1, 2), (2, 3), (0, 3))
     fan = StackyFanData(AbelianGroupStructure(2), rays, cones)
-    assert fan.has_finite_cokernel()
+    _require_finite_cokernel(fan)
     return fan
 
 

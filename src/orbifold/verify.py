@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
 
@@ -29,7 +28,8 @@ from .geometry import (
 )
 from .genfun import ENGINES, CrosscheckReport, crosscheck, rank1_series, \
     rank2_vb_csets, rank2_vb_lambda
-from .intlattice import IntMatrix, integer_kernel, lattices_equal, smith_normal_form
+from .intlattice import IntMatrix, _Value, integer_kernel, lattices_equal, \
+    smith_normal_form
 from .sheafdata import tensor_shift
 from .stackyfan import (
     fans_equal_up_to_ray_order,
@@ -65,12 +65,18 @@ QUOTED_120 = {
 }
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    index: int
-    name: str
-    passed: bool
-    detail: str
+class CriterionResult(_Value):
+    """One criterion's verdict: its number, name, pass flag and detail."""
+
+    __slots__ = ("index", "name", "passed", "detail")
+
+    def __init__(self, index: int, name: str, passed: bool, detail: str):
+        set_index, set_name, set_passed, set_detail, set_key = self._setters
+        set_index(self, index)
+        set_name(self, name)
+        set_passed(self, passed)
+        set_detail(self, detail)
+        set_key(self, (index, name, passed, detail))
 
 
 # The crosscheck runs that criteria 1, 2, 9 and 10 read: surface, class,

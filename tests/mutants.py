@@ -1,6 +1,6 @@
 """Committed mutants of the derived loop limits, of the work skipped on
-the torsion-free path and of the integer Riemann-Roch forms: the tests
-must kill each.
+the torsion-free path, of the integer Riemann-Roch forms and of an
+internal check: the tests must kill each.
 
 Run from anywhere:  python tests/mutants.py
 
@@ -31,6 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GENFUN = "src/orbifold/genfun.py"
 CLI = "src/orbifold/cli.py"
 GEOMETRY = "src/orbifold/geometry.py"
+STACKYFAN = "src/orbifold/stackyfan.py"
 SETS = "tests/test_constraint_sets.py"
 SETS_DEEP = SETS + "::test_sets_match_per_candidate_loops"
 SETS_PAST = SETS + "::test_sets_add_nothing_past_their_limits"
@@ -44,6 +45,8 @@ CLOSED_PIN = "tests/test_engine_windows.py::test_closed_windows_match_pin"
 RR = "tests/test_geometry.py::test_riemann_roch_matches_fraction_reference"
 TWICE = ("tests/test_geometry.py::test_doubled_rho_sum_closed_form",
          "tests/test_geometry.py::test_doubled_sum_refuses_a_non_integer")
+UNDER_O = ("tests/test_cli.py::"
+           "test_failed_internal_check_is_one_line_exit_1_under_O")
 
 
 class Row(NamedTuple):
@@ -191,6 +194,10 @@ ROWS = (
         "    return int(twice)", "    return int(value)", TWICE),
     Row("doubled sum unchecked", GEOMETRY,
         "if twice.denominator != 1:", "if False:", TWICE),
+    # an internal check dropped: the failure it reports goes unseen
+    Row("hirzebruch_fan cokernel unchecked", STACKYFAN,
+        "rays, cones)\n    _require_finite_cokernel(fan)\n    return fan\n\n\n"
+        "def _split", "rays, cones)\n    return fan\n\n\ndef _split", (UNDER_O,)),
     # each closed-form set limit of the test one lower
     Row("set_limit quad", SETS,
         "return (4 * c * span + (step - 2) ** 2) // (4 * c * step)",

@@ -86,6 +86,20 @@ def test_domain_error_is_one_line_exit_1():
     assert lines[0].startswith("error: ")
 
 
+def test_failed_internal_check_is_one_line_exit_1_under_O():
+    # internal checks raise ArithmeticError, not assert: they still run
+    # under -O, and the command line reports them in one line
+    code = ("import sys; from orbifold import cli, stackyfan; "
+            "stackyfan.StackyFanData.has_finite_cokernel = lambda self: False; "
+            "sys.exit(cli.main(['fan', 'hirzebruch', '-a', '2', '-b', '3']))")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_memory_error_is_one_line_exit_1(monkeypatch, capsys):
     # stands in for a window too deep to allocate, without allocating it
     def out_of_memory(*args):
