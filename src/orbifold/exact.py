@@ -4,7 +4,7 @@ Three small algebra layers live here, each with only what the package uses:
 
 * ``RatPoly``: dense univariate polynomials over Q, kept for the Hilbert
   polynomials in the auxiliary variable T that ``geometry`` builds, sums,
-  scales by a sign and serializes.
+  scales by a sign and serializes; it has no product and no evaluation.
 * ``Cyclotomic``: elements of Q(zeta_n) stored as coefficient vectors modulo
   the n-th cyclotomic polynomial, kept for the root-of-unity sums of the
   Riemann-Roch formulas: ``geometry`` adds, subtracts, multiplies and
@@ -20,9 +20,9 @@ Three small algebra layers live here, each with only what the package uses:
   and ``geometric_factor`` are the reference product that ``vb_to_tf`` is
   tested against.
 
-Coefficients are exact: ``RatPoly`` and ``Cyclotomic`` keep
-``fractions.Fraction`` values (``Rational`` is an alias for it), and
-``HalfExpLaurent`` keeps an integral coefficient as an int.
+Coefficients are exact: ``Cyclotomic`` keeps ``fractions.Fraction``
+values (``Rational`` is an alias for it), ``RatPoly`` each as built, an int
+or a ``Fraction``, and ``HalfExpLaurent`` an integral one as an int.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
 from .intlattice import _Value, _integer, _integers
@@ -263,65 +264,58 @@ def _root_power(order: int, k: int) -> Cyclotomic:
 
 
 class RatPoly(_Value):
-    """Polynomial over Q, coefficients lowest degree first, trailing zeros stripped."""
+    """Polynomial over Q, coefficients lowest degree first.
+
+    ``RatPoly(coeffs)`` trims trailing zeros and keeps each coefficient as
+    built: an int stays an int, a ``Fraction`` stays a ``Fraction``, and
+    anything else (a float, a string) goes through ``Fraction`` once,
+    exactly.  An int and the equal ``Fraction`` compare, hash and print
+    alike, so equal polynomials are equal however they were built, and
+    ``coeff`` returns a ``Fraction`` either way.
+
+    >>> p = RatPoly((1, Fraction(1, 2), 0))
+    >>> p.coeffs, p.degree, p.coeff(0)
+    ((1, Fraction(1, 2)), 1, Fraction(1, 1))
+    >>> print(p * 2 + RatPoly(("1/3", 0, 4)))
+    4*T^2 + T + 7/3
+    """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Tuple[Fraction, ...]):
+    def __init__(self, coeffs: Iterable[RationalLike]):
+        coeffs = tuple(_trim([c if type(c) in (int, Fraction) else
+                              Fraction(c) for c in coeffs]))
         set_coeffs, set_key = self._setters
         set_coeffs(self, coeffs)
         set_key(self, (coeffs,))
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[RationalLike]) -> "RatPoly":
-        c = _trim([Fraction(x) for x in coeffs])
-        return cls(tuple(c))
-
-    @classmethod
-    def zero(cls) -> "RatPoly":
-        return cls(())
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     def coeff(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
-
-    def __call__(self, x: RationalLike) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * Fraction(x) + c
-        return acc
+        """The coefficient of T^i, as a ``Fraction``."""
+        return Fraction(self.coeffs[i] if 0 <= i < len(self.coeffs) else 0)
 
     def __add__(self, other: "RatPoly") -> "RatPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RatPoly.from_coeffs(
-            [self.coeff(i) + other.coeff(i) for i in range(n)]
-        )
+        return RatPoly([a + b for a, b in
+                        zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __sub__(self, other: "RatPoly") -> "RatPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RatPoly.from_coeffs(
-            [self.coeff(i) - other.coeff(i) for i in range(n)]
-        )
+        return RatPoly([a - b for a, b in
+                        zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatPoly.from_coeffs([c * Fraction(other) for c in self.coeffs])
-        return RatPoly(tuple(_poly_mul(list(self.coeffs), list(other.coeffs))))
+    def __mul__(self, k: RationalLike) -> "RatPoly":
+        """The polynomial scaled by the number k."""
+        return RatPoly([c * k for c in self.coeffs])
 
     def to_json(self) -> dict:
         return {"coeffs": [_frac_str(c) for c in self.coeffs]}
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
         parts = []
         for i in range(self.degree, -1, -1):
-            c = self.coeff(i)
+            c = self.coeffs[i]
             if c == 0:
                 continue
             if i == 0:
@@ -330,7 +324,7 @@ class RatPoly(_Value):
                 parts.append("%s*T" % c if c != 1 else "T")
             else:
                 parts.append("%s*T^%d" % (c, i) if c != 1 else "T^%d" % i)
-        return " + ".join(parts).replace("+ -", "- ")
+        return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
 def _frac_str(c: Fraction) -> str:

@@ -247,21 +247,9 @@ def _enumerate(name: str, params: HirzebruchParams, cls: ClassLike,
     ``crosscheck``); here only ``top2`` refuses r < 0, for the engines
     that take the caller's surface.
     """
-    engine, cls = ENGINES[name], _as_class(cls)
-    m, n = cls.m, cls.n
-    min2exp = _integer(min2exp, "min2exp must be an integer")
-    top2 = engine.top2(params, m, n)
-    _check_window(top2, min2exp)
-    return _fill(engine.counts, top2, params, m, n, min2exp,
-                 engine.box(params, m, n, min2exp))
-
-
-def _fill(counts, top2, params, m, n, lo2, cap) -> HalfExpLaurent:
-    """The window top2 .. lo2 of ``counts`` with every index capped at cap:
-    the series with coefficient acc[e2 - lo2] at each doubled exponent e2."""
-    acc = [0] * (top2 - lo2 + 1)
-    counts(acc, params, m, n, lo2, cap)
-    return HalfExpLaurent(lo2, {lo2 + i: c for i, c in enumerate(acc) if c})
+    cls = _as_class(cls)
+    return ENGINES[name].window(
+        params, cls.m, cls.n, _integer(min2exp, "min2exp must be an integer"))
 
 
 # ---------------------------------------------------------------------------
@@ -1020,11 +1008,19 @@ class Engine(NamedTuple):
         return self.entry(params, cls, min2exp)
 
     def window(self, params: HirzebruchParams, m: int, n: int, lo2: int,
-               cap: int) -> HalfExpLaurent:
-        """The window down to lo2 of ``counts`` with every index capped at
-        cap (see ``_fill``)."""
-        return _fill(self.counts, self.top2(params, m, n), params, m, n, lo2,
-                     cap)
+               cap: Optional[int] = None) -> HalfExpLaurent:
+        """The window top2 .. lo2 of ``counts`` with every index capped at
+        cap, the row's ``box`` unless given: the series with coefficient
+        acc[e2 - lo2] at each doubled exponent e2.  A window over
+        ``MAX_WINDOW_SLOTS`` is refused before its list is built."""
+        top2 = self.top2(params, m, n)
+        _check_window(top2, lo2)
+        if cap is None:
+            cap = self.box(params, m, n, lo2)
+        acc = [0] * (top2 - lo2 + 1)
+        self.counts(acc, params, m, n, lo2, cap)
+        return HalfExpLaurent(lo2, {lo2 + i: c for i, c in enumerate(acc)
+                                    if c})
 
 
 def _r0_refusal(params, m, n):

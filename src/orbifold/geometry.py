@@ -300,7 +300,7 @@ def hilbert_polynomial(params: HirzebruchParams, cls: ClassLike) -> RatPoly:
     chi, rho = _riemann_roch(params, m, n)
     lead = Fraction(a * b * (r + 2 * pq), 2 * pq * pq)
     lin = Fraction(a + b + 2 * m + r + 2 * pq * (n + 1) + rho, 2 * pq)
-    return RatPoly.from_coeffs([chi, lin, lead])
+    return RatPoly((chi, lin, lead))
 
 
 def modified_euler_characteristic(params: HirzebruchParams, cls: ClassLike) -> int:
@@ -332,7 +332,7 @@ def modified_hilbert_polynomial(params: HirzebruchParams, cls: ClassLike) -> Rat
     lead = Fraction(ab * ab * (r + 2 * pq), 2 * pq * pq)
     lin = Fraction(ab * (a + b + r + 2 * m - 1 + ab + 2 * pq * (n + 1)),
                    2 * pq)
-    return RatPoly.from_coeffs([modified_euler_characteristic(params, c), lin, lead])
+    return RatPoly((modified_euler_characteristic(params, c), lin, lead))
 
 
 def point_sheaf_mhp(params: HirzebruchParams, chart: int, grading: int = 0) -> int:
@@ -353,7 +353,7 @@ def point_sheaf_mhp(params: HirzebruchParams, chart: int, grading: int = 0) -> i
     }
     if chart not in terms:
         raise ValueError("chart must be 1, 2, 3 or 4")
-    total = RatPoly.zero()
+    total = RatPoly(())
     for (cls, sign) in terms[chart]:
         total = total + modified_hilbert_polynomial(params, cls) * sign
     if total.degree > 0:
@@ -492,4 +492,4 @@ def rank2_indecomposable_mhp(params: HirzebruchParams, b1: int, b2: int,
         if pair not in coinc:
             i, j = sorted(pair)
             corner += jumps[i - 1] * jumps[j - 1]
-    return total - RatPoly.from_coeffs([corner])
+    return total - RatPoly((corner,))

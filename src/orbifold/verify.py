@@ -198,7 +198,7 @@ def criterion_4() -> CriterionResult:
                 total = hilbert_polynomial(pr, (m, n))
                 for k in range(1, a * b):
                     total = total + hilbert_polynomial(pr, (m + k, n))
-                if any(left.coeff(i) != total.coeff(i) for i in range(3)):
+                if left != total:
                     problems.append("mismatch at (%d,%d) on (%d,%d,%d)"
                                     % (m, n, a, b, r))
                 checked += 1

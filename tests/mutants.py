@@ -1,6 +1,6 @@
 """Committed mutants of the derived loop limits, of the work skipped on
-the torsion-free path, of the integer Riemann-Roch forms and of an
-internal check: the tests must kill each.
+the torsion-free path, of the integer Riemann-Roch forms, of internal
+checks and of the polynomial constructor: the tests must kill each.
 
 Run from anywhere:  python tests/mutants.py
 
@@ -32,6 +32,7 @@ GENFUN = "src/orbifold/genfun.py"
 CLI = "src/orbifold/cli.py"
 GEOMETRY = "src/orbifold/geometry.py"
 STACKYFAN = "src/orbifold/stackyfan.py"
+EXACT = "src/orbifold/exact.py"
 SETS = "tests/test_constraint_sets.py"
 SETS_DEEP = SETS + "::test_sets_match_per_candidate_loops"
 SETS_PAST = SETS + "::test_sets_add_nothing_past_their_limits"
@@ -198,6 +199,14 @@ ROWS = (
     Row("hirzebruch_fan cokernel unchecked", STACKYFAN,
         "rays, cones)\n    _require_finite_cokernel(fan)\n    return fan\n\n\n"
         "def _split", "rays, cones)\n    return fan\n\n\ndef _split", (UNDER_O,)),
+    Row("Engine.window unchecked", GENFUN,
+        "        _check_window(top2, lo2)\n", "",
+        ("tests/test_genfun.py::"
+         "test_engine_window_refuses_over_the_slot_limit",)),
+    # the polynomial constructor keeps trailing zeros
+    Row("RatPoly untrimmed", EXACT,
+        "coeffs = tuple(_trim([c if", "coeffs = tuple(([c if",
+        ("tests/test_exact.py::test_ratpoly_keeps_coefficients_as_built",)),
     # each closed-form set limit of the test one lower
     Row("set_limit quad", SETS,
         "return (4 * c * span + (step - 2) ** 2) // (4 * c * step)",

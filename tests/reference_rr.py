@@ -39,8 +39,7 @@ def hilbert_polynomial(params, m, n):
     lin = Fraction(a + b + 2 * m + r, 2 * pq) + (n + 1)
     lin += Fraction(a, pq) * Fraction(_rho_sum(p, a % p, m % p), 2)
     lin += Fraction(b, pq) * Fraction(_rho_sum(q, b % q, m % q), 2)
-    return RatPoly.from_coeffs([euler_characteristic(params, m, n), lin,
-                                lead])
+    return RatPoly((euler_characteristic(params, m, n), lin, lead))
 
 
 def modified_hilbert_polynomial(params, m, n):
@@ -49,5 +48,5 @@ def modified_hilbert_polynomial(params, m, n):
     ab = a * b
     lead = Fraction(ab * ab * r, 2 * pq * pq) + Fraction(ab * ab, pq)
     lin = Fraction(ab * (a + b + r + 2 * m - 1 + ab), 2 * pq) + ab * (n + 1)
-    return RatPoly.from_coeffs([modified_euler_characteristic(params, (m, n)),
-                                lin, lead])
+    return RatPoly((modified_euler_characteristic(params, (m, n)), lin,
+                    lead))

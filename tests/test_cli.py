@@ -100,6 +100,25 @@ def test_failed_internal_check_is_one_line_exit_1_under_O():
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def test_module_doctests_pass_under_O():
+    # every module's examples, with asserts stripped and warnings as
+    # errors; doctest runs them itself, as pytest under -O and -W error
+    # stops at its own warning about the stripped asserts
+    code = ("import doctest, importlib, pkgutil, orbifold\n"
+            "names = ['orbifold'] + [info.name for info in pkgutil.iter_modules("
+            "orbifold.__path__, 'orbifold.')]\n"
+            "results = [doctest.testmod(importlib.import_module(name)) "
+            "for name in names]\n"
+            "print(len(names), sum(r.failed for r in results), "
+            "sum(r.attempted for r in results))\n")
+    proc = subprocess.run([sys.executable, "-O", "-W", "error", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    modules, failed, attempted = map(int, proc.stdout.splitlines()[-1].split())
+    assert (modules, failed) == (9, 0), proc.stdout
+    assert attempted >= 24
+
+
 def test_memory_error_is_one_line_exit_1(monkeypatch, capsys):
     # stands in for a window too deep to allocate, without allocating it
     def out_of_memory(*args):
@@ -209,6 +228,35 @@ def test_text_mode_builds_no_json_document(monkeypatch, capsys):
     for argv, before in zip(commands, shown):
         assert cli.main(argv) == 0
         assert capsys.readouterr() == before
+
+
+# sha256 of cli.main's stdout, read when every polynomial coefficient was
+# still stored as a Fraction
+POLYNOMIAL_OUTPUT_DIGESTS = {
+    "hilbert -a 2 -b 3 -r 1 -m 0 -n 1":
+        "94a361b158a6bea3191d18ad300cde3afda40ecde22be8fe679030c003af05fb",
+    "hilbert -a 2 -b 3 -r 1 -m 0 -n 1 --json":
+        "b67b93f4d20b6a4fdc225d84d542ab95b69eacb5ee19bf883a03e23a135e71aa",
+    "hilbert -a 1 -b 3 -r -1 -m 1 -n -1":
+        "8595cc27d32679a2001180b7abd87f3a066f49c19e233154b30d70ff5e8b8003",
+    "hilbert -a 1 -b 3 -r -1 -m 1 -n -1 --json":
+        "bdd5ee15fbb03434a697f29486972d556009c48b8d82b2de83e56eccf1f9b199",
+    "mhp -a 2 -b 3 -r 1 -m 0 -n 1":
+        "325cd14914d142b7796e3dbd5976a62ac2cd22cdc1d386eb4d8e914c10e1e10a",
+    "mhp -a 2 -b 3 -r 1 -m 0 -n 1 --json":
+        "44584d3d27609cde7eb6b8399bbbcd6e003e6b77661815d0ec861f3c31db7be5",
+    "mhp -a 1 -b 3 -r -1 -m 1 -n -1":
+        "77d6d5c148e72c24e6ba3ce500238c712957e939c1363edfa740a8875450d9ca",
+    "mhp -a 1 -b 3 -r -1 -m 1 -n -1 --json":
+        "a0b624305bbd9ca23c3fbdbd4dcf4e57aa470337a43132cd0da5f284f387823f",
+}
+
+
+def test_polynomial_output_matches_pinned_digests(capsys):
+    for command, want in POLYNOMIAL_OUTPUT_DIGESTS.items():
+        assert cli.main(command.split()) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == want, command
 
 
 def test_repeated_invocations_are_byte_identical():

@@ -509,6 +509,22 @@ def test_windows_over_the_slot_limit_are_refused():
             fn(*args)
 
 
+def test_engine_window_refuses_over_the_slot_limit():
+    # Engine.window is the one builder, and it checks the window before it
+    # allocates; a small cap keeps each build cheap
+    limit = genfun.MAX_WINDOW_SLOTS
+    with pytest.raises(ValueError, match="spans 70009 coefficient slots"):
+        genfun.ENGINES["csets"].window(P120, 0, 0, -70000, 2)
+    for name, engine in genfun.ENGINES.items():
+        top2 = engine.top2(P120, 0, 0)
+        with pytest.raises(ValueError, match="spans %d coefficient slots, "
+                           "more than the limit" % (limit + 1)):
+            engine.window(P120, 0, 0, top2 - limit, 2)
+        at_limit = engine.window(P120, 0, 0, top2 - limit + 1, 2)
+        assert at_limit.min2exp == top2 - limit + 1, name
+        assert at_limit.max2exp <= top2 and not at_limit.is_zero, name
+
+
 def test_engines_refuse_bound():
     # a window is enumerated over the box derived from it, and nothing else
     calls = [(rank2_vb_csets, (P120, (0, 0), -4)),

@@ -1,4 +1,6 @@
 import cmath
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -6,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import reference_rr
-from orbifold import geometry
+from orbifold import geometry, verify
 from orbifold.exact import RatPoly
 from orbifold.geometry import (
     ADJACENT_PAIRS,
@@ -257,6 +259,34 @@ def test_riemann_roch_matches_fraction_reference():
                     (pr, m, n)
 
 
+# sha256 of the text and of the sorted JSON of both Hilbert polynomials,
+# one line per class, over verify.GRID x m, n in [-3, 3], read when every
+# coefficient was still stored as a Fraction
+HILBERT_DIGESTS = {
+    (hilbert_polynomial, "str"):
+        "b92ae6c6c01276e617a0fe9259a2053349c44ca63d52ba701e46c1a3fb58a97f",
+    (hilbert_polynomial, "json"):
+        "1a99aa00e2a33fe18cb78fc4504002108e1349f45ac28b5c21a809124144e74b",
+    (modified_hilbert_polynomial, "str"):
+        "a10bd40463f4be1cafee59180e21740525f6ef8ebb970417027ac30ac62e82ab",
+    (modified_hilbert_polynomial, "json"):
+        "e5047c2d4299d92cf05515528b553f334dede2ffd999fe87135f6ec37b694bf5",
+}
+
+
+@pytest.mark.parametrize("function, form", HILBERT_DIGESTS)
+def test_hilbert_polynomials_match_pinned_digests(function, form):
+    render = str if form == "str" else \
+        (lambda poly: json.dumps(poly.to_json(), sort_keys=True))
+    digest = hashlib.sha256()
+    for abr in verify.GRID:
+        pr = derive_params(*abr)
+        for m in range(-3, 4):
+            for n in range(-3, 4):
+                digest.update(render(function(pr, (m, n))).encode() + b"\n")
+    assert digest.hexdigest() == HILBERT_DIGESTS[function, form]
+
+
 def test_doubled_sums_on_the_grid_are_ints():
     """Every doubled sum that ``euler_characteristic`` reads on the grid."""
     for pr in grid_params():
@@ -319,7 +349,8 @@ def test_hilbert_polynomial_interpolates_chi():
         assert poly.degree <= 2
         for big_t in range(4):
             shifted = cls.shifted(big_t * eps.m, big_t * eps.n)
-            assert poly(big_t) == euler_characteristic(pr, shifted)
+            value = sum(c * big_t ** i for i, c in enumerate(poly.coeffs))
+            assert value == euler_characteristic(pr, shifted)
 
 
 def test_modified_hilbert_polynomial_example():
@@ -338,7 +369,7 @@ def test_modified_hilbert_is_sum_of_shifts():
         m = rng.randrange(-4, 5)
         n = rng.randrange(-4, 5)
         lhs = modified_hilbert_polynomial(pr, (m, n))
-        rhs = RatPoly.zero()
+        rhs = RatPoly(())
         for k in range(a * b):
             rhs = rhs + hilbert_polynomial(pr, (m + k, n))
         assert lhs.coeffs == rhs.coeffs
