@@ -62,7 +62,7 @@ from math import gcd, isqrt, lcm
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .exact import HalfExpLaurent, monomial
-from .geometry import ClassLike, HirzebruchParams, _as_class, \
+from .geometry import ClassLike, HirzebruchParams, _class_ints, \
     derive_params, modified_euler_characteristic
 from .intlattice import _Value, _integer
 from .sheafdata import STRATA, Rank2Datum, f4_exponent, rank2_c1_chi, \
@@ -247,9 +247,9 @@ def _enumerate(name: str, params: HirzebruchParams, cls: ClassLike,
     ``crosscheck``); here only ``top2`` refuses r < 0, for the engines
     that take the caller's surface.
     """
-    cls = _as_class(cls)
+    m, n = _class_ints(cls)
     return ENGINES[name].window(
-        params, cls.m, cls.n, _integer(min2exp, "min2exp must be an integer"))
+        params, m, n, _integer(min2exp, "min2exp must be an integer"))
 
 
 # ---------------------------------------------------------------------------
@@ -705,10 +705,10 @@ def rank2_vb_closed_p12(cls: ClassLike, min2exp: int) -> HalfExpLaurent:
     engines exactly at every order.  The deliberate deviations are marked
     by comments in the per-class term functions above.
     """
-    cls = _as_class(cls)
-    if (cls.m, cls.n) not in _P12_TERMS:
-        raise ValueError(_closed_refusal(_P120, cls.m, cls.n))
-    return _enumerate("closed", _P120, cls, min2exp)
+    m, n = _class_ints(cls)
+    if (m, n) not in _P12_TERMS:
+        raise ValueError(_closed_refusal(_P120, m, n))
+    return _enumerate("closed", _P120, (m, n), min2exp)
 
 
 # ---------------------------------------------------------------------------
@@ -1001,11 +1001,11 @@ class Engine(NamedTuple):
             min2exp: int) -> HalfExpLaurent:
         """``entry``'s window; ValueError, with the refusal's text, on an
         input the engine does not cover."""
-        cls = _as_class(cls)
-        why = self.refusal(params, cls.m, cls.n)
+        m, n = _class_ints(cls)
+        why = self.refusal(params, m, n)
         if why:
             raise ValueError(why)
-        return self.entry(params, cls, min2exp)
+        return self.entry(params, (m, n), min2exp)
 
     def window(self, params: HirzebruchParams, m: int, n: int, lo2: int,
                cap: Optional[int] = None) -> HalfExpLaurent:
@@ -1072,20 +1072,20 @@ def crosscheck(params: HirzebruchParams, cls: ClassLike, min2exp: int,
     is checked against ``MAX_WINDOW_SLOTS`` before any engine runs, each
     distinct ``top2`` once, and each engine's refusal is checked once.
     """
-    cls = _as_class(cls)
+    m, n = _class_ints(cls)
     min2exp = _integer(min2exp, "min2exp must be an integer")
     engines = [(name, engine) for name, engine in ENGINES.items()
                if (include_lambda or not engine.experimental)
-               and engine.refusal(params, cls.m, cls.n) is None]
+               and engine.refusal(params, m, n) is None]
     for top2 in dict.fromkeys(engine.top2 for _, engine in engines):
-        _check_window(top2(params, cls.m, cls.n), min2exp)
-    windows = [(name, engine.entry(params, cls, min2exp))
+        _check_window(top2(params, m, n), min2exp)
+    windows = [(name, engine.entry(params, (m, n), min2exp))
                for name, engine in engines]
 
     # two windows that differ at e2 cannot both equal the first one there
     diffs = [windows[0][1].first_difference(win) for _, win in windows[1:]]
     first_bad = max((e2 for e2 in diffs if e2 is not None), default=None)
-    return CrosscheckReport(params.a, params.b, params.r, cls.m, cls.n,
+    return CrosscheckReport(params.a, params.b, params.r, m, n,
                             min2exp, tuple(windows), first_bad is None,
                             first_bad)
 

@@ -68,10 +68,16 @@ class PicClass(_Value):
 ClassLike = Union[PicClass, Tuple[int, int]]
 
 
-def _as_class(cls: ClassLike) -> PicClass:
+def _class_ints(cls: ClassLike) -> Tuple[int, int]:
+    """The class as (m, n): a tuple of two ints as it is, a ``PicClass`` as
+    its fields, anything else by the rule of ``_integers``."""
+    if type(cls) is tuple and len(cls) == 2:
+        m, n = cls
+        if type(m) is int and type(n) is int:
+            return cls
     if isinstance(cls, PicClass):
-        return cls
-    return PicClass(*_integers(cls, "a class is two integers (m, n)", 2))
+        return cls.m, cls.n
+    return _integers(cls, "a class is two integers (m, n)", 2)
 
 
 class HirzebruchParams(_Value):
@@ -247,13 +253,16 @@ def euler_characteristic(params: HirzebruchParams, cls: ClassLike) -> int:
         + a 2sigma_b + b 2sigma_a,
 
     so chi is that integer divided by 2ab; a remainder raises
-    ArithmeticError.
+    ArithmeticError.  R2(p) is a sum over l in [1, p), empty at p = 1, and
+    2sigma_b skips every multiple of b/p, so it is empty when p = b (p
+    divides b); likewise R2(q) at q = 1 and 2sigma_a at q = a.  Those sums
+    are 0 and are not looked up.
 
     >>> euler_characteristic(derive_params(2, 3, 1), (0, 0))
     1
     """
-    c = _as_class(cls)
-    return _riemann_roch(params, c.m, c.n)[0]
+    m, n = _class_ints(cls)
+    return _riemann_roch(params, m, n)[0]
 
 
 def _riemann_roch(params: HirzebruchParams, m: int, n: int) -> Tuple[int, int]:
@@ -261,13 +270,18 @@ def _riemann_roch(params: HirzebruchParams, m: int, n: int) -> Tuple[int, int]:
     (see ``euler_characteristic``)."""
     a, b, r, p, q = params.a, params.b, params.r, params.p, params.q
     n1 = n + 1
-    rho = (a * _rho_sum(p, a % p, m % p)
-           + b * _rho_sum(q, b % q, m % q))
-    total = (n1 * (a + b + 2 * m - n * r + rho)
-             + a * _sigma_sum(b, b // p, a % b, (params.s * a) % b, m % b,
-                              n1 % b)
-             + b * _sigma_sum(a, a // q, b % a, (params.t * b) % a, m % a,
-                              n1 % a))
+    rho = 0
+    if p > 1:
+        rho += a * _rho_sum(p, a % p, m % p)
+    if q > 1:
+        rho += b * _rho_sum(q, b % q, m % q)
+    total = n1 * (a + b + 2 * m - n * r + rho)
+    if p < b:
+        total += a * _sigma_sum(b, b // p, a % b, (params.s * a) % b, m % b,
+                                n1 % b)
+    if q < a:
+        total += b * _sigma_sum(a, a // q, b % a, (params.t * b) % a, m % a,
+                                n1 % a)
     chi, rest = divmod(total, 2 * a * b)
     if rest:
         raise ArithmeticError("Euler characteristic came out non-integral: %s"
@@ -293,8 +307,7 @@ def hilbert_polynomial(params: HirzebruchParams, cls: ClassLike) -> RatPoly:
     (a + b + 2m + r + 2pq (n+1) + a R2(p) + b R2(q)) / (2pq): one integer
     over a known denominator each.
     """
-    c = _as_class(cls)
-    m, n = c.m, c.n
+    m, n = _class_ints(cls)
     a, b, r, p, q = params.a, params.b, params.r, params.p, params.q
     pq = p * q
     chi, rho = _riemann_roch(params, m, n)
@@ -305,8 +318,7 @@ def hilbert_polynomial(params: HirzebruchParams, cls: ClassLike) -> RatPoly:
 
 def modified_euler_characteristic(params: HirzebruchParams, cls: ClassLike) -> int:
     """Euler characteristic against the generating sheaf; always an integer."""
-    c = _as_class(cls)
-    m, n = c.m, c.n
+    m, n = _class_ints(cls)
     a, b, r = params.a, params.b, params.r
     num = (1 + n) * (a + b + 2 * m + a * b - 1 - n * r)
     if num % 2:
@@ -324,15 +336,14 @@ def modified_hilbert_polynomial(params: HirzebruchParams, cls: ClassLike) -> Rat
     ab (a + b + r + 2m - 1 + ab + 2pq (n+1)) / (2pq): one integer over a
     known denominator each.
     """
-    c = _as_class(cls)
-    m, n = c.m, c.n
+    m, n = _class_ints(cls)
     a, b, r, p, q = params.a, params.b, params.r, params.p, params.q
     pq = p * q
     ab = a * b
     lead = Fraction(ab * ab * (r + 2 * pq), 2 * pq * pq)
     lin = Fraction(ab * (a + b + r + 2 * m - 1 + ab + 2 * pq * (n + 1)),
                    2 * pq)
-    return RatPoly((modified_euler_characteristic(params, c), lin, lead))
+    return RatPoly((modified_euler_characteristic(params, cls), lin, lead))
 
 
 def point_sheaf_mhp(params: HirzebruchParams, chart: int, grading: int = 0) -> int:

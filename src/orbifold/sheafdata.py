@@ -21,7 +21,7 @@ from .geometry import (
     ClassLike,
     HirzebruchParams,
     PicClass,
-    _as_class,
+    _class_ints,
     _require_divisibility,
     modified_euler_characteristic,
 )
@@ -252,9 +252,9 @@ def _rank2_chi4(params: HirzebruchParams, m: int, n: int,
 def rank2_chi_exponent(params: HirzebruchParams, cls: ClassLike,
                        lam: Sequence[int]) -> Fraction:
     """Modified Euler characteristic exponent before incidence corrections."""
-    cls = _as_class(cls)
+    m, n = _class_ints(cls)
     lam = _integers(lam, "lam must be four integers", 4)
-    return Fraction(_rank2_chi4(params, cls.m, cls.n, *lam), 4)
+    return Fraction(_rank2_chi4(params, m, n, *lam), 4)
 
 
 def rank2_c1_chi(datum: Rank2Datum,
@@ -315,8 +315,7 @@ def tensor_shift(i: int, j: int, cls: ClassLike,
                  params: HirzebruchParams) -> int:
     """Exponent shift g(i, j) of the series when the class moves by (i, j)."""
     i, j = _integers((i, j), "i, j must be integers")
-    cls = _as_class(cls)
-    m, n = cls.m, cls.n
+    m, n = _class_ints(cls)
     a, b, r = params.a, params.b, params.r
     return (i * (2 + n + 2 * j)
             + j * (a * b + a + b - 1 - r + m - n * r - r * j))

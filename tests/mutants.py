@@ -1,6 +1,7 @@
 """Committed mutants of the derived loop limits, of the work skipped on
-the torsion-free path, of the integer Riemann-Roch forms, of internal
-checks and of the polynomial constructor: the tests must kill each.
+the torsion-free path, of the integer Riemann-Roch forms and the sums
+they skip, of the class reader, of internal checks and of the polynomial
+constructor: the tests must kill each.
 
 Run from anywhere:  python tests/mutants.py
 
@@ -180,8 +181,11 @@ ROWS = (
     Row("chi sigma residue from n", GEOMETRY,
         "n1 % b)", "n % b)", (RR,)),
     Row("chi rho weight", GEOMETRY,
-        "+ b * _rho_sum(q, b % q, m % q))", "+ a * _rho_sum(q, b % q, m % q))",
-        (RR,)),
+        "rho += b * _rho_sum(q, b % q, m % q)",
+        "rho += a * _rho_sum(q, b % q, m % q)", (RR,)),
+    # a zero-sum guard that also skips a sum that is not zero
+    Row("chi sigma skipped at p = 1", GEOMETRY,
+        "if p < b:", "if 1 < p < b:", (RR,)),
     Row("hilbert lead over (pq)^2", GEOMETRY,
         "Fraction(a * b * (r + 2 * pq), 2 * pq * pq)",
         "Fraction(a * b * (r + 2 * pq), pq * pq)", (RR,)),
@@ -195,6 +199,11 @@ ROWS = (
         "    return int(twice)", "    return int(value)", TWICE),
     Row("doubled sum unchecked", GEOMETRY,
         "if twice.denominator != 1:", "if False:", TWICE),
+    # the class fast path takes any pair, not only two exact ints
+    Row("class fast path unchecked", GEOMETRY,
+        "if type(m) is int and type(n) is int:", "if True:",
+        ("tests/test_geometry.py::"
+         "test_class_refuses_non_integral_coordinates",)),
     # an internal check dropped: the failure it reports goes unseen
     Row("hirzebruch_fan cokernel unchecked", STACKYFAN,
         "rays, cones)\n    _require_finite_cokernel(fan)\n    return fan\n\n\n"

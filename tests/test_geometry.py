@@ -8,13 +8,12 @@ from fractions import Fraction
 import pytest
 
 import reference_rr
-from orbifold import geometry, verify
+from orbifold import genfun, geometry, sheafdata, verify
 from orbifold.exact import RatPoly
 from orbifold.geometry import (
     ADJACENT_PAIRS,
     HirzebruchParams,
     PicClass,
-    _as_class,
     chart_weight_tables,
     coarse_ample,
     coarse_cartier,
@@ -80,12 +79,60 @@ def test_derive_params_refuses_non_integral_input():
     assert derive_params(1.0, 2.0, 0) == derive_params(1, 2, 0)
 
 
-def test_class_refuses_non_integral_coordinates():
-    with pytest.raises(ValueError, match="two integers"):
-        _as_class((0.5, 1.7))
-    with pytest.raises(ValueError, match="two integers"):
-        _as_class((0, 1, 2))
-    assert _as_class((0.0, 1)) == PicClass(0, 1)
+_P120 = derive_params(1, 2, 0)
+# every public function that takes a class, as a call on that class alone
+CLASS_TAKERS = {
+    "euler_characteristic":
+        lambda c: euler_characteristic(_P120, c),
+    "modified_euler_characteristic":
+        lambda c: modified_euler_characteristic(_P120, c),
+    "hilbert_polynomial": lambda c: hilbert_polynomial(_P120, c),
+    "modified_hilbert_polynomial":
+        lambda c: modified_hilbert_polynomial(_P120, c),
+    "rank2_chi_exponent":
+        lambda c: sheafdata.rank2_chi_exponent(_P120, c, (1, 0, 2, 1)),
+    "tensor_shift": lambda c: sheafdata.tensor_shift(1, 2, c, _P120),
+    "Engine.run": lambda c: genfun.ENGINES["csets"].run(_P120, c, -4),
+    "crosscheck": lambda c: genfun.crosscheck(_P120, c, -4),
+    "rank2_vb_closed_p12": lambda c: genfun.rank2_vb_closed_p12(c, -4),
+    "rank1_series": lambda c: genfun.rank1_series(_P120, c, -4),
+    "rank2_vb_csets": lambda c: genfun.rank2_vb_csets(_P120, c, -4),
+}
+
+
+@pytest.mark.parametrize("name", CLASS_TAKERS)
+def test_class_refuses_non_integral_coordinates(name):
+    """Each class-taking function refuses what is not two integers, and
+    reads any two integral values as the tuple of ints."""
+    call = CLASS_TAKERS[name]
+    for bad in ((0.5, 1.7), (0, 1, 2), ("0", 1)):
+        with pytest.raises(ValueError, match="two integers"):
+            call(bad)
+    want = call((0, 1))
+    for same in ((0.0, 1), [0, 1], PicClass(0, 1)):
+        assert call(same) == want, same
+
+
+def test_class_hits_build_no_pic_class(monkeypatch):
+    """On a tuple of ints, chi and both Hilbert polynomials build no
+    PicClass, once their sums are cached."""
+    built = []
+    init = PicClass.__init__
+
+    def counting_init(self, m, n):
+        built.append((m, n))
+        init(self, m, n)
+
+    for f in (euler_characteristic, modified_euler_characteristic,
+              hilbert_polynomial, modified_hilbert_polynomial):
+        f(_P120, (2, -1))
+    monkeypatch.setattr(PicClass, "__init__", counting_init)
+    assert PicClass(0, 1).m == 0 and built == [(0, 1)]
+    del built[:]
+    for f in (euler_characteristic, modified_euler_characteristic,
+              hilbert_polynomial, modified_hilbert_polynomial):
+        f(_P120, (2, -1))
+        assert built == [], f.__name__
 
 
 def test_derive_params_arithmetic_relations():
