@@ -146,10 +146,7 @@ class Cyclotomic(_Value):
             raise ValueError("order must be positive")
         if len(coeffs) != _phi_degree(order):
             raise ValueError("coefficient vector has wrong length")
-        set_order, set_coeffs, set_key = self._setters
-        set_order(self, order)
-        set_coeffs(self, coeffs)
-        set_key(self, (order, coeffs))
+        self._store(order, coeffs)
 
     # -- constructors ------------------------------------------------------
 
@@ -285,9 +282,7 @@ class RatPoly(_Value):
     def __init__(self, coeffs: Iterable[RationalLike]):
         coeffs = tuple(_trim([c if type(c) in (int, Fraction) else
                               Fraction(c) for c in coeffs]))
-        set_coeffs, set_key = self._setters
-        set_coeffs(self, coeffs)
-        set_key(self, (coeffs,))
+        self._store(coeffs)
 
     @property
     def degree(self) -> int:

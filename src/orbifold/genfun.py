@@ -938,19 +938,8 @@ class CrosscheckReport(_Value):
     def __init__(self, a: int, b: int, r: int, m: int, n: int, min2exp: int,
                  windows: Tuple[Tuple[str, HalfExpLaurent], ...], agree: bool,
                  first_disagreement2: Optional[int]):
-        (set_a, set_b, set_r, set_m, set_n, set_min2exp, set_windows,
-         set_agree, set_first_disagreement2, set_key) = self._setters
-        set_a(self, a)
-        set_b(self, b)
-        set_r(self, r)
-        set_m(self, m)
-        set_n(self, n)
-        set_min2exp(self, min2exp)
-        set_windows(self, windows)
-        set_agree(self, agree)
-        set_first_disagreement2(self, first_disagreement2)
-        set_key(self, (a, b, r, m, n, min2exp, windows, agree,
-                       first_disagreement2))
+        self._store(a, b, r, m, n, min2exp, windows, agree,
+                    first_disagreement2)
 
     @property
     def engines(self) -> Tuple[str, ...]:

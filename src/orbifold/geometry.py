@@ -56,10 +56,7 @@ class PicClass(_Value):
     __slots__ = ("m", "n")
 
     def __init__(self, m: int, n: int):
-        set_m, set_n, set_key = self._setters
-        set_m(self, m)
-        set_n(self, n)
-        set_key(self, (m, n))
+        self._store(*_integers((m, n), "a class is two integers (m, n)"))
 
     def shifted(self, dm: int, dn: int) -> "PicClass":
         return PicClass(self.m + dm, self.n + dn)
@@ -70,7 +67,8 @@ ClassLike = Union[PicClass, Tuple[int, int]]
 
 def _class_ints(cls: ClassLike) -> Tuple[int, int]:
     """The class as (m, n): a tuple of two ints as it is, a ``PicClass`` as
-    its fields, anything else by the rule of ``_integers``."""
+    its fields (ints, read by the same rule when it was built), anything
+    else by the rule of ``_integers``."""
     if type(cls) is tuple and len(cls) == 2:
         m, n = cls
         if type(m) is int and type(n) is int:
@@ -94,20 +92,7 @@ class HirzebruchParams(_Value):
 
     def __init__(self, a: int, b: int, r: int, s: int, t: int, p: int,
                  q: int, u: int, v1: int, v2: int, C: int):
-        (set_a, set_b, set_r, set_s, set_t, set_p, set_q, set_u, set_v1,
-         set_v2, set_C, set_key) = self._setters
-        set_a(self, a)
-        set_b(self, b)
-        set_r(self, r)
-        set_s(self, s)
-        set_t(self, t)
-        set_p(self, p)
-        set_q(self, q)
-        set_u(self, u)
-        set_v1(self, v1)
-        set_v2(self, v2)
-        set_C(self, C)
-        set_key(self, (a, b, r, s, t, p, q, u, v1, v2, C))
+        self._store(a, b, r, s, t, p, q, u, v1, v2, C)
 
 
 def derive_params(a: int, b: int, r: int) -> HirzebruchParams:
@@ -146,16 +131,8 @@ class ChartData(_Value):
                  group_order: int, action_exponents: Tuple[int, int],
                  t_weights: Tuple[Tuple[int, int], Tuple[int, int]],
                  overlap_t_weights: Tuple[Tuple[int, int], Tuple[int, int]]):
-        (set_index, set_coordinates, set_group_order, set_action_exponents,
-         set_t_weights, set_overlap_t_weights, set_key) = self._setters
-        set_index(self, index)
-        set_coordinates(self, coordinates)
-        set_group_order(self, group_order)
-        set_action_exponents(self, action_exponents)
-        set_t_weights(self, t_weights)
-        set_overlap_t_weights(self, overlap_t_weights)
-        set_key(self, (index, coordinates, group_order,
-                       action_exponents, t_weights, overlap_t_weights))
+        self._store(index, coordinates, group_order, action_exponents,
+                    t_weights, overlap_t_weights)
 
 
 def chart_weight_tables(params: HirzebruchParams) -> Tuple[ChartData, ...]:
@@ -388,11 +365,7 @@ class InertiaComponent(_Value):
 
     def __init__(self, source: str, stabilizer_params: Tuple[int, ...],
                  dimension: int):
-        (set_source, set_stabilizer_params, set_dimension, set_key) = self._setters
-        set_source(self, source)
-        set_stabilizer_params(self, stabilizer_params)
-        set_dimension(self, dimension)
-        set_key(self, (source, stabilizer_params, dimension))
+        self._store(source, stabilizer_params, dimension)
 
 
 def inertia_components(params: HirzebruchParams) -> Tuple[InertiaComponent, ...]:

@@ -45,13 +45,12 @@ class _Value:
     """Base of the package's immutable value types.
 
     A subclass names its fields in ``__slots__`` and writes its own
-    ``__init__``: it validates its arguments, then stores each field and
-    last ``_key``, the tuple of the fields in slot order, through
-    ``_setters``.  Those are the slots' own setters, bound once per class;
-    they pass the refusing ``__setattr__`` and store faster than
-    ``object.__setattr__``.  Equality (same class only), the hash, pickling
-    and copying read ``_key``, and the default repr names every field.
-    Assigning or deleting an attribute raises AttributeError.
+    ``__init__``: it validates and normalizes its arguments, then calls
+    ``_store`` once with the fields in slot order.  ``_store`` keeps them,
+    and their tuple as ``_key``, through the slots' own setters, which pass
+    the refusing ``__setattr__``.  Equality (same class only), the hash,
+    pickling and copying read ``_key``, and the default repr names every
+    field.  Assigning or deleting an attribute raises AttributeError.
     """
 
     __slots__ = ("_key",)
@@ -60,6 +59,13 @@ class _Value:
         super().__init_subclass__(**kwargs)
         fields = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
         cls._setters = fields + (_Value._key.__set__,)
+
+    def _store(self, *fields):
+        """Store the fields, given in slot order, and their tuple as _key."""
+        setters = self._setters
+        for store, value in zip(setters, fields):
+            store(self, value)
+        setters[-1](self, fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -91,9 +97,7 @@ class IntMatrix(_Value):
     def __init__(self, rows: Tuple[Tuple[int, ...], ...]):
         if len(set(map(len, rows))) > 1:
             raise ValueError("ragged rows")
-        set_rows, set_key = self._setters
-        set_rows(self, rows)
-        set_key(self, (rows,))
+        self._store(rows)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
@@ -178,11 +182,7 @@ class SnfResult(_Value):
     __slots__ = ("U", "D", "V")
 
     def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix):
-        set_U, set_D, set_V, set_key = self._setters
-        set_U(self, U)
-        set_D(self, D)
-        set_V(self, V)
-        set_key(self, (U, D, V))
+        self._store(U, D, V)
 
     @property
     def diagonal(self) -> Tuple[int, ...]:
@@ -212,10 +212,7 @@ class AbelianGroupStructure(_Value):
                 raise ValueError("torsion factors must form a divisibility chain")
         if any(t < 2 for t in torsion):
             raise ValueError("torsion factors must exceed 1")
-        set_free_rank, set_torsion, set_key = self._setters
-        set_free_rank(self, free_rank)
-        set_torsion(self, torsion)
-        set_key(self, (free_rank, torsion))
+        self._store(free_rank, torsion)
 
     @property
     def order(self):

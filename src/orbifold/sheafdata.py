@@ -56,13 +56,7 @@ class EquivLineBundle(_Value):
 
     def __init__(self, b1: int, b2: int, b3: int, b4: int):
         grades = _integers((b1, b2, b3, b4), "gradings must be integers")
-        b1, b2, b3, b4 = grades
-        set_b1, set_b2, set_b3, set_b4, set_key = self._setters
-        set_b1(self, b1)
-        set_b2(self, b2)
-        set_b3(self, b3)
-        set_b4(self, b4)
-        set_key(self, grades)
+        self._store(*grades)
 
     def as_tuple(self) -> Tuple[int, int, int, int]:
         return (self.b1, self.b2, self.b3, self.b4)
@@ -185,12 +179,7 @@ class Rank2Datum(_Value):
         elif 0 in lam:
             raise ValueError("%s datum needs all jumps positive"
                              % incidence[0])
-        set_b1, set_b2, set_lam, set_incidence, set_key = self._setters
-        set_b1(self, b1)
-        set_b2(self, b2)
-        set_lam(self, lam)
-        set_incidence(self, incidence)
-        set_key(self, (b1, b2, lam, incidence))
+        self._store(b1, b2, lam, incidence)
 
 
 def stability_check(datum: Rank2Datum, params: HirzebruchParams) -> bool:
@@ -287,13 +276,7 @@ class PartitionQuadruple(_Value):
             if any(part[i] < part[i + 1] for i in range(len(part) - 1)):
                 raise ValueError("partition parts must be weakly decreasing")
             parts.append(part)
-        p1, p2, p3, p4 = key = tuple(parts)
-        set_p1, set_p2, set_p3, set_p4, set_key = self._setters
-        set_p1(self, p1)
-        set_p2(self, p2)
-        set_p3(self, p3)
-        set_p4(self, p4)
-        set_key(self, key)
+        self._store(*parts)
 
     def sizes(self) -> Tuple[int, int, int, int]:
         return (sum(self.p1), sum(self.p2), sum(self.p3), sum(self.p4))

@@ -62,10 +62,7 @@ class RayImage(_Value):
     def __init__(self, free: Tuple[int, ...], torsion: Tuple[int, ...] = ()):
         free = _integers(free, "ray coordinates must be integers")
         torsion = _integers(torsion, "torsion residues must be integers")
-        set_free, set_torsion, set_key = self._setters
-        set_free(self, free)
-        set_torsion(self, torsion)
-        set_key(self, (free, torsion))
+        self._store(free, torsion)
 
 
 class StackyFanData(_Value):
@@ -100,12 +97,7 @@ class StackyFanData(_Value):
             if idx and (idx[0] < 0 or idx[-1] >= len(images)):
                 raise ValueError("cone %r has a ray index out of range" % (cone,))
             cones.append(idx)
-        rays, max_cones = tuple(images), tuple(cones)
-        set_lattice, set_rays, set_max_cones, set_key = self._setters
-        set_lattice(self, lattice)
-        set_rays(self, rays)
-        set_max_cones(self, max_cones)
-        set_key(self, (lattice, rays, max_cones))
+        self._store(lattice, tuple(images), tuple(cones))
         self._validate_simplicial()
 
     def _validate_simplicial(self):

@@ -71,12 +71,7 @@ class CriterionResult(_Value):
     __slots__ = ("index", "name", "passed", "detail")
 
     def __init__(self, index: int, name: str, passed: bool, detail: str):
-        set_index, set_name, set_passed, set_detail, set_key = self._setters
-        set_index(self, index)
-        set_name(self, name)
-        set_passed(self, passed)
-        set_detail(self, detail)
-        set_key(self, (index, name, passed, detail))
+        self._store(index, name, passed, detail)
 
 
 # The crosscheck runs that criteria 1, 2, 9 and 10 read: surface, class,

@@ -1,7 +1,7 @@
 """Committed mutants of the derived loop limits, of the work skipped on
 the torsion-free path, of the integer Riemann-Roch forms and the sums
-they skip, of the class reader, of internal checks and of the polynomial
-constructor: the tests must kill each.
+they skip, of the class reader, of internal checks, of the polynomial
+constructor and of the value types' storing: the tests must kill each.
 
 Run from anywhere:  python tests/mutants.py
 
@@ -34,6 +34,7 @@ CLI = "src/orbifold/cli.py"
 GEOMETRY = "src/orbifold/geometry.py"
 STACKYFAN = "src/orbifold/stackyfan.py"
 EXACT = "src/orbifold/exact.py"
+INTLATTICE = "src/orbifold/intlattice.py"
 SETS = "tests/test_constraint_sets.py"
 SETS_DEEP = SETS + "::test_sets_match_per_candidate_loops"
 SETS_PAST = SETS + "::test_sets_add_nothing_past_their_limits"
@@ -49,6 +50,7 @@ TWICE = ("tests/test_geometry.py::test_doubled_rho_sum_closed_form",
          "tests/test_geometry.py::test_doubled_sum_refuses_a_non_integer")
 UNDER_O = ("tests/test_cli.py::"
            "test_failed_internal_check_is_one_line_exit_1_under_O")
+VALUES = ("tests/test_values.py",)
 
 
 class Row(NamedTuple):
@@ -216,6 +218,14 @@ ROWS = (
     Row("RatPoly untrimmed", EXACT,
         "coeffs = tuple(_trim([c if", "coeffs = tuple(([c if",
         ("tests/test_exact.py::test_ratpoly_keeps_coefficients_as_built",)),
+    # the value types' one storing path: a key short of the last field,
+    # and a class stored as given
+    Row("_store key one field short", INTLATTICE,
+        "setters[-1](self, fields)", "setters[-1](self, fields[:-1])",
+        VALUES),
+    Row("PicClass unchecked", GEOMETRY,
+        'self._store(*_integers((m, n), "a class is two integers (m, n)"))',
+        "self._store(m, n)", VALUES),
     # each closed-form set limit of the test one lower
     Row("set_limit quad", SETS,
         "return (4 * c * span + (step - 2) ** 2) // (4 * c * step)",

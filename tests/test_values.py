@@ -5,7 +5,8 @@ normal form), a second value of the class, and where the class has them,
 loose arguments that normalize to the same fields, a default construction
 and a refused one.  One parametrized test checks construction, validation,
 equality, the hash, the exact repr, immutability, ``copy.deepcopy`` and
-``pickle`` on every case.
+``pickle`` on every case, and another that the cases name every value
+type the package defines.
 """
 
 import copy
@@ -78,7 +79,8 @@ CASES = (
     Case(RatPoly, dict(coeffs=(Fraction(1), Fraction(1, 2))),
          "RatPoly(coeffs=(Fraction(1, 1), Fraction(1, 2)))",
          ((Fraction(1),),)),
-    Case(PicClass, dict(m=2, n=-3), "PicClass(m=2, n=-3)", (-3, 2)),
+    Case(PicClass, dict(m=2, n=-3), "PicClass(m=2, n=-3)", (-3, 2),
+         loose=(2.0, -3), refused=((0.5, 1), ValueError, "two integers")),
     Case(HirzebruchParams,
          dict(a=2, b=3, r=1, s=2, t=-1, p=1, q=1, u=1, v1=1, v2=1, C=10),
          "HirzebruchParams(a=2, b=3, r=1, s=2, t=-1, p=1, q=1, u=1, v1=1, "
@@ -135,7 +137,8 @@ def test_value_type_contract(case):
     assert cls(**case.fields) == x
     assert tuple(getattr(x, name) for name in case.fields) == fields
     if case.loose is not None:
-        assert cls(*case.loose) == x
+        loose = cls(*case.loose)
+        assert loose == x and repr(loose) == case.text  # 2 and 2.0 differ
     if case.defaults is not None:
         short, full = case.defaults
         assert cls(*short) == cls(*full)
@@ -168,6 +171,14 @@ def test_value_type_contract(case):
 
     for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
         assert type(twin) is cls and twin == x and repr(twin) == case.text
+
+
+def test_cases_cover_every_value_type():
+    # the command line imports every module, so every value type exists
+    import orbifold.cli
+    from orbifold.intlattice import _Value
+    assert sorted(c.cls.__name__ for c in CASES) == sorted(
+        cls.__name__ for cls in _Value.__subclasses__())
 
 
 def test_import_leaves_out_dataclasses_and_inspect():
