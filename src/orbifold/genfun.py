@@ -17,10 +17,12 @@ The rank-2 locally-free series is evaluated by four independent routes:
   constraint sets available when r = 0;
 * ``rank2_vb_closed_p12`` -- fully explicit nested sums for the (1,2;0)
   surface, one family of terms per first-Chern-class parity;
-* ``rank2_vb_lambda`` -- direct enumeration of ``sheafdata.Rank2Datum``
-  values over the eleven strata of ``sheafdata.STRATA``, walking only the
-  jumps inside the stratum's stability parts; each datum is checked by
-  ``stability_check`` and placed at its ``rank2_c1_chi``.
+* ``rank2_vb_lambda`` -- direct enumeration of the rank-2 data
+  (``sheafdata.Rank2Datum``) over the eleven strata of
+  ``sheafdata.STRATA``, walking only the jumps inside the stratum's
+  stability parts; each datum is checked on plain ints by the kernels
+  that ``stability_check`` and ``rank2_c1_chi`` wrap, ``sheafdata._stable``
+  and ``sheafdata._c1_chi4``, and placed at its Euler characteristic.
 
 Each engine's ``ENGINES`` row says how it lays out a window:
 ``Engine.window`` allocates one integer list, ``acc[e2 - lo2]`` for the
@@ -65,8 +67,7 @@ from .exact import HalfExpLaurent, monomial
 from .geometry import ClassLike, HirzebruchParams, _class_ints, \
     derive_params, modified_euler_characteristic
 from .intlattice import _Value, _integer
-from .sheafdata import STRATA, Rank2Datum, f4_exponent, rank2_c1_chi, \
-    stability_check
+from .sheafdata import STRATA, _c1_chi4, _stable, f4_exponent
 
 
 # The most doubled-exponent slots a window may span, from its highest
@@ -719,7 +720,7 @@ def rank2_vb_closed_p12(cls: ClassLike, min2exp: int) -> HalfExpLaurent:
 # stratum its cost-line slopes (d12, d14, d32, d34) and its rows
 # (c1, c3, k2, k4), one per stability part
 _LAMBDA_STRATA = tuple(
-    (incidence, stratum.weight, stratum.zero, stratum.corner,
+    (incidence, stratum,
      tuple(4 * (set(stratum.corner) == {x, c}) - 2
            for x in (1, 3) for c in (2, 4)),
      tuple(tuple(sign if k in part else -sign
@@ -796,13 +797,18 @@ def _lambda_counts(acc: List[int], params: HirzebruchParams, m: int, n: int,
     at l4 = l2 the bound is 4 l2 (1 - r l2) <= 0 <= D, so
     (B l2 - t)^2 >= disc and h > 0.  So no l4 below the start gets h > 0
     at the next l2.
-    Each datum is still checked: one that ``stability_check`` rejects, or
-    whose ``rank2_c1_chi`` lies below the window, raises ArithmeticError.
+    Each datum is still checked, on the loop's ints and with no object
+    built: one with a jump off the charts' lattice (a | l1, b | l3) or
+    zero jumps other than its stratum's, one that the stability kernel
+    ``sheafdata._stable`` rejects, or one whose Euler characteristic
+    (``sheafdata._c1_chi4``) lies below the window raises ArithmeticError.
     """
     a, b, r = params.a, params.b, params.r
     pq = params.p * params.q
     span = f4_exponent(params.C, r, m, n) - 2 * lo2
-    for incidence, weight, zero, corner, slopes, rows in _LAMBDA_STRATA:
+    for incidence, stratum, slopes, rows in _LAMBDA_STRATA:
+        weight, zero, parts, corner = stratum
+        positive = tuple(k != zero for k in range(1, 5))
         d12, d14, d32, d34 = slopes
         lo1, top1 = (0, 0) if zero == 1 else (a, M)
         lo3, top3 = (0, 0) if zero == 3 else (b, M)
@@ -865,21 +871,28 @@ def _lambda_counts(acc: List[int], params: HirzebruchParams, m: int, n: int,
                     for l3 in range(l3_lo + (-l3_lo) % b, l3_hi + 1, b):
                         if (m + l1 + l3 + r * l4) % 2:
                             continue
-                        datum = Rank2Datum(-(m + l1 + l3 + r * l4) // 2,
-                                           -(n + l2 + l4) // 2,
-                                           (l1, l2, l3, l4), incidence)
-                        # the loops walk the stability polygon and bound
-                        # Q by D
-                        if not stability_check(datum, params):
+                        lam = (l1, l2, l3, l4)
+                        # the loops keep to the charts' lattice and the
+                        # stratum's zero pattern, walk the stability
+                        # polygon and bound Q by D
+                        if (l1 % a or l3 % b
+                                or (l1 > 0, l2 > 0, l3 > 0, l4 > 0)
+                                != positive):
                             raise ArithmeticError(
-                                "unstable datum %r inside the stability "
-                                "polygon" % (datum,))
-                        _, chi = rank2_c1_chi(datum, params)
-                        if 2 * chi < lo2:
+                                "jumps %r off the lattice or zero pattern "
+                                "of %r" % (lam, incidence))
+                        if not _stable(lam, parts, params):
+                            raise ArithmeticError(
+                                "unstable datum %r of %r inside the "
+                                "stability polygon" % (lam, incidence))
+                        chi4 = _c1_chi4(-(m + l1 + l3 + r * l4) // 2,
+                                        -(n + l2 + l4) // 2, lam, stratum,
+                                        params)[2]
+                        if chi4 < 2 * lo2:
                             raise ArithmeticError(
                                 "stable datum at q^%d lies below the "
-                                "window" % chi)
-                        acc[2 * chi - lo2] += weight
+                                "window" % (chi4 // 4))
+                        acc[chi4 // 2 - lo2] += weight
 
 
 def _lambda_box(params: HirzebruchParams, m: int, n: int,
@@ -913,14 +926,15 @@ def rank2_vb_lambda(params: HirzebruchParams, cls: ClassLike,
 
     Walks the strata of ``sheafdata.STRATA`` and, inside the box, only the
     jumps that satisfy the stratum's stability parts and reach the window
-    (see ``_lambda_counts``); it builds a ``Rank2Datum`` of the class for
-    each, raises ArithmeticError if ``stability_check`` rejects it (the
-    walk proves it stable), and adds the stratum's Euler weight at the
-    exponent ``rank2_c1_chi`` gives it.  One object per datum makes it the
-    slowest engine: on (1,2;0), class (0,0), it took 0.21-0.31 /
-    0.71-1.16 / 4.07-4.71 / 14.8-17.0 s to q^-128 / -256 / -512 / -1024
-    (two runs each, Python 3.11.7, 2 vCPUs), so ``crosscheck`` runs it only
-    on request.  ``MAX_WINDOW_SLOTS`` caps its memory, not its time.
+    (see ``_lambda_counts``).  It checks each datum of the class on
+    plain ints through the kernels of ``stability_check`` and
+    ``rank2_c1_chi``, raising ArithmeticError if one fails (the walk proves
+    that none does), and adds the stratum's Euler weight at the datum's
+    exponent.  One visit per datum still makes it the slowest engine: on
+    (1,2;0), class (0,0), it took 0.07-0.08 / 0.24-0.27 / 0.92-0.99 /
+    3.55-3.65 s to q^-128 / -256 / -512 / -1024 (two runs each, Python
+    3.11.7, 2 vCPUs), so ``crosscheck`` runs it only on request.
+    ``MAX_WINDOW_SLOTS`` caps its memory, not its time.
     """
     return _enumerate("lambda", params, cls, min2exp)
 

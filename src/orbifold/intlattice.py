@@ -26,11 +26,14 @@ __all__ = [
 
 def _integers(values: Iterable, message: str,
               length: Optional[int] = None) -> Tuple[int, ...]:
-    """The values as ints; ValueError(message) unless each is integral
-    (2.0 becomes 2; 2.5 and "2" are refused) and, given ``length``, there
-    are that many."""
-    values = tuple(values)
-    ints = tuple(map(int, values))
+    """The values as ints; ValueError(message) unless they are iterable
+    and each is integral (2.0 becomes 2; 2.5, "2", None and infinity are
+    refused) and, given ``length``, there are that many."""
+    try:
+        values = tuple(values)
+        ints = tuple(map(int, values))
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(message) from None
     if ints != values or length not in (None, len(ints)):
         raise ValueError(message)
     return ints

@@ -182,6 +182,19 @@ class Rank2Datum(_Value):
         self._store(b1, b2, lam, incidence)
 
 
+def _stable(lam: Sequence[int], parts: Tuple[Tuple[int, int], ...],
+            params: HirzebruchParams) -> bool:
+    """The slope rule on the jumps lam over a stratum's parts (see
+    ``stability_check``), on ints already checked."""
+    pq = params.p * params.q
+    w = (0, lam[0], pq * lam[1], lam[2], (params.r + pq) * lam[3])
+    total = sum(w)
+    for i, j in parts:
+        if 2 * (w[i] + w[j]) >= total:
+            return False
+    return True
+
+
 def stability_check(datum: Rank2Datum, params: HirzebruchParams) -> bool:
     """Slope stability of the datum: every part weighs less than half the sum.
 
@@ -190,14 +203,8 @@ def stability_check(datum: Rank2Datum, params: HirzebruchParams) -> bool:
     whose inequality 0 < sum follows from the other three (they add up to
     sum > 0), so its rule is the triangle inequalities on the other three.
     """
-    lam, pq = datum.lam, params.p * params.q
-    _require_divisibility(lam, params)
-    w = (0, lam[0], pq * lam[1], lam[2], (params.r + pq) * lam[3])
-    total = sum(w)
-    for i, j in STRATA[datum.incidence].parts:
-        if 2 * (w[i] + w[j]) >= total:
-            return False
-    return True
+    _require_divisibility(datum.lam, params)
+    return _stable(datum.lam, STRATA[datum.incidence].parts, params)
 
 
 def euler_weight(incidence: Incidence) -> int:
@@ -246,18 +253,27 @@ def rank2_chi_exponent(params: HirzebruchParams, cls: ClassLike,
     return Fraction(_rank2_chi4(params, m, n, *lam), 4)
 
 
+def _c1_chi4(b1: int, b2: int, lam: Sequence[int], stratum: Stratum,
+             params: HirzebruchParams) -> Tuple[int, int, int]:
+    """(m, n, 4 chi) of the datum (b1, b2, lam) on the stratum, on ints
+    already checked; ArithmeticError if chi is not an integer."""
+    l1, l2, l3, l4 = lam
+    m = -(2 * b1 + l1 + l3 + l4 * params.r)
+    n = -(2 * b2 + l2 + l4)
+    chi4 = (_rank2_chi4(params, m, n, l1, l2, l3, l4)
+            + 4 * stratum.restored(lam))
+    if chi4 % 4:
+        raise ArithmeticError("rank-2 Euler characteristic came out "
+                              "non-integral: %s" % Fraction(chi4, 4))
+    return m, n, chi4
+
+
 def rank2_c1_chi(datum: Rank2Datum,
                  params: HirzebruchParams) -> Tuple[PicClass, int]:
     """First Chern class and modified Euler characteristic of the datum."""
     _require_divisibility(datum.lam, params)
-    l1, l2, l3, l4 = datum.lam
-    m = -(2 * datum.b1 + l1 + l3 + l4 * params.r)
-    n = -(2 * datum.b2 + l2 + l4)
-    chi4 = (_rank2_chi4(params, m, n, l1, l2, l3, l4)
-            + 4 * STRATA[datum.incidence].restored(datum.lam))
-    if chi4 % 4:
-        raise ArithmeticError("rank-2 Euler characteristic came out "
-                              "non-integral: %s" % Fraction(chi4, 4))
+    m, n, chi4 = _c1_chi4(datum.b1, datum.b2, datum.lam,
+                          STRATA[datum.incidence], params)
     return PicClass(m, n), chi4 // 4
 
 

@@ -35,6 +35,7 @@ GEOMETRY = "src/orbifold/geometry.py"
 STACKYFAN = "src/orbifold/stackyfan.py"
 EXACT = "src/orbifold/exact.py"
 INTLATTICE = "src/orbifold/intlattice.py"
+SHEAFDATA = "src/orbifold/sheafdata.py"
 SETS = "tests/test_constraint_sets.py"
 SETS_DEEP = SETS + "::test_sets_match_per_candidate_loops"
 SETS_PAST = SETS + "::test_sets_add_nothing_past_their_limits"
@@ -160,12 +161,32 @@ ROWS = (
         "if 2 * ab * j * j + 2 * j > cap:",
         "if 2 * ab * (j + 2) ** 2 + 2 * (j + 2) > cap:", (R0_PINS,)),
     # lambda's stability rows one unit tighter (drops stable data) and
-    # looser (admits unstable data, which ``stability_check`` rejects)
+    # looser (admits unstable data, which the kernel ``_stable`` rejects)
     Row("_lambda_counts row tighter", GENFUN,
         "h = k2 * w2 + k4 * w4 - 1", "h = k2 * w2 + k4 * w4 - 2",
         (LAMBDA_PINS,)),
     Row("_lambda_counts row looser", GENFUN,
         "h = k2 * w2 + k4 * w4 - 1", "h = k2 * w2 + k4 * w4", (LAMBDA_PINS,)),
+    # the stability kernel takes a part of exactly half the weight as
+    # stable, and lambda drops its per-datum checks one at a time
+    Row("_stable boundary", SHEAFDATA,
+        "if 2 * (w[i] + w[j]) >= total:", "if 2 * (w[i] + w[j]) > total:",
+        ("tests/test_sheafdata.py::"
+         "test_stability_type1_matches_explicit_system",
+         "tests/test_sheafdata.py::test_stability_type3_displayed_system")),
+    Row("lambda stability unchecked", GENFUN,
+        "if not _stable(lam, parts, params):", "if False:",
+        ("tests/test_engine_windows.py::"
+         "test_lambda_raises_on_an_unstable_datum",)),
+    Row("lambda zero pattern unchecked", GENFUN,
+        "or (l1 > 0, l2 > 0, l3 > 0, l4 > 0)\n"
+        "                                != positive):", "):",
+        ("tests/test_engine_windows.py::"
+         "test_lambda_raises_on_a_datum_off_its_zero_pattern",)),
+    Row("lambda window unchecked", GENFUN,
+        "if chi4 < 2 * lo2:", "if False:",
+        ("tests/test_engine_windows.py::"
+         "test_lambda_raises_on_a_datum_below_the_window",)),
     # vb_to_tf runs only the chain at even offsets from the top, and a
     # leaf's path parsers lose the names of their siblings
     Row("vb_to_tf second parity chain", GENFUN,
@@ -206,6 +227,11 @@ ROWS = (
         "if type(m) is int and type(n) is int:", "if True:",
         ("tests/test_geometry.py::"
          "test_class_refuses_non_integral_coordinates",)),
+    # the class reader lets a value that ``int`` rejects raise its own error
+    Row("_integers catches ValueError only", INTLATTICE,
+        "except (TypeError, ValueError, OverflowError):", "except ValueError:",
+        ("tests/test_geometry.py::"
+         "test_class_refuses_what_tuple_or_int_rejects",)),
     # an internal check dropped: the failure it reports goes unseen
     Row("hirzebruch_fan cokernel unchecked", STACKYFAN,
         "rays, cones)\n    _require_finite_cokernel(fan)\n    return fan\n\n\n"

@@ -22,7 +22,8 @@ def stable_data(params, m, n, lo2, M):
     pq = params.p * params.q
     span = f4_exponent(params.C, r, m, n) - 2 * lo2
     found = []
-    for incidence, weight, zero, corner, slopes, rows in _LAMBDA_STRATA:
+    for incidence, stratum, slopes, rows in _LAMBDA_STRATA:
+        weight, zero, corner = stratum.weight, stratum.zero, stratum.corner
         d12, d14, d32, d34 = slopes
         lo1, top1 = (0, 0) if zero == 1 else (a, M)
         lo3, top3 = (0, 0) if zero == 3 else (b, M)

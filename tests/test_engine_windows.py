@@ -11,7 +11,7 @@ against these recorded values; the caps check that ``counts`` still caps
 every index.  The closed engine, which covers only the (1,2;0) surface,
 has one digest over its four classes, a run of cutoffs and a few caps.
 Three more checks need no recorded values: lambda builds only stable data
-on its grid, its loop that steps through every l4 (``reference_lambda``)
+on its grid (and raises on a datum its per-datum checks reject), its loop that steps through every l4 (``reference_lambda``)
 finds no datum below the derived l4 start or past the derived l2 end, and
 lambda agrees with csets (and r0 where r = 0) on the csets grid.
 """
@@ -183,15 +183,16 @@ def test_engine_windows_match_pins(engine):
 
 def test_lambda_builds_only_stable_data(monkeypatch):
     # the lambda loops walk the stability polygon, so every datum they build
-    # passes ``stability_check``; the count is that of the stable data
+    # passes the stability kernel ``sheafdata._stable``; the count is that
+    # of the stable data
     verdicts = []
-    check = genfun.stability_check
+    check = genfun._stable
 
-    def counted(datum, params):
-        verdicts.append(check(datum, params))
+    def counted(lam, parts, params):
+        verdicts.append(check(lam, parts, params))
         return verdicts[-1]
 
-    monkeypatch.setattr(genfun, "stability_check", counted)
+    monkeypatch.setattr(genfun, "_stable", counted)
     for abr in SURFACES["lambda"]:
         surface_digest("lambda", abr)
     assert len(verdicts) == 6586
@@ -199,19 +200,41 @@ def test_lambda_builds_only_stable_data(monkeypatch):
 
 
 def test_lambda_raises_on_an_unstable_datum(monkeypatch):
-    # a datum that ``stability_check`` rejects is an error in the walk, not
+    # a datum that the stability kernel rejects is an error in the walk, not
     # a datum to drop
     verdicts = []
-    check = genfun.stability_check
+    check = genfun._stable
 
-    def second_rejected(datum, params):
-        verdicts.append(len(verdicts) != 1 and check(datum, params))
+    def second_rejected(lam, parts, params):
+        verdicts.append(len(verdicts) != 1 and check(lam, parts, params))
         return verdicts[-1]
 
-    monkeypatch.setattr(genfun, "stability_check", second_rejected)
+    monkeypatch.setattr(genfun, "_stable", second_rejected)
     with pytest.raises(ArithmeticError, match="unstable datum"):
         genfun.rank2_vb_lambda(derive_params(1, 2, 0), (0, 0), -8)
     assert verdicts == [True, False]
+
+
+def test_lambda_raises_on_a_datum_below_the_window(monkeypatch):
+    # the loops bound each datum's cost by the window's depth, so a chi
+    # below the window is an error in the walk
+    kernel = genfun._c1_chi4
+
+    def sunk(b1, b2, lam, stratum, params):
+        m, n, chi4 = kernel(b1, b2, lam, stratum, params)
+        return m, n, chi4 - 400
+
+    monkeypatch.setattr(genfun, "_c1_chi4", sunk)
+    with pytest.raises(ArithmeticError, match="below the window"):
+        genfun.rank2_vb_lambda(derive_params(1, 2, 0), (0, 0), -8)
+
+
+def test_lambda_raises_on_a_datum_off_its_zero_pattern(monkeypatch):
+    # an l4 loop that starts at 0 on a stratum whose jumps are all positive
+    # builds data that ``STRATA`` does not put on that stratum
+    monkeypatch.setattr(genfun, "_lambda_l4_start", lambda *args: 0)
+    with pytest.raises(ArithmeticError, match="zero pattern"):
+        genfun.rank2_vb_lambda(derive_params(1, 2, 0), (0, 0), -8)
 
 
 def l2_end(corner, pq, r, span, cap):

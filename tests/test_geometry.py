@@ -113,6 +113,18 @@ def test_class_refuses_non_integral_coordinates(name):
         assert call(same) == want, same
 
 
+def test_class_refuses_what_tuple_or_int_rejects():
+    """A class that ``tuple`` or ``int`` rejects is refused with the class
+    message, not with their own TypeError or ValueError."""
+    message = r"^a class is two integers \(m, n\)$"
+    for bad in (5, (None, 1), ([1], 1), ("x", 1), (float("inf"), 1)):
+        with pytest.raises(ValueError, match=message):
+            euler_characteristic(_P120, bad)
+        if bad != 5:
+            with pytest.raises(ValueError, match=message):
+                PicClass(*bad)
+
+
 def test_class_hits_build_no_pic_class(monkeypatch):
     """On a tuple of ints, chi and both Hilbert polynomials build no
     PicClass, once their sums are cached."""
