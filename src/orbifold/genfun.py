@@ -20,7 +20,8 @@ The rank-2 locally-free series is evaluated by four independent routes:
 * ``rank2_vb_lambda`` -- direct enumeration of the rank-2 data
   (``sheafdata.Rank2Datum``) over the eleven strata of
   ``sheafdata.STRATA``, walking only the jumps inside the stratum's
-  stability parts; each datum is checked on plain ints by the kernels
+  stability parts, and at r = 0 one side of the mirror that swaps l2 and
+  l4; each datum walked is checked on plain ints by the kernels
   that ``stability_check`` and ``rank2_c1_chi`` wrap, ``sheafdata._stable``
   and ``sheafdata._c1_chi4``, and placed at its Euler characteristic.
 
@@ -716,16 +717,31 @@ def rank2_vb_closed_p12(cls: ClassLike, min2exp: int) -> HalfExpLaurent:
 # engine: lambda (direct enumeration of rank-2 data)
 # ---------------------------------------------------------------------------
 
+# the mirror of a corner: corners 2 and 4 swapped (see ``_lambda_counts``)
+_MIRROR = {1: 1, 2: 4, 3: 3, 4: 2}
+
+
+def _mirror_fold(incidence) -> int:
+    """How many strata the stratum counts for at r = 0: 2 if it comes before
+    its mirror (corners 2 and 4 swapped) in ``STRATA``, 0 if after, and 1 if
+    it is its own mirror."""
+    keys = list(STRATA)
+    mirror = (incidence[0],) + tuple(sorted(_MIRROR[k] for k in incidence[1:]))
+    i, j = keys.index(incidence), keys.index(mirror)
+    return 1 + (j > i) - (j < i)
+
+
 # ``sheafdata.STRATA`` as ``_lambda_counts`` reads it, built once: per
-# stratum its cost-line slopes (d12, d14, d32, d34) and its rows
-# (c1, c3, k2, k4), one per stability part
+# stratum its cost-line slopes (d12, d14, d32, d34), its rows
+# (c1, c3, k2, k4), one per stability part, and its mirror fold
 _LAMBDA_STRATA = tuple(
     (incidence, stratum,
      tuple(4 * (set(stratum.corner) == {x, c}) - 2
            for x in (1, 3) for c in (2, 4)),
      tuple(tuple(sign if k in part else -sign
                  for k, sign in ((1, 1), (3, 1), (2, -1), (4, -1)))
-           for part in stratum.parts))
+           for part in stratum.parts),
+     _mirror_fold(incidence))
     for incidence, stratum in STRATA.items())
 
 
@@ -764,11 +780,16 @@ def _lambda_counts(acc: List[int], params: HirzebruchParams, m: int, n: int,
     upper one of another slope into a cut g l1 + h >= 0.  With the cost line
     paired with the limits on the side d3 pushes against, the cuts give the
     l1 interval, and each l1 its l3 interval, so every datum built is
-    stable and in the window.  A slice is skipped when its least stable
-    cost q_min exceeds D: q_min = 2 (l2 + l4) max(lo1 + lo3, |W2 - W4| + 1)
-    + r (l2^2 - l4^2) without a restored corner (l1 + l3 > |W2 - W4| on
-    every such stratum), q_min = 2 (l2 + l4) + (r + 2pq)(l4 - l2)^2 with
-    one (see ``_lambda_box``).
+    stable and in the window.  The class fixes b1 = -(m + l1 + l3 + r l4)/2,
+    so l1 + l3 = m + r l4 (mod 2).  As a and b are coprime, one of them is
+    odd: if b is, l3 = b x has the parity of x, and the l3 loop steps by 2b
+    from the class b ((m + r l4 + l1) mod 2); else l3 is even and a odd, and
+    the l1 loop steps by 2a from a ((m + r l4) mod 2).  A slice is skipped
+    when its least stable cost q_min exceeds D:
+    q_min = 2 (l2 + l4) max(lo1 + lo3, |W2 - W4| + 1) + r (l2^2 - l4^2)
+    without a restored corner (l1 + l3 > |W2 - W4| on every such stratum),
+    q_min = 2 (l2 + l4) + (r + 2pq)(l4 - l2)^2 with one (see
+    ``_lambda_box``).
     The l4 loop starts at ``_lambda_l4_start``.  With a corner, q_min falls
     as l4 rises to l2: in y = l2 - l4 >= 1 its slope 2 (r + 2pq) y - 2 is
     positive.  So q_min <= D iff y <= (1 + sqrt(1 + (r + 2pq)(D - 4 l2)))
@@ -778,11 +799,15 @@ def _lambda_counts(acc: List[int], params: HirzebruchParams, m: int, n: int,
     - B l4) is negative for every l4 >= 1.  So that bound, and with it
     q_min, exceeds D at every l4 >= 1 below (1 - r l2 + sqrt(disc)) / B,
     disc = (1 - r l2)^2 - B (D - A l2); if disc < 0 the loop starts at 1.
-    Once l4 >= l2 the l4 loop ends at the first slice past D of a bound
-    rising with l4: the corner one itself, and otherwise, as W4 >= W2 there,
-    2 (l2 + l4)(W4 - W2 + 1) + r (l2^2 - l4^2)
-    = (l2 + l4)(r (l2 + l4) + 2pq (l4 - l2) + 2).
-    Where l4 does not vanish, the l2 loop ends at the first l2 whose l4
+    The l4 loop ends at the first slice past D of a bound rising with l4.
+    With a corner, that is q_min itself once l4 >= l2.  Without one, once
+    W4 >= W2, it is 2 (l2 + l4)(W4 - W2 + 1) + r (l2^2 - l4^2)
+    = (l2 + l4) g, g = r (l2 + l4) + 2pq (l4 - l2) + 2: g rises with l4,
+    and g > 0 there, as pq (l4 - l2) >= -r l4 gives g >= r (l2 - l4) + 2,
+    positive when l4 <= l2 (and g > 2 when l4 > l2).
+    Where l4 vanishes (type2,4), q_min = 2 l2 max(lo1 + lo3, W2 + 1)
+    + r l2^2 rises with l2, so the l2 loop ends at the first l2 past D.
+    Elsewhere it ends at the first l2 whose l4
     range is empty, start > top4 = min(M, D/2 - l2): top4 falls as l2
     rises and the start never does, so every later range is empty too.
     With a corner, the start is l2 less (1 + isqrt(disc)) // (r + 2pq),
@@ -797,26 +822,61 @@ def _lambda_counts(acc: List[int], params: HirzebruchParams, m: int, n: int,
     at l4 = l2 the bound is 4 l2 (1 - r l2) <= 0 <= D, so
     (B l2 - t)^2 >= disc and h > 0.  So no l4 below the start gets h > 0
     at the next l2.
-    Each datum is still checked, on the loop's ints and with no object
-    built: one with a jump off the charts' lattice (a | l1, b | l3) or
-    zero jumps other than its stratum's, one that the stability kernel
-    ``sheafdata._stable`` rejects, or one whose Euler characteristic
-    (``sheafdata._c1_chi4``) lies below the window raises ArithmeticError.
+    Mirror at r = 0.  The weights are then (l1, pq l2, l3, pq l4), and the
+    swap s of l2 and l4 together with corners 2 and 4 carries each datum
+    of a stratum S that the walk finds one-to-one onto one of the mirror
+    stratum S' (``_MIRROR``), at the same exponent and Euler weight:
+    - the swap maps S's parts onto those of S' and the weights as it maps
+      the corners, so every part keeps its weight and the datum its
+      stability; it maps S's zero jump onto that of S', and it fixes l1
+      and l3, so the lattice a | l1, b | l3;
+    - m = -(2 b1 + l1 + l3) and n = -(2 b2 + l2 + l4) are symmetric in
+      l2 and l4, so the datum keeps b1, b2 and its class, and so is
+      4 chi = f4 - 2 (l2 + l4)(l1 + l3) + 4 (restored corner): the swap
+      keeps the cycle 1-2-3-4, so S' restores the product of the same two
+      jumps if S restores one, and every type2 and type3 stratum weighs 1;
+    - the walk finds on a stratum every such datum with jumps up to M and
+      Q <= D, limits symmetric in l2 and l4 (l2 + l4 <= D/2 too).
+    So at r = 0 the walk counts the first stratum of each mirror pair in
+    ``STRATA`` (type2,2 and type2,4; type3,1,2 and type3,1,4; type3,2,3
+    and type3,3,4) at twice its weight and skips the second.  On the
+    strata that are their own mirrors (type1, type2,1, type2,3, type3,1,3,
+    type3,2,4; none restores a corner) s pairs each datum with l4 > l2 with
+    one with l4 < l2 and fixes those with l4 = l2: the l4 loop starts at
+    max(start, l2) and adds twice the weight when l4 > l2, once when
+    l4 = l2.  The l2 loop still ends at the first empty l4 range: once
+    l2 > top4, every later l2 exceeds its top4 too.
+    Each walked datum is still checked, on the loop's ints and with no
+    object built: one with a jump off the charts' lattice (a | l1, b | l3),
+    off the class parity or with zero jumps other than its stratum's, one
+    that the stability kernel ``sheafdata._stable`` rejects, or one whose
+    Euler characteristic (``sheafdata._c1_chi4``) lies below the window
+    raises ArithmeticError.
     """
     a, b, r = params.a, params.b, params.r
     pq = params.p * params.q
     span = f4_exponent(params.C, r, m, n) - 2 * lo2
-    for incidence, stratum, slopes, rows in _LAMBDA_STRATA:
+    # the odd one of a and b steps through the class parity
+    step1, step3 = (a, 2 * b) if b % 2 else (2 * a, b)
+    for incidence, stratum, slopes, rows, fold in _LAMBDA_STRATA:
+        if not (r or fold):
+            continue  # its mirror stratum counts its data
         weight, zero, parts, corner = stratum
+        twice = weight if r else 2 * weight
+        halved = not r and fold == 1  # walks only l4 >= l2
         positive = tuple(k != zero for k in range(1, 5))
         d12, d14, d32, d34 = slopes
         lo1, top1 = (0, 0) if zero == 1 else (a, M)
         lo3, top3 = (0, 0) if zero == 3 else (b, M)
         for l2 in (0,) if zero == 2 else range(1, M + 1):
             if zero == 4:
+                if 2 * l2 * max(lo1 + lo3, pq * l2 + 1) + r * l2 * l2 > span:
+                    break  # q_min rises with l2
                 lo4 = top4 = 0
             else:
                 lo4 = _lambda_l4_start(corner, l2, pq, r, span)
+                if halved:
+                    lo4 = max(lo4, l2)
                 top4 = min(M, span // 2 - l2)
                 if lo4 > top4:
                     break  # and at every larger l2
@@ -824,17 +884,20 @@ def _lambda_counts(acc: List[int], params: HirzebruchParams, m: int, n: int,
                 w2, w4 = pq * l2, (r + pq) * l4
                 rl = r * (l2 * l2 - l4 * l4)
                 if corner:
-                    q_min = rising = (2 * (l2 + l4)
-                                      + (r + 2 * pq) * (l4 - l2) ** 2)
+                    q_min = 2 * (l2 + l4) + (r + 2 * pq) * (l4 - l2) ** 2
+                    if l4 >= l2 and q_min > span:
+                        break
                 else:
                     q_min = 2 * (l2 + l4) * max(lo1 + lo3,
                                                 abs(w2 - w4) + 1) + rl
-                    rising = (l2 + l4) * (r * (l2 + l4)
-                                          + 2 * pq * (l4 - l2) + 2)
-                if l4 >= l2 and rising > span:
-                    break
+                    if w4 >= w2 and (l2 + l4) * (
+                            r * (l2 + l4) + 2 * pq * (l4 - l2) + 2) > span:
+                        break
                 if q_min > span:
                     continue
+                add = weight if halved and l4 == l2 else twice
+                ml4 = m + r * l4
+                par = ml4 % 2
                 e0 = span - rl
                 d1, d3 = d12 * l2 + d14 * l4, d32 * l2 + d34 * l4
                 # each l3 limit as (s, k): l3 >= s l1 + k or l3 <= s l1 + k
@@ -860,7 +923,8 @@ def _lambda_counts(acc: List[int], params: HirzebruchParams, m: int, n: int,
                         l1_lo = -(h // g)
                     elif g < 0 and h // -g < l1_hi:
                         l1_hi = h // -g
-                for l1 in range(l1_lo + (-l1_lo) % a, l1_hi + 1, a):
+                for l1 in range(l1_lo + (a * par - l1_lo) % step1,
+                                l1_hi + 1, step1):
                     rest = e0 + d1 * l1
                     l3_lo = max([s * l1 + k for s, k in low_k])
                     l3_hi = min([s * l1 + k for s, k in high_k])
@@ -868,31 +932,31 @@ def _lambda_counts(acc: List[int], params: HirzebruchParams, m: int, n: int,
                         l3_hi = min(l3_hi, rest // -d3)
                     elif d3 > 0:
                         l3_lo = max(l3_lo, -(rest // d3))
-                    for l3 in range(l3_lo + (-l3_lo) % b, l3_hi + 1, b):
-                        if (m + l1 + l3 + r * l4) % 2:
-                            continue
+                    for l3 in range(
+                            l3_lo + (b * ((par + l1) % 2) - l3_lo) % step3,
+                            l3_hi + 1, step3):
                         lam = (l1, l2, l3, l4)
-                        # the loops keep to the charts' lattice and the
-                        # stratum's zero pattern, walk the stability
-                        # polygon and bound Q by D
-                        if (l1 % a or l3 % b
+                        # the loops keep to the charts' lattice, the class
+                        # parity and the stratum's zero pattern, walk the
+                        # stability polygon and bound Q by D
+                        if ((ml4 + l1 + l3) % 2 or l1 % a or l3 % b
                                 or (l1 > 0, l2 > 0, l3 > 0, l4 > 0)
                                 != positive):
                             raise ArithmeticError(
-                                "jumps %r off the lattice or zero pattern "
-                                "of %r" % (lam, incidence))
+                                "jumps %r off the lattice, class parity or "
+                                "zero pattern of %r" % (lam, incidence))
                         if not _stable(lam, parts, params):
                             raise ArithmeticError(
                                 "unstable datum %r of %r inside the "
                                 "stability polygon" % (lam, incidence))
-                        chi4 = _c1_chi4(-(m + l1 + l3 + r * l4) // 2,
+                        chi4 = _c1_chi4(-(ml4 + l1 + l3) // 2,
                                         -(n + l2 + l4) // 2, lam, stratum,
                                         params)[2]
                         if chi4 < 2 * lo2:
                             raise ArithmeticError(
                                 "stable datum at q^%d lies below the "
                                 "window" % (chi4 // 4))
-                        acc[chi4 // 2 - lo2] += weight
+                        acc[chi4 // 2 - lo2] += add
 
 
 def _lambda_box(params: HirzebruchParams, m: int, n: int,
@@ -925,16 +989,21 @@ def rank2_vb_lambda(params: HirzebruchParams, cls: ClassLike,
     """Experimental rank-2 engine summing over stable filtration jumps.
 
     Walks the strata of ``sheafdata.STRATA`` and, inside the box, only the
-    jumps that satisfy the stratum's stability parts and reach the window
-    (see ``_lambda_counts``).  It checks each datum of the class on
-    plain ints through the kernels of ``stability_check`` and
+    jumps of the class's parity that satisfy the stratum's stability parts
+    and reach the window (see ``_lambda_counts``).  It checks each datum it
+    walks on plain ints through the kernels of ``stability_check`` and
     ``rank2_c1_chi``, raising ArithmeticError if one fails (the walk proves
     that none does), and adds the stratum's Euler weight at the datum's
-    exponent.  One visit per datum still makes it the slowest engine: on
-    (1,2;0), class (0,0), it took 0.07-0.08 / 0.24-0.27 / 0.92-0.99 /
-    3.55-3.65 s to q^-128 / -256 / -512 / -1024 (two runs each, Python
-    3.11.7, 2 vCPUs), so ``crosscheck`` runs it only on request.
-    ``MAX_WINDOW_SLOTS`` caps its memory, not its time.
+    exponent.  At r = 0 it walks about half the data: swapping l2 with l4
+    and corner 2 with corner 4 maps the data one-to-one onto themselves at
+    the same exponent and weight (proved in ``_lambda_counts``), so it
+    walks one stratum of each mirror pair, and l4 >= l2 on a stratum that
+    is its own mirror, and counts the other half through that mirror
+    rather than visiting it.  One visit per walked datum still makes it the
+    slowest engine: on (1,2;0), class (0,0), it took 0.029-0.030 /
+    0.10-0.13 / 0.36-0.46 / 1.45-1.56 s to q^-128 / -256 / -512 / -1024
+    (four runs each, Python 3.11.7, 2 vCPUs), so ``crosscheck`` runs it
+    only on request.  ``MAX_WINDOW_SLOTS`` caps its memory, not its time.
     """
     return _enumerate("lambda", params, cls, min2exp)
 

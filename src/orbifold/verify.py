@@ -103,7 +103,10 @@ def criterion_1(reports) -> CriterionResult:
 
     An override needs csets, r0, closed and lambda to agree; lambda counts
     the stable data themselves, so it is the one route that is not a
-    transcription of the constraint sets.
+    transcription of the constraint sets.  It checks each datum it walks
+    (stable, on its lattice and zero pattern, in the window); on this
+    untwisted surface it walks about half of them and counts the rest
+    through the mirror that swaps l2 and l4, which its docstring proves.
     """
     triples = _windows_120(reports)
     p120 = derive_params(1, 2, 0)

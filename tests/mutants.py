@@ -1,7 +1,8 @@
 """Committed mutants of the derived loop limits, of the work skipped on
 the torsion-free path, of the integer Riemann-Roch forms and the sums
-they skip, of the class reader, of internal checks, of the polynomial
-constructor and of the value types' storing: the tests must kill each.
+they skip, of lambda's mirror weights and parity classes, of the class
+reader, of internal checks, of the polynomial constructor and of the
+value types' storing: the tests must kill each.
 
 Run from anywhere:  python tests/mutants.py
 
@@ -112,6 +113,33 @@ ROWS = (
     # lambda's l2 loop ends one l2 early
     Row("_lambda_counts l2 end", GENFUN,
         "if lo4 > top4:", "if lo4 >= top4:", (LAMBDA_PINS,)),
+    # lambda's W4 >= W2 end and its type2,4 l2 end one step early
+    Row("_lambda_counts W4 end", GENFUN,
+        "if w4 >= w2 and (l2 + l4) * (\n"
+        "                            r * (l2 + l4) + 2 * pq * (l4 - l2) + 2)",
+        "if w4 >= w2 and (l2 + l4 + 2) * (\n"
+        "                            r * (l2 + l4 + 2) + 2 * pq * (l4 + 2 - l2)"
+        " + 2)", (LAMBDA_PINS,)),
+    Row("_lambda_counts type2,4 l2 end", GENFUN,
+        "if 2 * l2 * max(lo1 + lo3, pq * l2 + 1) + r * l2 * l2 > span:",
+        "if 2 * (l2 + 1) * max(lo1 + lo3, pq * (l2 + 1) + 1)"
+        " + r * (l2 + 1) ** 2 > span:",
+        (LAMBDA_PINS,)),
+    # lambda's mirror at r = 0: a pair's weight, the self-mirrored strata's
+    # l4 clamp and diagonal weight, and the parity classes of l1 and l3
+    Row("lambda mirror weight", GENFUN,
+        "twice = weight if r else 2 * weight", "twice = weight",
+        (LAMBDA_PINS,)),
+    Row("lambda self-mirror clamp", GENFUN,
+        "lo4 = max(lo4, l2)", "lo4 = max(lo4, l2 + 1)", (LAMBDA_PINS,)),
+    Row("lambda diagonal weight doubled", GENFUN,
+        "add = weight if halved and l4 == l2 else twice", "add = twice",
+        (LAMBDA_PINS,)),
+    Row("lambda l1 parity class", GENFUN,
+        "(a * par - l1_lo) % step1", "(a * (par + 1) - l1_lo) % step1",
+        (LAMBDA_PINS,)),
+    Row("lambda l3 parity class", GENFUN,
+        "b * ((par + l1) % 2)", "b * ((par + l1 + 1) % 2)", (LAMBDA_PINS,)),
     # the r = 0 weight and the ENGINES rows' counts and box columns (a
     # larger box never changes a window, so only smaller ones are rows)
     Row("csets weight at r = 0", GENFUN,

@@ -2,10 +2,12 @@
 
 This is ``orbifold.genfun._lambda_counts`` as it was before its l4 loop
 started at ``genfun._lambda_l4_start`` and its l2 loop ended at the first
-empty l4 range: it runs l2 to the cap, visits every l4 from 1 (0 on a
-stratum whose l4 vanishes), tests each slice's least stable cost against
-the window, and rebuilds its l3 limits and their cuts per slice.  It
-reads each stratum's rows and cost-line slopes from
+empty l4 range, and before it walked one side of the r = 0 mirror and
+stepped through the class parity: it walks every stratum, runs l2 to the
+cap, visits every l4 from 1 (0 on a stratum whose l4 vanishes), tests
+each slice's least stable cost against the window, rebuilds its l3
+limits and their cuts per slice, and skips each (l1, l3) of the wrong
+parity.  It reads each stratum's rows and cost-line slopes from
 ``genfun._LAMBDA_STRATA``, and returns the stable data it finds rather
 than their counts, so a test can check where each one lies.
 """
@@ -22,7 +24,7 @@ def stable_data(params, m, n, lo2, M):
     pq = params.p * params.q
     span = f4_exponent(params.C, r, m, n) - 2 * lo2
     found = []
-    for incidence, stratum, slopes, rows in _LAMBDA_STRATA:
+    for incidence, stratum, slopes, rows, _ in _LAMBDA_STRATA:
         weight, zero, corner = stratum.weight, stratum.zero, stratum.corner
         d12, d14, d32, d34 = slopes
         lo1, top1 = (0, 0) if zero == 1 else (a, M)

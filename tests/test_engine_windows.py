@@ -10,10 +10,12 @@ box, so a loop limit that drops a term in the window shows up only
 against these recorded values; the caps check that ``counts`` still caps
 every index.  The closed engine, which covers only the (1,2;0) surface,
 has one digest over its four classes, a run of cutoffs and a few caps.
-Three more checks need no recorded values: lambda builds only stable data
-on its grid (and raises on a datum its per-datum checks reject), its loop that steps through every l4 (``reference_lambda``)
-finds no datum below the derived l4 start or past the derived l2 end, and
-lambda agrees with csets (and r0 where r = 0) on the csets grid.
+Four more checks need no recorded values: lambda builds only stable data
+on its grid (and raises on a datum its per-datum checks reject), its loop
+that steps through every l4 (``reference_lambda``) finds no datum below
+the derived l4 start or past the derived l2 end, that loop's data at
+r = 0 are their own mirror image under the swap of l2 and l4, and lambda
+agrees with csets (and r0 where r = 0) on the csets grid.
 """
 
 import hashlib
@@ -184,7 +186,8 @@ def test_engine_windows_match_pins(engine):
 def test_lambda_builds_only_stable_data(monkeypatch):
     # the lambda loops walk the stability polygon, so every datum they build
     # passes the stability kernel ``sheafdata._stable``; the count is that
-    # of the stable data
+    # of the stable data the walk visits, at r = 0 about half of them (one
+    # stratum of each mirror pair, l4 >= l2 on the others)
     verdicts = []
     check = genfun._stable
 
@@ -195,7 +198,7 @@ def test_lambda_builds_only_stable_data(monkeypatch):
     monkeypatch.setattr(genfun, "_stable", counted)
     for abr in SURFACES["lambda"]:
         surface_digest("lambda", abr)
-    assert len(verdicts) == 6586
+    assert len(verdicts) == 6043
     assert all(verdicts)
 
 
@@ -231,10 +234,11 @@ def test_lambda_raises_on_a_datum_below_the_window(monkeypatch):
 
 def test_lambda_raises_on_a_datum_off_its_zero_pattern(monkeypatch):
     # an l4 loop that starts at 0 on a stratum whose jumps are all positive
-    # builds data that ``STRATA`` does not put on that stratum
+    # builds data that ``STRATA`` does not put on that stratum; on a twisted
+    # surface, where no l4 >= l2 clamp hides the start
     monkeypatch.setattr(genfun, "_lambda_l4_start", lambda *args: 0)
     with pytest.raises(ArithmeticError, match="zero pattern"):
-        genfun.rank2_vb_lambda(derive_params(1, 2, 0), (0, 0), -8)
+        genfun.rank2_vb_lambda(derive_params(2, 3, 1), (0, 0), -8)
 
 
 def l2_end(corner, pq, r, span, cap):
@@ -248,40 +252,90 @@ def l2_end(corner, pq, r, span, cap):
     return l2
 
 
+def oracle_windows(surfaces, deep):
+    """(params, class, lo2, cap, the oracle's data) on the lambda pin grid's
+    surfaces and to q^-32 on those in deep, at the box and every cap below
+    it."""
+    grid = [(abr, cls, 2 * (math.floor(f_exponent(derive_params(*abr), *cls))
+                            - depth))
+            for abr in surfaces for cls in CLASSES6
+            for depth in DEPTHS["lambda"]]
+    grid += [(abr, cls, -64) for abr in deep for cls in CLASSES6]
+    row = genfun.ENGINES["lambda"]
+    for abr, cls, lo2 in grid:
+        pr = derive_params(*abr)
+        box = row.box(pr, *cls, lo2)
+        for cap in (box,) + tuple(c for c in CAPS["lambda"] if c < box):
+            yield pr, cls, lo2, cap, reference_lambda.stable_data(
+                pr, *cls, lo2, cap)
+
+
+def miscounted(pr, cls, lo2, cap, data):
+    """Whether lambda's window at the cap differs from the oracle's data."""
+    acc = Counter()
+    for _, weight, _, e2 in data:
+        acc[e2] += weight
+    return (HalfExpLaurent(lo2, acc)
+            != genfun.ENGINES["lambda"].window(pr, *cls, lo2, cap))
+
+
 def test_lambda_finds_no_datum_before_the_l4_start():
     """On the pin grid, and to q^-32 on (1,2;0) and (2,3;1), the loop that
     runs l2 to the cap and l4 step by step finds the data lambda counts,
     each at or past its l4 start and before its stratum's l2 end."""
-    grid = [(abr, cls, 2 * (math.floor(f_exponent(derive_params(*abr), *cls))
-                            - depth))
-            for abr in SURFACES["lambda"] for cls in CLASSES6
-            for depth in DEPTHS["lambda"]]
-    grid += [(abr, cls, -64) for abr in ((1, 2, 0), (2, 3, 1))
-             for cls in CLASSES6]
-    early, late, miscounted, found = [], [], [], 0
-    row = genfun.ENGINES["lambda"]
-    for abr, cls, lo2 in grid:
-        pr = derive_params(*abr)
+    early, late, bad, found = [], [], [], 0
+    for pr, cls, lo2, cap, data in oracle_windows(SURFACES["lambda"],
+                                                  ((1, 2, 0), (2, 3, 1))):
         pq, span = pr.p * pr.q, f4_exponent(pr.C, pr.r, *cls) - 2 * lo2
-        box = row.box(pr, *cls, lo2)
-        for cap in (box,) + tuple(c for c in CAPS["lambda"] if c < box):
-            data = reference_lambda.stable_data(pr, *cls, lo2, cap)
-            found += len(data)
-            acc = Counter()
-            for incidence, weight, (l1, l2, l3, l4), e2 in data:
-                acc[e2] += weight
-                corner = genfun.STRATA[incidence].corner
-                if l4 and l4 < genfun._lambda_l4_start(corner, l2, pq,
-                                                       pr.r, span):
-                    early.append((abr, cls, lo2, incidence, l2, l4))
-                if l4 and l2 >= l2_end(corner, pq, pr.r, span, cap):
-                    late.append((abr, cls, lo2, incidence, l2, l4))
-            if HalfExpLaurent(lo2, acc) != row.window(pr, *cls, lo2, cap):
-                miscounted.append((abr, cls, lo2, cap))
+        found += len(data)
+        for incidence, _, (l1, l2, l3, l4), _ in data:
+            corner = genfun.STRATA[incidence].corner
+            where = (pr.a, pr.b, pr.r, cls, lo2, incidence, l2, l4)
+            if l4 and l4 < genfun._lambda_l4_start(corner, l2, pq, pr.r, span):
+                early.append(where)
+            if l4 and l2 >= l2_end(corner, pq, pr.r, span, cap):
+                late.append(where)
+        if miscounted(pr, cls, lo2, cap, data):
+            bad.append((pr.a, pr.b, pr.r, cls, lo2, cap))
     assert found > 6586  # the pin grid's data, and the deeper windows'
     assert not early, early[:5]
     assert not late, late[:5]
-    assert not miscounted, miscounted[:5]
+    assert not bad, bad[:5]
+
+
+# corners 2 and 4 swapped, written out here rather than read from genfun
+SWAP24 = {1: 1, 2: 4, 3: 3, 4: 2}
+
+
+def mirrored(incidence, weight, lam, e2):
+    l1, l2, l3, l4 = lam
+    return ((incidence[0],) + tuple(sorted(SWAP24[k] for k in incidence[1:])),
+            weight, (l1, l4, l3, l2), e2)
+
+
+def test_lambda_mirror_holds_at_r_0():
+    """At r = 0, on the pin grid and to q^-32 on (1,2;0) and (3,5;0), the
+    oracle's data are their own mirror image: swapping l2 with l4 and
+    corner 2 with corner 4 maps each stratum's data onto its mirror's at
+    the same exponent and weight, and on a stratum that is its own mirror
+    the data with l4 < l2 onto those with l4 > l2.  lambda, which walks one
+    side of the mirror and counts it twice, equals the oracle there, at the
+    box and at every cap below it."""
+    asymmetric, bad, kinds = [], [], Counter()
+    untwisted = [abr for abr in SURFACES["lambda"] if abr[2] == 0]
+    for pr, cls, lo2, cap, data in oracle_windows(untwisted,
+                                                  ((1, 2, 0), (3, 5, 0))):
+        if Counter(mirrored(*datum) for datum in data) != Counter(data):
+            asymmetric.append((pr.a, pr.b, cls, lo2, cap))
+        for datum in data:
+            l2, l4 = datum[2][1], datum[2][3]
+            kinds["pair" if mirrored(*datum)[0] != datum[0]
+                  else "l4 = l2" if l4 == l2 else "off the diagonal"] += 1
+        if miscounted(pr, cls, lo2, cap, data):
+            bad.append((pr.a, pr.b, cls, lo2, cap))
+    assert not asymmetric, asymmetric[:5]
+    assert not bad, bad[:5]
+    assert min(kinds.values()) > 100 and len(kinds) == 3, kinds
 
 
 # lambda against csets, and r0 where r = 0, on the csets surfaces: one window
