@@ -16,7 +16,8 @@ The rank-2 locally-free series is evaluated by four independent routes:
 * ``rank2_vb_r0`` -- an independent transcription of the specialized
   constraint sets available when r = 0;
 * ``rank2_vb_closed_p12`` -- fully explicit nested sums for the (1,2;0)
-  surface, one family of terms per first-Chern-class parity;
+  surface, one family of terms per first-Chern-class parity, each added
+  as geometric tails through one primitive, ``_geom``;
 * ``rank2_vb_lambda`` -- direct enumeration of the rank-2 data
   (``sheafdata.Rank2Datum``) over the eleven strata of
   ``sheafdata.STRATA``, walking only the jumps inside the stratum's
@@ -541,13 +542,17 @@ def rank2_vb_r0(a: int, b: int, cls: ClassLike,
 # ---------------------------------------------------------------------------
 
 def _geom(acc, e2, step2, coeff, lo2):
-    """Add coeff * q^(e2/2) / (1 - q^(-step2/2)) within the window."""
+    """Add coeff * q^(e2/2) / (1 - q^(-step2/2)) within the window.
+
+    The closed engine's one accumulation primitive: every sum below adds
+    its terms through it.
+    """
     for i in range(e2 - lo2, -1, -step2):
         acc[i] += coeff
 
 
 def _geoms(acc, base2, p, d_hi, step2, coeff, lo2):
-    """``_geom`` at each e2 = base2 - 4*p*d, d = p, ..., d_hi - 1."""
+    """One ``_geom`` per d = p, ..., d_hi - 1, from e2 = base2 - 4*p*d."""
     for d in range(p, d_hi):
         e2 = base2 - 4 * p * d
         if e2 < lo2:
@@ -556,18 +561,27 @@ def _geoms(acc, base2, p, d_hi, step2, coeff, lo2):
 
 
 def _ratios(acc, p, d_hi, coeff, lo2, family):
-    """Finite geometric blocks for u = 1, 2, ..., with (s, base2) = family(u).
+    """Adds coeff * sum_{u>=1} q^(base2/2) sum_{d=p}^{d_hi-1} q^(-s*d),
+    (s, base2) = family(u), within the window: one ``_geom`` per d.
 
-    Adds coeff * q^(base2/2) * sum_{d=p}^{d_hi-1} q^(-s*d) within the window,
-    up to the first u whose top term (d = p) lies below it.
+    Every family is affine in u with s > 0, so the term at (u, d) sits at
+    e2(u, d) = top(d) - (u - 1) step(d), top(d) = b1 - 2 s1 d and
+    step(d) = (b1 - b2) + 2 (s2 - s1) d, with (s1, b1) = family(1) and
+    (s2, b2) = family(2); step(d) > 0 on [p, d_hi).  So at a fixed d the
+    terms over u are one geometric tail, and top(d) falls as d rises.  The
+    loop over d returns at the first d whose top lies below the window:
+    there and at every later d, e2(u, d) <= top(d) < lo2.  So it adds
+    exactly the (u, d) with e2(u, d) >= lo2, as does a loop over u that
+    ends at the first u whose d = p term lies below the window, since
+    e2(u, d) <= e2(u, p) and e2(u, p) falls as u rises.
     """
-    for u in count(1):
-        s, base2 = family(u)
-        if base2 - 2 * s * p < lo2:
+    s1, b1 = family(1)
+    s2, b2 = family(2)
+    for d in range(p, d_hi):
+        top = b1 - 2 * s1 * d
+        if top < lo2:
             return
-        for i in range(base2 - 2 * s * p - lo2,
-                       max(base2 - 2 * s * d_hi - lo2, -1), -2 * s):
-            acc[i] += coeff
+        _geom(acc, top, b1 - b2 + 2 * (s2 - s1) * d, coeff, lo2)
 
 
 def _p12_00(acc, t, lo2):
@@ -699,7 +713,9 @@ def rank2_vb_closed_p12(cls: ClassLike, min2exp: int) -> HalfExpLaurent:
     Only the four parity representatives are written out; other classes
     reduce to them by an even twist and must be reduced by the caller.
     Runs the term families t = 1, 2, ... up to ``_p12_tmax``, the last one
-    that can reach the window.
+    that can reach the window, and adds every sum of a family as geometric
+    tails through ``_geom``: one per d (``_ratios``, ``_geoms``) or one
+    per piece.
 
     A few tail coefficients differ from the commonly quoted closed forms:
     they were re-derived here from the lattice counts they summarize, and
@@ -851,7 +867,9 @@ def _lambda_counts(acc: List[int], params: HirzebruchParams, m: int, n: int,
     off the class parity or with zero jumps other than its stratum's, one
     that the stability kernel ``sheafdata._stable`` rejects, or one whose
     Euler characteristic (``sheafdata._c1_chi4``) lies below the window
-    raises ArithmeticError.
+    raises ArithmeticError.  The class also fixes b2 = -(n + l2 + l4)/2,
+    so l2 + l4 = n (mod 2): the l4 loop steps by 2 from that class, and as
+    l2 and l4 are fixed within a slice, each slice checks it once.
     """
     a, b, r = params.a, params.b, params.r
     pq = params.p * params.q
@@ -881,6 +899,10 @@ def _lambda_counts(acc: List[int], params: HirzebruchParams, m: int, n: int,
                 if lo4 > top4:
                     break  # and at every larger l2
             for l4 in range(lo4 + (lo4 + n + l2) % 2, top4 + 1, 2):
+                if (n + l2 + l4) % 2:
+                    raise ArithmeticError(
+                        "jumps l2 = %d, l4 = %d off the lattice, class "
+                        "parity or zero pattern of %r" % (l2, l4, incidence))
                 w2, w4 = pq * l2, (r + pq) * l4
                 rl = r * (l2 * l2 - l4 * l4)
                 if corner:

@@ -39,6 +39,7 @@ __all__ = [
     "modified_euler_characteristic",
     "point_sheaf_mhp",
     "inertia_components",
+    "MAX_INERTIA_ENTRIES",
     "coarse_fan",
     "coarse_cartier",
     "coarse_ample",
@@ -368,9 +369,24 @@ class InertiaComponent(_Value):
         self._store(source, stabilizer_params, dimension)
 
 
+# The most values of l one inertia listing may hold, about 8 MB of text.
+MAX_INERTIA_ENTRIES = 2 ** 20
+
+
 def inertia_components(params: HirzebruchParams) -> Tuple[InertiaComponent, ...]:
-    """Inertia components grouped by source, empty families omitted."""
+    """Inertia components grouped by source, empty families omitted.
+
+    The families list 2 (a + b) - p - q - 2 values of l: p - 1 and q - 1
+    for rho1 and rho3, and b - p (a - q) for sigma1 and sigma4 (sigma2 and
+    sigma3), the l < b (l < a) off the p - 1 (q - 1) multiples of b/p
+    (a/q).  A surface with more than ``MAX_INERTIA_ENTRIES`` raises
+    ValueError before any family is built.
+    """
     a, b, p, q = params.a, params.b, params.p, params.q
+    entries = 2 * (a + b) - p - q - 2
+    if entries > MAX_INERTIA_ENTRIES:
+        raise ValueError("inertia listing holds %d values of l, more than "
+                         "the limit of %d" % (entries, MAX_INERTIA_ENTRIES))
     sigma_b = tuple(l for l in range(1, b) if l % (b // p) != 0)
     sigma_a = tuple(l for l in range(1, a) if l % (a // q) != 0)
     families = [

@@ -1,6 +1,7 @@
 """Committed mutants of the derived loop limits, of the work skipped on
 the torsion-free path, of the integer Riemann-Roch forms and the sums
-they skip, of lambda's mirror weights and parity classes, of the class
+they skip, of lambda's mirror weights and parity classes, of the closed
+engine's tails, of the inertia listing's size limit, of the class
 reader, of internal checks, of the polynomial constructor and of the
 value types' storing: the tests must kill each.
 
@@ -47,6 +48,10 @@ LAMBDA_PINS = PINS + "[lambda]"
 L4_START = ("tests/test_engine_windows.py::"
             "test_lambda_finds_no_datum_before_the_l4_start")
 CLOSED_PIN = "tests/test_engine_windows.py::test_closed_windows_match_pin"
+N_PARITY = ("tests/test_engine_windows.py::"
+            "test_lambda_raises_on_a_slice_off_the_n_parity")
+INERTIA_LIMIT = ("tests/test_geometry.py::"
+                 "test_inertia_listing_over_the_limit_is_refused")
 RR = "tests/test_geometry.py::test_riemann_roch_matches_fraction_reference"
 TWICE = ("tests/test_geometry.py::test_doubled_rho_sum_closed_form",
          "tests/test_geometry.py::test_doubled_sum_refuses_a_non_integer")
@@ -140,6 +145,9 @@ ROWS = (
         (LAMBDA_PINS,)),
     Row("lambda l3 parity class", GENFUN,
         "b * ((par + l1) % 2)", "b * ((par + l1 + 1) % 2)", (LAMBDA_PINS,)),
+    # lambda's per-slice check of the n parity dropped
+    Row("lambda n parity check", GENFUN,
+        "if (n + l2 + l4) % 2:", "if False:", (N_PARITY,)),
     # the r = 0 weight and the ENGINES rows' counts and box columns (a
     # larger box never changes a window, so only smaller ones are rows)
     Row("csets weight at r = 0", GENFUN,
@@ -151,6 +159,17 @@ ROWS = (
     Row("closed box one family short", GENFUN,
         "lambda params, m, n, lo2: _p12_tmax(lo2),",
         "lambda params, m, n, lo2: _p12_tmax(lo2) - 1,", (CLOSED_PIN,)),
+    # the closed engine's tails over u: the d loop one d late, the tail's
+    # step one off, and the loop's end one d early where a top lands on lo2
+    Row("_ratios d start", GENFUN,
+        "for d in range(p, d_hi):\n        top = b1",
+        "for d in range(p + 1, d_hi):\n        top = b1", (CLOSED_PIN,)),
+    Row("_ratios tail step", GENFUN,
+        "_geom(acc, top, b1 - b2 + 2 * (s2 - s1) * d, coeff, lo2)",
+        "_geom(acc, top, b1 - b2 + 2 * (s2 - s1) * d + 1, coeff, lo2)",
+        (CLOSED_PIN,)),
+    Row("_ratios end", GENFUN,
+        "if top < lo2:", "if top <= lo2:", (CLOSED_PIN,)),
     Row("lambda box wired to _box", GENFUN,
         "_lambda_box, experimental=True),", "_box, experimental=True),",
         (LAMBDA_PINS,)),
@@ -277,6 +296,10 @@ ROWS = (
     Row("_store key one field short", INTLATTICE,
         "setters[-1](self, fields)", "setters[-1](self, fields[:-1])",
         VALUES),
+    # the inertia listing's size limit dropped
+    Row("inertia limit", GEOMETRY,
+        "    if entries > MAX_INERTIA_ENTRIES:\n        raise",
+        "    if False:\n        raise", (INERTIA_LIMIT,)),
     Row("PicClass unchecked", GEOMETRY,
         'self._store(*_integers((m, n), "a class is two integers (m, n)"))',
         "self._store(m, n)", VALUES),

@@ -155,6 +155,25 @@ def test_window_over_the_limit_is_one_line_exit_1():
         assert proc.stderr.count("\n") == 1
 
 
+def test_inertia_over_the_limit_is_one_line_exit_1():
+    # a = 2^31 would list ~4.3e9 values of l, ~37 GB of text built in
+    # memory; the refusal comes before any of it.  The largest accepted
+    # listing, 2^20 values, prints as it did before the limit
+    proc = run_cli("inertia", "-a", "2147483648", "-b", "5",
+                   "-r", "1000000000000", preexec_fn=_cap_address_space)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: inertia listing holds 4294963203 values "
+                           "of l, more than the limit of 1048576\n")
+    proc = run_cli("inertia", "-a", "524288", "-b", "3", "-r", "1")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: inertia listing holds 1048578 ")
+    proc = run_cli("inertia", "-a", "524287", "-b", "3", "-r", "1")
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest()[:16] == \
+        "6246c981ad3756da"
+
+
 def test_unwritable_out_is_one_line_exit_1(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     code = cli.main(["euler", "-a", "2", "-b", "3", "-r", "1", "-m", "0",

@@ -11,14 +11,16 @@ against these recorded values; the caps check that ``counts`` still caps
 every index.  The closed engine, which covers only the (1,2;0) surface,
 has one digest over its four classes, a run of cutoffs and a few caps.
 Four more checks need no recorded values: lambda builds only stable data
-on its grid (and raises on a datum its per-datum checks reject), its loop
-that steps through every l4 (``reference_lambda``) finds no datum below
-the derived l4 start or past the derived l2 end, that loop's data at
+on its grid (and raises on a datum its per-datum checks reject, or on a
+slice off the class's n parity), its loop that steps through every l4
+(``reference_lambda``) finds no datum below the derived l4 start or past
+the derived l2 end, that loop's data at
 r = 0 are their own mirror image under the swap of l2 and l4, and lambda
 agrees with csets (and r0 where r = 0) on the csets grid.
 """
 
 import hashlib
+import inspect
 import json
 import math
 from collections import Counter
@@ -239,6 +241,22 @@ def test_lambda_raises_on_a_datum_off_its_zero_pattern(monkeypatch):
     monkeypatch.setattr(genfun, "_lambda_l4_start", lambda *args: 0)
     with pytest.raises(ArithmeticError, match="zero pattern"):
         genfun.rank2_vb_lambda(derive_params(2, 3, 1), (0, 0), -8)
+
+
+@pytest.mark.parametrize("abr", [(2, 3, 1), (1, 2, 0)])
+def test_lambda_raises_on_a_slice_off_the_n_parity(abr):
+    # an l4 loop whose stride starts one class off walks slices with
+    # l2 + l4 != n (mod 2), whose b2 = -(n + l2 + l4)/2 floors: without the
+    # per-slice check such a datum lands above the window's top on (2,3;1)
+    # and at a wrong exponent inside it on (1,2;0)
+    source = inspect.getsource(genfun._lambda_counts)
+    shift = "(lo4 + n + l2) % 2"
+    assert source.count(shift) == 1
+    scope = dict(vars(genfun))
+    exec(source.replace(shift, "(lo4 + n + l2 + 1) % 2"), scope)
+    row = genfun.ENGINES["lambda"]._replace(counts=scope["_lambda_counts"])
+    with pytest.raises(ArithmeticError, match="class parity"):
+        row.window(derive_params(*abr), 0, 0, -16)
 
 
 def l2_end(corner, pq, r, span, cap):

@@ -458,6 +458,38 @@ def test_closed_bound_stops_at_t_limit(monkeypatch):
     assert calls == [1, 2] and genfun._p12_tmax(-16) == 2
 
 
+def test_closed_families_are_tails_in_u(monkeypatch):
+    # ``_ratios`` sums each d's terms over u as one geometric tail read off
+    # family(1) and family(2): that needs (s, base2) affine in u, s > 0,
+    # and a positive u-step at every d it walks
+    seen = []
+    monkeypatch.setattr(genfun, "_ratios",
+                        lambda acc, p, d_hi, coeff, lo2, family:
+                        seen.append((p, d_hi, family)))
+    for cls, term in genfun._P12_TERMS.items():
+        del seen[:]
+        for t in range(1, 9):
+            term([0] * (genfun._P12_TOP2 + 1), t, 0)
+        assert seen, cls
+        for p, d_hi, family in seen:
+            (s1, b1), (s2, b2) = family(1), family(2)
+            assert s1 > 0, (cls, p)
+            assert [family(u) for u in range(1, 7)] == [
+                (s1 + (u - 1) * (s2 - s1), b1 + (u - 1) * (b2 - b1))
+                for u in range(1, 7)], (cls, p)
+            assert all(b1 - b2 + 2 * (s2 - s1) * d > 0
+                       for d in range(p, d_hi)), (cls, p)
+
+
+def test_closed_agrees_with_csets_and_r0_at_q_minus_500():
+    for cls in GOLD_120:
+        closed = rank2_vb_closed_p12(cls, min2exp=-1000)
+        assert rank2_vb_csets(P120, cls, min2exp=-1000).first_difference(
+            closed) is None, cls
+        assert rank2_vb_r0(1, 2, cls, min2exp=-1000).first_difference(
+            closed) is None, cls
+
+
 def test_window_truncation_consistency(engines120):
     deep = engines120[(1, 0)]["csets"]
     assert HalfExpLaurent(-6, deep.terms) == \

@@ -499,6 +499,19 @@ def test_inertia_component_count_formula():
         assert count == 1 + (pr.p - 1) + (pr.q - 1) + 2 * n_sigma_b + 2 * n_sigma_a
 
 
+def test_inertia_listing_over_the_limit_is_refused(monkeypatch):
+    # the refusal counts 2 (a + b) - p - q - 2 values of l, exactly the
+    # listing's length; (2,3;1) lists 6 and (1,5;1) would list 8
+    for pr in grid_params():
+        assert sum(len(c.stabilizer_params) for c in inertia_components(pr)) \
+            == 2 * (pr.a + pr.b) - pr.p - pr.q - 2
+    monkeypatch.setattr(geometry, "MAX_INERTIA_ENTRIES", 6)
+    assert len(inertia_components(derive_params(2, 3, 1))) == 5
+    with pytest.raises(ValueError,
+                       match="holds 8 values of l, more than the limit of 6"):
+        inertia_components(derive_params(1, 5, 1))
+
+
 # ------------------------------------------------------------ coarse space
 
 
